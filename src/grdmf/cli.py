@@ -215,34 +215,29 @@ def _parse_combos(spec) -> list[tuple[list[str], list[str]]]:
     return combos
 
 
-def _named_paths(items, suffix: str, taken=()) -> dict[str, Path]:
+def _next_name(taken, suffix: str) -> str:
+    """The first default name s1_d, s2_d, ... not in ``taken``."""
+    counter = 1
+    while f"s{counter}_{suffix}" in taken:
+        counter += 1
+    return f"s{counter}_{suffix}"
+
+
+def _named_paths(items, suffix: str) -> dict[str, Path]:
     """Assign default names s1_d, s2_d, ... to unnamed similarity paths."""
     if isinstance(items, dict):
         return {str(name): Path(p) for name, p in items.items()}
     out: dict[str, Path] = {}
-    used = set(taken)
-    counter = 1
     for item in items or []:
         if "=" in str(item):
             name, _, path = str(item).partition("=")
             name = name.strip()
         else:
-            path = str(item)
-            while f"s{counter}_{suffix}" in used:
-                counter += 1
-            name = f"s{counter}_{suffix}"
-        if name in out or name in used:
+            name, path = _next_name(out, suffix), str(item)
+        if name in out:
             raise ConfigError(f"duplicate similarity name {name!r}")
-        used.add(name)
         out[name] = Path(path)
     return out
-
-
-def _next_name(taken, suffix: str) -> str:
-    counter = 1
-    while f"s{counter}_{suffix}" in taken:
-        counter += 1
-    return f"s{counter}_{suffix}"
 
 
 def _sha256(path: Path) -> str:
@@ -329,6 +324,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         int(v) for v in ks_raw
     )
 
+    repeats = int(pick("repeats", "repeats", 10))
+    if repeats < 1:
+        raise ConfigError(f"--repeats must be >= 1, got {repeats}")
+    seed = int(pick("seed", "seed", 0))
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+
     cfg = RunConfig(
         command=command,
         association=association,
@@ -339,8 +341,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         hyperparams=hyperparams,
         scheme=scheme,
         folds=int(pick("folds", "folds", 10)),
-        repeats=int(pick("repeats", "repeats", 10)),
-        seed=int(pick("seed", "seed", 0)),
+        repeats=repeats,
+        seed=seed,
         ks=ks,
         k=int(pick("k", "k", 10)),
         virus=str(virus) if virus else None,
@@ -459,25 +461,12 @@ def cmd_predict(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySet
 
 
 def _merged_cv_payload(reports: list[EvalReport]) -> dict:
-    folds = [f.to_dict() for report in reports for f in report.per_fold]
-    kept = [f for f in folds if not f["skipped"]]
-    aucs = [f["auc"] for f in kept if f["auc"] is not None]
-    auprs = [f["aupr"] for f in kept if f["aupr"] is not None]
-    pre: dict[str, list[float]] = {}
-    rec: dict[str, list[float]] = {}
-    for f in kept:
-        for key, value in (f["pre_at_k"] or {}).items():
-            pre.setdefault(key, []).append(value)
-        for key, value in (f["rec_at_k"] or {}).items():
-            rec.setdefault(key, []).append(value)
-    mean = {
-        "auc": float(np.mean(aucs)) if aucs else None,
-        "aupr": float(np.mean(auprs)) if auprs else None,
-        "pre_at_k": {k: float(np.mean(v)) for k, v in sorted(pre.items())},
-        "rec_at_k": {k: float(np.mean(v)) for k, v in sorted(rec.items())},
-    }
+    """Folds, notes and means of several runs, aggregated as one report."""
+    folds = [f for report in reports for f in report.per_fold]
     notes = [note for report in reports for note in report.notes]
-    return {"folds": folds, "mean": mean, "notes": notes}
+    merged = EvalReport.from_folds(reports[0].scheme, None, folds, notes).to_dict()
+    mean = {key: merged[key] for key in ("auc", "aupr", "pre_at_k", "rec_at_k")}
+    return {"folds": merged["folds"], "mean": mean, "notes": merged["notes"]}
 
 
 def cmd_cv(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySet) -> int:
@@ -521,16 +510,14 @@ def _default_combos(sims: SimilaritySet) -> list[tuple[list[str], list[str]]]:
 def cmd_ablation(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySet) -> int:
     combos = cfg.combos if cfg.combos is not None else _default_combos(sims)
     seeds = [cfg.seed + i for i in range(cfg.repeats)]
-    merged: dict[str, dict] = {}
+    merged: dict[str, list[EvalReport]] = {}
     for seed in seeds:
         reports = run_ablation(
             dataset, sims, combos, cfg.hyperparams, seed=seed, folds=cfg.folds
         )
         for label, report in reports.items():
-            merged.setdefault(label, {"reports": []})["reports"].append(report)
-    combo_payload = {
-        label: _merged_cv_payload(entry["reports"]) for label, entry in merged.items()
-    }
+            merged.setdefault(label, []).append(report)
+    combo_payload = {label: _merged_cv_payload(runs) for label, runs in merged.items()}
     payload = {
         "config": cfg.to_dict(),
         "scheme": "entries",

@@ -5,7 +5,7 @@ CSV conventions:
 * association matrix -- header row of virus names, first column of drug
   names, strictly binary body;
 * similarity matrix -- square, with the same entity names across the header
-  row and the first column, real-valued body;
+  row and the first column, finite nonnegative real-valued body;
 * feature profile -- header row of feature names, first column of entity
   names, binary body.
 
@@ -133,7 +133,8 @@ def _parse_cell(text: str, path, lineno: int, col: int, binary: bool) -> float:
 
 
 def _parse_table(path, binary: bool):
-    """Shared reader: header row of column names, first column of row names."""
+    """Shared reader: header row of column names, first column of row names;
+    a non-binary body must be finite and nonnegative."""
     rows = _read_rows(path)
     header_line, header = rows[0]
     col_names = [h.strip() for h in header[1:]]
@@ -155,7 +156,17 @@ def _parse_table(path, binary: bool):
             ]
         )
     _check_unique(row_names, "row", path)
-    return tuple(row_names), tuple(col_names), np.array(data, dtype=float)
+    values = np.array(data, dtype=float)
+    # min/max propagate nan and allocate no full-size temporaries, which
+    # matters here: parsing is the memory peak of a large run
+    if not binary and values.size and not (values.min() >= 0 and np.isfinite(values.max())):
+        i, c = np.argwhere(~(np.isfinite(values) & (values >= 0)))[0]
+        lineno, row = rows[1 + i]
+        raise ParseError(
+            f"{path}:{lineno}: column {c + 2}: expected a finite nonnegative "
+            f"number, got {row[c + 1]!r}"
+        )
+    return tuple(row_names), tuple(col_names), values
 
 
 def load_association_csv(path) -> AssociationDataset:
@@ -202,10 +213,11 @@ def load_profile_csv(path) -> FeatureProfile:
 def load_similarity_csv(path) -> SimilarityMatrix:
     """Load a square similarity matrix, averaging away any asymmetry.
 
-    Row and column names must agree in order. Asymmetry beyond
-    ``ASYMMETRY_TOL`` is repaired by (S + S.T) / 2 with an
-    :class:`AsymmetryWarning`; smaller round-off asymmetry is repaired
-    silently.
+    Row and column names must agree in order, and every cell must be finite
+    and nonnegative (a negative weight would make the graph Laplacian
+    indefinite). Asymmetry beyond ``ASYMMETRY_TOL`` is repaired by
+    (S + S.T) / 2 with an :class:`AsymmetryWarning`; smaller round-off
+    asymmetry is repaired silently.
     """
     row_names, col_names, values = _parse_table(path, binary=False)
     if row_names != col_names:

@@ -96,6 +96,34 @@ class EvalReport:
     per_fold: list[FoldMetrics]
     notes: list[str] = field(default_factory=list)
 
+    @classmethod
+    def from_folds(
+        cls, scheme: str, seed: Optional[int],
+        per_fold: Sequence[FoldMetrics], notes: Sequence[str],
+    ) -> "EvalReport":
+        """Aggregate folds: each metric is its mean over the non-skipped
+        folds that carry it, or absent (None for AUC/AUPR) if none does."""
+        kept = [f for f in per_fold if not f.skipped]
+
+        def mean(values: list[float]) -> Optional[float]:
+            return float(np.mean(values)) if values else None
+
+        def mean_at_k(tables: list[Optional[dict[int, float]]]) -> dict[int, float]:
+            tables = [t for t in tables if t]
+            keys = sorted(set().union(*tables))
+            return {k: mean([t[k] for t in tables if k in t]) for k in keys}
+
+        return cls(
+            scheme=scheme,
+            seed=seed,
+            auc=mean([f.auc for f in kept if f.auc is not None]),
+            aupr=mean([f.aupr for f in kept if f.aupr is not None]),
+            pre_at_k=mean_at_k([f.pre_at_k for f in kept]),
+            rec_at_k=mean_at_k([f.rec_at_k for f in kept]),
+            per_fold=list(per_fold),
+            notes=list(notes),
+        )
+
     def to_dict(self) -> dict:
         return {
             "scheme": self.scheme,
@@ -271,14 +299,43 @@ def _default_fit_fn(y_train, mask, l_d, l_v, hp) -> np.ndarray:
     return fit(y_train, mask, l_d, l_v, hp).x
 
 
-def _mean_or_none(values: list[float]) -> Optional[float]:
-    return float(np.mean(values)) if values else None
-
-
 def _hide(y: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mask = np.ones_like(y)
     mask[cells[:, 0], cells[:, 1]] = 0.0
     return y * mask, mask
+
+
+def _run_folds(
+    y: np.ndarray,
+    similarities: SimilaritySet,
+    hp: HyperParams,
+    splits: Sequence[FoldSplit],
+    score: Callable[[FoldMetrics, np.ndarray, np.ndarray], list[str]],
+    fit_fn: Optional[FitFn],
+) -> tuple[list[FoldMetrics], list[str]]:
+    """The hide -> fit -> score loop shared by every protocol.
+
+    The Laplacians are built once; each fold trains on ``y`` with its hidden
+    cells zeroed, and ``score(record, scores, labels)`` fills in the fold's
+    metrics from the completed matrix at those cells and returns its notes.
+    """
+    if fit_fn is None:
+        fit_fn = _default_fit_fn
+    l_d = build_laplacian(list(similarities.drug.values()), hp.p)
+    l_v = build_laplacian(list(similarities.virus.values()), hp.p)
+    per_fold: list[FoldMetrics] = []
+    notes: list[str] = []
+    for split in splits:
+        rows, cols = split.hidden_cells[:, 0], split.hidden_cells[:, 1]
+        y_train, mask = _hide(y, split.hidden_cells)
+        scores = fit_fn(y_train, mask, l_d, l_v, hp)[rows, cols]
+        labels = y[rows, cols]
+        record = FoldMetrics(
+            fold_id=split.fold_id, n_hidden=labels.size, n_positive=int(labels.sum())
+        )
+        notes += score(record, scores, labels)
+        per_fold.append(record)
+    return per_fold, notes
 
 
 def run_cv(
@@ -301,8 +358,6 @@ def run_cv(
     means. Similarity matrices must already be aligned to the dataset
     registries.
     """
-    if fit_fn is None:
-        fit_fn = _default_fit_fn
     y = dataset.y
     if scheme == "entries":
         splits = split_entries(y.shape, folds=folds, seed=seed)
@@ -314,48 +369,24 @@ def run_cv(
         raise ParameterError(
             f"scheme must be 'entries', 'viruses' or 'drugs', got {scheme!r}"
         )
-    l_d = build_laplacian(list(similarities.drug.values()), hp.p)
-    l_v = build_laplacian(list(similarities.virus.values()), hp.p)
 
-    per_fold: list[FoldMetrics] = []
-    notes: list[str] = []
-    for split in splits:
-        cells = split.hidden_cells
-        y_train, mask = _hide(y, cells)
-        scores_matrix = fit_fn(y_train, mask, l_d, l_v, hp)
-        scores = scores_matrix[cells[:, 0], cells[:, 1]]
-        labels = y[cells[:, 0], cells[:, 1]]
-        n_pos = int(labels.sum())
-        record = FoldMetrics(
-            fold_id=split.fold_id,
-            n_hidden=cells.shape[0],
-            n_positive=n_pos,
-            seed=seed,
-        )
-        if n_pos == 0 or n_pos == labels.size:
+    def score(record: FoldMetrics, scores: np.ndarray, labels: np.ndarray) -> list[str]:
+        record.seed = seed
+        if record.n_positive in (0, labels.size):
             record.skipped = True
             note = (
-                f"fold {split.fold_id}: hidden cells are single-class "
-                f"({n_pos} of {labels.size} positive); metrics skipped"
+                f"fold {record.fold_id}: hidden cells are single-class "
+                f"({record.n_positive} of {labels.size} positive); metrics skipped"
             )
-            notes.append(note)
-            warnings.warn(note, FoldSkippedWarning, stacklevel=2)
-        else:
-            record.auc = auc(scores, labels)
-            record.aupr = aupr(scores, labels)
-        per_fold.append(record)
+            # stacklevel 4: score <- _run_folds <- run_cv <- caller
+            warnings.warn(note, FoldSkippedWarning, stacklevel=4)
+            return [note]
+        record.auc = auc(scores, labels)
+        record.aupr = aupr(scores, labels)
+        return []
 
-    kept = [f for f in per_fold if not f.skipped]
-    return EvalReport(
-        scheme=scheme,
-        seed=seed,
-        auc=_mean_or_none([f.auc for f in kept]),
-        aupr=_mean_or_none([f.aupr for f in kept]),
-        pre_at_k={},
-        rec_at_k={},
-        per_fold=per_fold,
-        notes=notes,
-    )
+    per_fold, notes = _run_folds(y, similarities, hp, splits, score, fit_fn)
+    return EvalReport.from_folds(scheme, seed, per_fold, notes)
 
 
 def run_loocv(
@@ -372,70 +403,33 @@ def run_loocv(
     recall means, with a note in the report. There is no randomness here, so
     the report carries no seed.
     """
-    if fit_fn is None:
-        fit_fn = _default_fit_fn
     ks = [int(k) for k in ks]
     if any(k < 1 for k in ks):
         raise ParameterError(f"cutoffs must be >= 1, got {ks}")
     y = dataset.y
     m, n = y.shape
-    l_d = build_laplacian(list(similarities.drug.values()), hp.p)
-    l_v = build_laplacian(list(similarities.virus.values()), hp.p)
+    # column j in row order, so the hidden cells' scores are the column X[:, j]
+    splits = [
+        FoldSplit(fold_id=j, hidden_cells=np.column_stack([np.arange(m), np.full(m, j)]))
+        for j in range(n)
+    ]
 
-    per_virus: list[FoldMetrics] = []
-    notes: list[str] = []
-    for j, virus in enumerate(dataset.viruses):
-        cells = np.column_stack([np.arange(m), np.full(m, j)])
-        y_train, mask = _hide(y, cells)
-        scores_matrix = fit_fn(y_train, mask, l_d, l_v, hp)
-        scores = scores_matrix[:, j]
-        labels = y[:, j]
-        n_pos = int(labels.sum())
-        record = FoldMetrics(
-            fold_id=j,
-            n_hidden=m,
-            n_positive=n_pos,
-            name=virus,
-            pre_at_k={},
-            rec_at_k={},
-        )
-        if n_pos == 0:
-            notes.append(
-                f"virus {virus!r} has no known positives; excluded from recall means"
-            )
-            for k in ks:
-                record.pre_at_k[k] = 0.0
-        else:
-            for k in ks:
-                pre, rec = topk_metrics(scores, labels, k)
-                record.pre_at_k[k] = pre
-                record.rec_at_k[k] = rec
-            if n_pos < m:
-                record.auc = auc(scores, labels)
-                record.aupr = aupr(scores, labels)
-            else:
-                notes.append(f"virus {virus!r} is all-positive; AUC/AUPR skipped")
-        per_virus.append(record)
+    def score(record: FoldMetrics, scores: np.ndarray, labels: np.ndarray) -> list[str]:
+        record.name = virus = dataset.viruses[record.fold_id]
+        record.pre_at_k, record.rec_at_k = {}, {}
+        if record.n_positive == 0:
+            record.pre_at_k = dict.fromkeys(ks, 0.0)
+            return [f"virus {virus!r} has no known positives; excluded from recall means"]
+        for k in ks:
+            record.pre_at_k[k], record.rec_at_k[k] = topk_metrics(scores, labels, k)
+        if record.n_positive == m:
+            return [f"virus {virus!r} is all-positive; AUC/AUPR skipped"]
+        record.auc = auc(scores, labels)
+        record.aupr = aupr(scores, labels)
+        return []
 
-    kept = per_virus
-    pre_means = {
-        k: _mean_or_none([f.pre_at_k[k] for f in kept if k in (f.pre_at_k or {})])
-        for k in ks
-    }
-    rec_means = {
-        k: _mean_or_none([f.rec_at_k[k] for f in kept if k in (f.rec_at_k or {})])
-        for k in ks
-    }
-    return EvalReport(
-        scheme="loo",
-        seed=None,
-        auc=_mean_or_none([f.auc for f in kept if f.auc is not None]),
-        aupr=_mean_or_none([f.aupr for f in kept if f.aupr is not None]),
-        pre_at_k={k: v for k, v in pre_means.items() if v is not None},
-        rec_at_k={k: v for k, v in rec_means.items() if v is not None},
-        per_fold=per_virus,
-        notes=notes,
-    )
+    per_virus, notes = _run_folds(y, similarities, hp, splits, score, fit_fn)
+    return EvalReport.from_folds("loo", None, per_virus, notes)
 
 
 def run_ablation(

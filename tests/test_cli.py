@@ -16,9 +16,20 @@ from grdmf.cli import (
     main,
     predict_topk,
 )
-from grdmf.data import load_association_csv
-from grdmf.exceptions import TopKClampWarning, UnknownNameError, ZeroProfileWarning
-from grdmf.solver import FactorSet, FitResult, SolveTrace
+from grdmf.data import (
+    SimilaritySet,
+    align_similarity,
+    load_association_csv,
+    load_similarity_csv,
+)
+from grdmf.evaluation import run_cv, run_loocv
+from grdmf.exceptions import (
+    FoldSkippedWarning,
+    TopKClampWarning,
+    UnknownNameError,
+    ZeroProfileWarning,
+)
+from grdmf.solver import FactorSet, FitResult, HyperParams, SolveTrace
 from grdmf.synthetic import make_synthetic_problem, write_synthetic_csvs
 
 # ---------------------------------------------------------------------------
@@ -43,6 +54,19 @@ def _base_args(bundle, out, *, iters="2", dims="4,2"):
         "--p", "2", "--dims", dims, "--iters", iters,
         "--out", str(out),
     ]
+
+
+def _library_inputs(bundle):
+    """The dataset, similarities and hyperparameters `_base_args` resolves to."""
+    dataset = load_association_csv(bundle["association"])
+    drug_sim = align_similarity(load_similarity_csv(bundle["drug_sim"]), dataset.drugs)
+    virus_sim = align_similarity(load_similarity_csv(bundle["virus_sim"]), dataset.viruses)
+    sims = SimilaritySet(drug={"s1_d": drug_sim}, virus={"s1_v": virus_sim})
+    hp = HyperParams(mu=0.1, theta=1.0, alpha=0.5, dims=(4, 2), p=2, iters=2)
+    return dataset, sims, hp
+
+
+_MEAN_KEYS = ("auc", "aupr", "pre_at_k", "rec_at_k")
 
 
 def _read_rows(path):
@@ -186,6 +210,38 @@ def test_cv_loo_scheme(bundle, tmp_path):
     assert names == set(dataset.viruses)
 
 
+def test_cv_means_are_the_library_report_means(bundle, tmp_path):
+    out = tmp_path / "cvmean"
+    args = [
+        "cv", *_base_args(bundle, out),
+        "--scheme", "entries", "--folds", "12", "--repeats", "1", "--seed", "1",
+    ]
+    # seed 1 gives a single-class fold, so the skip exclusion is exercised
+    with pytest.warns(FoldSkippedWarning):
+        assert main(args) == 0
+    payload = json.loads((out / "metrics.json").read_text())
+    dataset, sims, hp = _library_inputs(bundle)
+    with pytest.warns(FoldSkippedWarning):
+        report = run_cv(dataset, sims, "entries", hp, seed=1, folds=12).to_dict()
+    assert payload["mean"] == {key: report[key] for key in _MEAN_KEYS}
+
+
+def test_loo_means_are_the_library_report_means(bundle, tmp_path):
+    dataset, sims, hp = _library_inputs(bundle)
+    # a virus without positives is left out of the recall means, and
+    # k=20 exceeds the 12 drugs, so it is clamped with a warning
+    assert dataset.y[:, dataset.viruses.index("virus001")].sum() == 0
+    assert len(dataset.drugs) < 20
+    out = tmp_path / "loomean"
+    with pytest.warns(TopKClampWarning):
+        assert main(["cv", *_base_args(bundle, out), "--scheme", "loo", "--ks", "2,20"]) == 0
+    payload = json.loads((out / "metrics.json").read_text())
+    with pytest.warns(TopKClampWarning):
+        report = run_loocv(dataset, sims, hp, ks=(2, 20)).to_dict()
+    assert payload["mean"] == {key: report[key] for key in _MEAN_KEYS}
+    assert payload["notes"] == report["notes"]
+
+
 # ---------------------------------------------------------------------------
 # ablation
 
@@ -276,6 +332,43 @@ def test_missing_inputs_fail_with_nonzero_exit(bundle, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["fit", "--config", str(bad)]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("cv", "--repeats", "0"),
+        ("cv", "--repeats", "-2"),
+        ("ablation", "--repeats", "0"),
+        ("cv", "--seed", "-1"),
+    ],
+)
+def test_repeats_and_seed_are_validated(bundle, tmp_path, caplog, command, flag, value):
+    out = tmp_path / "bad"
+    assert main([command, *_base_args(bundle, out), flag, value]) == 1
+    assert f"{flag} must be" in caplog.text
+    assert not out.exists()
+
+
+def test_bad_similarity_cell_fails_cleanly(bundle, tmp_path, caplog):
+    with open(bundle["drug_sim"], newline="") as handle:
+        rows = list(csv.reader(handle))
+    rows[2][3] = "nan"
+    bad = tmp_path / "drug_sim_nan.csv"
+    with open(bad, "w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+    out = tmp_path / "badsim"
+    args = [
+        "fit",
+        "--association", bundle["association"],
+        "--drug-sim", str(bad),
+        "--virus-sim", bundle["virus_sim"],
+        "--dims", "4,2", "--iters", "2",
+        "--out", str(out),
+    ]
+    assert main(args) == 1  # a ParseError, not an escaping ValueError
+    assert f"{bad}:3: column 4" in caplog.text
+    assert not out.exists()
 
 
 def test_scheme_defaults_reach_the_report(bundle, tmp_path):

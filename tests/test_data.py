@@ -137,6 +137,22 @@ def test_similarity_tiny_asymmetry_repaired_silently(tmp_path, recwarn):
     assert np.allclose(sim.values, sim.values.T)
 
 
+@pytest.mark.parametrize(
+    "body, location",
+    [
+        (",a,b\na,1,nan\nb,0.5,1\n", r"s\.csv:3: column 3: .*'nan'"),
+        (",a,b\na,1,0.5\nb,inf,1\n", r"s\.csv:4: column 2: .*'inf'"),
+        (",a,b\na,1,-0.25\nb,-0.25,1\n", r"s\.csv:3: column 3: .*'-0.25'"),
+    ],
+    ids=["nan", "inf", "negative"],
+)
+def test_similarity_rejects_nonfinite_and_negative_cells(tmp_path, body, location):
+    # the first offending cell is named by file, line (comments counted) and column
+    path = _write(tmp_path / "s.csv", "# comment\n" + body)
+    with pytest.raises(ParseError, match=location):
+        load_similarity_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # profiles
 
