@@ -133,6 +133,14 @@ class RunConfig:
         }
 
 
+def _virus_column(dataset: AssociationDataset, virus_name: str) -> int:
+    if virus_name not in dataset.viruses:
+        raise UnknownNameError(
+            f"unknown virus {virus_name!r}; the dataset has {len(dataset.viruses)} viruses"
+        )
+    return dataset.viruses.index(virus_name)
+
+
 def predict_topk(
     fit_result: FitResult,
     dataset: AssociationDataset,
@@ -146,14 +154,10 @@ def predict_topk(
     flagged via ``known``. Ties keep registry order; a ``k`` beyond the drug
     count returns the full ranking with a warning.
     """
-    if virus_name not in dataset.viruses:
-        raise UnknownNameError(
-            f"unknown virus {virus_name!r}; the dataset has {len(dataset.viruses)} viruses"
-        )
+    j = _virus_column(dataset, virus_name)
     if int(k) < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     k = int(k)
-    j = dataset.viruses.index(virus_name)
     scores = np.asarray(fit_result.x, dtype=float)[:, j]
     if k > scores.size:
         warnings.warn(
@@ -180,11 +184,11 @@ def predict_topk(
 # configuration resolution
 
 
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {what} {text!r}: {exc}") from exc
+def _int_tuple(value) -> tuple[int, ...]:
+    """Integers from a "17,15" string or a list."""
+    if isinstance(value, str):
+        value = [part for part in value.split(",") if part.strip()]
+    return tuple(int(v) for v in value)
 
 
 def _parse_combos(spec) -> list[tuple[list[str], list[str]]]:
@@ -240,6 +244,10 @@ def _named_paths(items, suffix: str) -> dict[str, Path]:
     return out
 
 
+def _path_or_none(value) -> Optional[Path]:
+    return Path(value) if value else None
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -255,30 +263,36 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             file_cfg = json.loads(config_path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(
+                f"config file {config_path} must hold a JSON object, "
+                f"got {type(file_cfg).__name__}"
+            )
 
-    def pick(flag: str, key: str, default=None):
+    def pick(flag: str, key: str, default=None, convert=str):
+        """The flag, else the file's value, else ``default``, through ``convert``;
+        an optional input (``default`` None) that was not given stays None."""
         value = getattr(args, flag, None)
-        if value is not None:
-            return value
-        return file_cfg.get(key, default)
+        if value is None:
+            value = file_cfg.get(key, default)
+        if value is None and default is None:
+            return None
+        try:
+            return convert(value)
+        except GrdmfError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"cannot parse {key} {value!r}: {exc}") from exc
 
     command = args.command
-    scheme = str(pick("scheme", "scheme", "entries"))
+    scheme = pick("scheme", "scheme", "entries")
     if scheme not in ("entries", "viruses", "drugs", "loo"):
         raise ConfigError(
             f"scheme must be one of entries, viruses, drugs, loo; got {scheme!r}"
         )
 
-    dims_raw = pick("dims", "dims")
-    if isinstance(dims_raw, str):
-        dims = _parse_int_list(dims_raw, "dims")
-    elif dims_raw is not None:
-        dims = tuple(int(d) for d in dims_raw)
-    else:
-        dims = None
-    layers = int(pick("layers", "layers", len(dims) if dims else 2))
-    if dims is not None:
-        layers = len(dims)
+    dims = pick("dims", "dims", convert=_int_tuple)
+    layers = pick("layers", "layers", 2, int) if dims is None else len(dims)
     default_key = ("entries" if scheme == "loo" else scheme, layers)
     if default_key not in DEFAULT_HYPERPARAMS:
         raise ConfigError(f"no defaults for {layers} layers; supply --dims")
@@ -286,48 +300,39 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     try:
         hyperparams = HyperParams(
-            mu=float(pick("mu", "mu", hp_defaults["mu"])),
-            theta=float(pick("theta", "theta", hp_defaults["theta"])),
-            alpha=float(pick("alpha", "alpha", hp_defaults["alpha"])),
+            mu=pick("mu", "mu", hp_defaults["mu"], float),
+            theta=pick("theta", "theta", hp_defaults["theta"], float),
+            alpha=pick("alpha", "alpha", hp_defaults["alpha"], float),
             dims=dims if dims is not None else hp_defaults["dims"],
-            p=int(pick("p", "p", hp_defaults["p"])),
-            iters=int(pick("iters", "iters", DEFAULT_ITERS)),
+            p=pick("p", "p", hp_defaults["p"], int),
+            iters=pick("iters", "iters", DEFAULT_ITERS, int),
         )
     except ParameterError as exc:
         raise ConfigError(f"bad hyperparameters: {exc}") from exc
 
-    association = pick("association", "association")
+    association = pick("association", "association", convert=Path)
     if association is None:
         raise ConfigError("an association matrix is required (--association)")
-    association = Path(association)
 
-    drug_sims = _named_paths(pick("drug_sim", "drug_sims", []), "d")
-    virus_sims = _named_paths(pick("virus_sim", "virus_sims", []), "v")
-    drug_profile = pick("drug_profile", "drug_profile")
-    virus_profile = pick("virus_profile", "virus_profile")
-    drug_profile = Path(drug_profile) if drug_profile else None
-    virus_profile = Path(virus_profile) if virus_profile else None
+    drug_sims = pick("drug_sim", "drug_sims", [], lambda v: _named_paths(v, "d"))
+    virus_sims = pick("virus_sim", "virus_sims", [], lambda v: _named_paths(v, "v"))
+    drug_profile = pick("drug_profile", "drug_profile", convert=_path_or_none)
+    virus_profile = pick("virus_profile", "virus_profile", convert=_path_or_none)
     if not drug_sims and drug_profile is None:
         raise ConfigError("at least one drug-side similarity or profile is required")
     if not virus_sims and virus_profile is None:
         raise ConfigError("at least one virus-side similarity or profile is required")
 
-    combos_raw = pick("combos", "combos")
-    combos = _parse_combos(combos_raw) if combos_raw is not None else None
+    combos = pick("combos", "combos", convert=_parse_combos)
 
-    virus = pick("virus", "virus")
+    virus = pick("virus", "virus") or None
     if command == "predict" and not virus:
         raise ConfigError("predict needs a virus name (--virus)")
 
-    ks_raw = pick("ks", "ks", (3, 5, 7))
-    ks = _parse_int_list(ks_raw, "ks") if isinstance(ks_raw, str) else tuple(
-        int(v) for v in ks_raw
-    )
-
-    repeats = int(pick("repeats", "repeats", 10))
+    repeats = pick("repeats", "repeats", 10, int)
     if repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {repeats}")
-    seed = int(pick("seed", "seed", 0))
+    seed = pick("seed", "seed", 0, int)
     if seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
 
@@ -340,14 +345,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         virus_profile=virus_profile,
         hyperparams=hyperparams,
         scheme=scheme,
-        folds=int(pick("folds", "folds", 10)),
+        folds=pick("folds", "folds", 10, int),
         repeats=repeats,
         seed=seed,
-        ks=ks,
-        k=int(pick("k", "k", 10)),
-        virus=str(virus) if virus else None,
+        ks=pick("ks", "ks", (3, 5, 7), _int_tuple),
+        k=pick("k", "k", 10, int),
+        virus=virus,
         combos=combos,
-        out=Path(pick("out", "out", "grdmf_out")),
+        out=pick("out", "out", "grdmf_out", Path),
     )
 
     referenced = [cfg.association, *cfg.drug_sims.values(), *cfg.virus_sims.values()]
@@ -434,15 +439,9 @@ def cmd_fit(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySet) ->
 
 
 def cmd_predict(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySet) -> int:
+    j = _virus_column(dataset, cfg.virus)  # before the fit, which is the costly part
+    positives = {dataset.drugs[i] for i in np.flatnonzero(dataset.y[:, j] == 1.0)}
     result = _full_fit(cfg, dataset, sims)
-    j = None
-    if cfg.virus in dataset.viruses:
-        j = dataset.viruses.index(cfg.virus)
-    positives = (
-        {dataset.drugs[i] for i in np.flatnonzero(dataset.y[:, j] == 1.0)}
-        if j is not None
-        else set()
-    )
     ranking = predict_topk(result, dataset, cfg.virus, cfg.k, positives)
     out = cfg.out
     out.mkdir(parents=True, exist_ok=True)

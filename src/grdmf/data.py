@@ -100,73 +100,69 @@ def _check_unique(names: Sequence[str], what: str, path) -> None:
         seen.add(name)
 
 
-def _read_rows(path) -> list[tuple[int, list[str]]]:
-    """All non-comment CSV rows of ``path`` with their 1-based line numbers."""
-    path = Path(path)
-    try:
-        handle = path.open(newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        rows = []
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            rows.append((lineno, row))
-    if not rows:
-        raise ParseError(f"{path} contains no data rows")
-    return rows
+def _body_ok(values: np.ndarray, binary: bool) -> np.ndarray:
+    """The body contract per cell: 0 or 1 if binary, else finite and nonnegative."""
+    if binary:
+        return (values == 0.0) | (values == 1.0)
+    return np.isfinite(values) & (values >= 0.0)
 
 
-def _parse_cell(text: str, path, lineno: int, col: int, binary: bool) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise ParseError(
-            f"{path}:{lineno}: column {col}: cannot parse {text!r} as a number"
-        ) from exc
-    if binary and value not in (0.0, 1.0):
-        raise ParseError(
-            f"{path}:{lineno}: column {col}: expected 0 or 1, got {text!r}"
-        )
-    return value
+def _first_bad_cell(path, lineno: int, cells: Sequence[str], binary: bool) -> ParseError:
+    """The error for the first cell of a rejected row that breaks the contract."""
+    for col, text in enumerate(cells, start=2):
+        try:
+            value = float(text)
+        except ValueError:
+            return ParseError(
+                f"{path}:{lineno}: column {col}: cannot parse {text!r} as a number"
+            )
+        if not _body_ok(np.float64(value), binary):
+            expected = "0 or 1" if binary else "a finite nonnegative number"
+            return ParseError(
+                f"{path}:{lineno}: column {col}: expected {expected}, got {text!r}"
+            )
 
 
 def _parse_table(path, binary: bool):
-    """Shared reader: header row of column names, first column of row names;
-    a non-binary body must be finite and nonnegative."""
-    rows = _read_rows(path)
-    header_line, header = rows[0]
-    col_names = [h.strip() for h in header[1:]]
-    if not col_names:
-        raise ParseError(f"{path}:{header_line}: header row names no columns")
-    _check_unique(col_names, "column", path)
-    row_names: list[str] = []
-    data: list[list[float]] = []
-    for lineno, row in rows[1:]:
-        if len(row) != len(col_names) + 1:
-            raise ParseError(
-                f"{path}:{lineno}: expected {len(col_names) + 1} fields, got {len(row)}"
-            )
-        row_names.append(row[0].strip())
-        data.append(
-            [
-                _parse_cell(cell, path, lineno, c + 2, binary)
-                for c, cell in enumerate(row[1:])
-            ]
+    """Shared reader: header row of column names, first column of row names.
+    One pass: each row is parsed with ``float()`` and checked as it is read,
+    so the error names the first bad cell in file order."""
+    try:
+        handle = Path(path).open(newline="")
+    except OSError as exc:
+        raise ParseError(f"cannot read {Path(path)}: {exc}") from exc
+    with handle:
+        rows = (
+            (lineno, row)
+            for lineno, row in enumerate(csv.reader(handle), start=1)
+            if row and not row[0].startswith("#")
         )
+        header_line, header = next(rows, (None, None))
+        if header is None:
+            raise ParseError(f"{Path(path)} contains no data rows")
+        col_names = [h.strip() for h in header[1:]]
+        if not col_names:
+            raise ParseError(f"{path}:{header_line}: header row names no columns")
+        _check_unique(col_names, "column", path)
+        width = len(col_names)
+        row_names: list[str] = []
+        data: list[np.ndarray] = []
+        for lineno, row in rows:
+            if len(row) != width + 1:
+                raise ParseError(
+                    f"{path}:{lineno}: expected {width + 1} fields, got {len(row)}"
+                )
+            cells = row[1:]
+            try:
+                values = np.fromiter(map(float, cells), float, width)
+            except ValueError:
+                values = None
+            if values is None or not _body_ok(values, binary).all():
+                raise _first_bad_cell(path, lineno, cells, binary)
+            row_names.append(row[0].strip())
+            data.append(values)
     _check_unique(row_names, "row", path)
-    values = np.array(data, dtype=float)
-    # min/max propagate nan and allocate no full-size temporaries, which
-    # matters here: parsing is the memory peak of a large run
-    if not binary and values.size and not (values.min() >= 0 and np.isfinite(values.max())):
-        i, c = np.argwhere(~(np.isfinite(values) & (values >= 0)))[0]
-        lineno, row = rows[1 + i]
-        raise ParseError(
-            f"{path}:{lineno}: column {c + 2}: expected a finite nonnegative "
-            f"number, got {row[c + 1]!r}"
-        )
-    return tuple(row_names), tuple(col_names), values
+    return tuple(row_names), tuple(col_names), np.array(data, dtype=float)
 
 
 def load_association_csv(path) -> AssociationDataset:

@@ -36,6 +36,9 @@ MIN_EIGSUM = 1e-12
 #: singular values below this fraction of the largest are treated as zero
 SINGULAR_CUTOFF = 1e-12
 
+#: spd_inverse floors eigenvalues at this fraction of the largest
+FLOOR_RATIO = 1e-10
+
 
 class SymEigen(NamedTuple):
     """Eigendecomposition ``a = vectors @ diag(values) @ vectors.T``.
@@ -136,10 +139,10 @@ def solve_sylvester_sym(a, b, c) -> np.ndarray:
     return eig_a.vectors @ (c_t / denom) @ eig_b.vectors.T
 
 
-def spd_inverse(a, floor_ratio: float = 1e-10, return_floor_count: bool = False):
+def spd_inverse(a, return_floor_count: bool = False):
     """Inverse of a symmetric positive (semi-)definite matrix.
 
-    Eigenvalues below ``floor_ratio`` times the largest eigenvalue are raised
+    Eigenvalues below ``FLOOR_RATIO`` times the largest eigenvalue are raised
     to that floor before inverting, which keeps near-singular Gram matrices
     usable. With ``return_floor_count=True`` the number of floored eigenvalues
     is returned alongside the inverse.
@@ -148,7 +151,7 @@ def spd_inverse(a, floor_ratio: float = 1e-10, return_floor_count: bool = False)
     _require_symmetric(a, "a")
     eig = sym_eigen(a)
     lam_max = float(eig.values[-1])
-    floor = floor_ratio * lam_max if lam_max > 0.0 else floor_ratio
+    floor = FLOOR_RATIO * lam_max if lam_max > 0.0 else FLOOR_RATIO
     floored = int(np.count_nonzero(eig.values < floor))
     values = np.maximum(eig.values, floor)
     inv = (eig.vectors / values) @ eig.vectors.T

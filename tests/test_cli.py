@@ -144,7 +144,11 @@ def test_predict_ranks_and_flags_known(bundle, tmp_path):
         assert (r[1] in known) == bool(int(r[3]))
 
 
-def test_predict_unknown_virus_fails_cleanly(bundle, tmp_path):
+def test_predict_unknown_virus_fails_cleanly(bundle, tmp_path, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the virus name is checked before any fit")
+
+    monkeypatch.setattr("grdmf.cli.fit", no_fit)
     out = tmp_path / "predbad"
     args = ["predict", *_base_args(bundle, out), "--virus", "no-such-virus"]
     assert main(args) == 1
@@ -347,6 +351,36 @@ def test_repeats_and_seed_are_validated(bundle, tmp_path, caplog, command, flag,
     out = tmp_path / "bad"
     assert main([command, *_base_args(bundle, out), flag, value]) == 1
     assert f"{flag} must be" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra, file_cfg, named",
+    [
+        ("cv", [], {"repeats": "abc"}, "repeats 'abc'"),
+        ("fit", [], {"mu": "high"}, "mu 'high'"),
+        ("fit", [], {"dims": ["a", 2]}, "dims ['a', 2]"),
+        ("fit", [], [1, 2], "must hold a JSON object"),
+        ("ablation", ["--folds", "2", "--repeats", "1"], {"combos": [1]}, "combos [1]"),
+        ("cv", [], {"scheme": "loo", "ks": [None]}, "ks [None]"),
+    ],
+    ids=["repeats", "mu", "dims", "top-level-list", "combos", "ks"],
+)
+def test_wrong_typed_config_values_fail_cleanly(
+    bundle, tmp_path, caplog, command, extra, file_cfg, named
+):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(file_cfg))
+    out = tmp_path / "badcfg"
+    args = [
+        command, "--config", str(cfg_path),
+        "--association", bundle["association"],
+        "--drug-sim", bundle["drug_sim"],
+        "--virus-sim", bundle["virus_sim"],
+        "--iters", "1", "--out", str(out), *extra,
+    ]
+    assert main(args) == 1  # a ConfigError, not an escaping ValueError/TypeError
+    assert named in caplog.text
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 """CSV ingestion, validation and alignment tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,35 @@ def test_similarity_rejects_nonfinite_and_negative_cells(tmp_path, body, locatio
     path = _write(tmp_path / "s.csv", "# comment\n" + body)
     with pytest.raises(ParseError, match=location):
         load_similarity_csv(path)
+
+
+def test_similarity_first_bad_cell_in_file_order_is_named(tmp_path):
+    # a negative cell on line 2 comes before an unparsable cell on line 3
+    path = _write(tmp_path / "s.csv", ",a,b\na,1,-1\nb,oops,1\n")
+    with pytest.raises(ParseError, match=r"s\.csv:2: column 3: .*'-1'"):
+        load_similarity_csv(path)
+    # within a row, too: the negative cell precedes the unparsable one
+    path = _write(tmp_path / "t.csv", ",a,b\na,-1,oops\nb,0,1\n")
+    with pytest.raises(ParseError, match=r"t\.csv:2: column 2: .*'-1'"):
+        load_similarity_csv(path)
+
+
+def test_similarity_load_memory_is_bounded(tmp_path):
+    # one pass, no list of Python floats: the peak stays a small multiple
+    # of the loaded array
+    rng = np.random.default_rng(43)
+    s = rng.random((300, 300))
+    s = 0.5 * (s + s.T)
+    names = tuple(f"e{i}" for i in range(300))
+    path = tmp_path / "sim.csv"
+    write_matrix_csv(path, names, names, s)
+    tracemalloc.start()
+    try:
+        sim = load_similarity_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * sim.values.nbytes
 
 
 # ---------------------------------------------------------------------------
