@@ -184,11 +184,18 @@ def predict_topk(
 # configuration resolution
 
 
+def _int(value) -> int:
+    """An integer; a bool or a non-integral number is rejected, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _int_tuple(value) -> tuple[int, ...]:
     """Integers from a "17,15" string or a list."""
     if isinstance(value, str):
         value = [part for part in value.split(",") if part.strip()]
-    return tuple(int(v) for v in value)
+    return tuple(_int(v) for v in value)
 
 
 def _parse_combos(spec) -> list[tuple[list[str], list[str]]]:
@@ -228,11 +235,11 @@ def _next_name(taken, suffix: str) -> str:
 
 
 def _named_paths(items, suffix: str) -> dict[str, Path]:
-    """Assign default names s1_d, s2_d, ... to unnamed similarity paths."""
+    """Assign default names s1_d, s2_d, ... to unnamed paths; a string is one path."""
     if isinstance(items, dict):
         return {str(name): Path(p) for name, p in items.items()}
     out: dict[str, Path] = {}
-    for item in items or []:
+    for item in [items] if isinstance(items, str) else items or []:
         if "=" in str(item):
             name, _, path = str(item).partition("=")
             name = name.strip()
@@ -292,7 +299,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         )
 
     dims = pick("dims", "dims", convert=_int_tuple)
-    layers = pick("layers", "layers", 2, int) if dims is None else len(dims)
+    layers = pick("layers", "layers", 2, _int) if dims is None else len(dims)
     default_key = ("entries" if scheme == "loo" else scheme, layers)
     if default_key not in DEFAULT_HYPERPARAMS:
         raise ConfigError(f"no defaults for {layers} layers; supply --dims")
@@ -304,8 +311,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             theta=pick("theta", "theta", hp_defaults["theta"], float),
             alpha=pick("alpha", "alpha", hp_defaults["alpha"], float),
             dims=dims if dims is not None else hp_defaults["dims"],
-            p=pick("p", "p", hp_defaults["p"], int),
-            iters=pick("iters", "iters", DEFAULT_ITERS, int),
+            p=pick("p", "p", hp_defaults["p"], _int),
+            iters=pick("iters", "iters", DEFAULT_ITERS, _int),
         )
     except ParameterError as exc:
         raise ConfigError(f"bad hyperparameters: {exc}") from exc
@@ -329,10 +336,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if command == "predict" and not virus:
         raise ConfigError("predict needs a virus name (--virus)")
 
-    repeats = pick("repeats", "repeats", 10, int)
+    repeats = pick("repeats", "repeats", 10, _int)
     if repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {repeats}")
-    seed = pick("seed", "seed", 0, int)
+    seed = pick("seed", "seed", 0, _int)
     if seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
 
@@ -345,11 +352,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         virus_profile=virus_profile,
         hyperparams=hyperparams,
         scheme=scheme,
-        folds=pick("folds", "folds", 10, int),
+        folds=pick("folds", "folds", 10, _int),
         repeats=repeats,
         seed=seed,
         ks=pick("ks", "ks", (3, 5, 7), _int_tuple),
-        k=pick("k", "k", 10, int),
+        k=pick("k", "k", 10, _int),
         virus=virus,
         combos=combos,
         out=pick("out", "out", "grdmf_out", Path),

@@ -220,14 +220,16 @@ def load_similarity_csv(path) -> SimilarityMatrix:
         raise ParseError(
             f"{path}: row names and column names differ; a similarity matrix is square"
         )
-    gap = float(np.abs(values - values.T).max()) if values.size else 0.0
+    # one buffer holds |S - S.T| and then (S + S.T) / 2: a single extra array
+    buf = np.subtract(values, values.T)
+    gap = float(np.abs(buf, out=buf).max()) if values.size else 0.0
     if gap > ASYMMETRY_TOL:
         warnings.warn(
             f"{path}: asymmetric by {gap:.3e} (entrywise); averaging (S + S.T)/2",
             AsymmetryWarning,
             stacklevel=2,
         )
-    values = 0.5 * (values + values.T)
+    values = np.multiply(np.add(values, values.T, out=buf), 0.5, out=buf)
     logger.info("loaded similarity %s: %d entities", path, len(row_names))
     return SimilarityMatrix(entities=row_names, values=values)
 

@@ -77,14 +77,16 @@ def _require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
     gap = np.linalg.norm(a - a.T)
     if gap > SYMMETRY_RTOL * (1.0 + np.linalg.norm(a)):
         raise SymmetryError(
-            f"{name} is not symmetric: ||a - a.T||_F = {gap:.3e} beyond tolerance"
+            f"{name} is not symmetric: ||M - M.T||_F = {gap:.3e} beyond tolerance"
         )
 
 
 def sym_eigen(a) -> SymEigen:
-    """Full eigendecomposition of a symmetric matrix, eigenvalues ascending."""
-    a = _as_matrix(a, "a")
-    _require_symmetric(a, "a")
+    """Full eigendecomposition of a symmetric matrix, eigenvalues ascending.
+
+    The one check of every symmetric operand: 2-D, finite, square, symmetric."""
+    a = _as_matrix(a)
+    _require_symmetric(a)
     values, vectors = np.linalg.eigh(a)
     return SymEigen(vectors=vectors, values=values)
 
@@ -116,19 +118,15 @@ def solve_sylvester_sym(a, b, c) -> np.ndarray:
     side is divided entrywise by the eigenvalue sums, so the cost is two
     symmetric eigendecompositions plus a few products. Raises
     :class:`SingularSystemError` when any eigenvalue sum falls below
-    ``MIN_EIGSUM``.
+    ``MIN_EIGSUM``. ``a`` and ``b`` are checked by :func:`sym_eigen`.
     """
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
     c = _as_matrix(c, "c")
-    _require_symmetric(a, "a")
-    _require_symmetric(b, "b")
-    if c.shape != (a.shape[0], b.shape[0]):
-        raise DimensionError(
-            f"c must have shape {(a.shape[0], b.shape[0])}, got {c.shape}"
-        )
     eig_a = sym_eigen(a)
     eig_b = sym_eigen(b)
+    if c.shape != (eig_a.values.size, eig_b.values.size):
+        raise DimensionError(
+            f"c must have shape {(eig_a.values.size, eig_b.values.size)}, got {c.shape}"
+        )
     denom = eig_a.values[:, None] + eig_b.values[None, :]
     smallest = float(denom.min())
     if smallest < MIN_EIGSUM:
@@ -139,23 +137,18 @@ def solve_sylvester_sym(a, b, c) -> np.ndarray:
     return eig_a.vectors @ (c_t / denom) @ eig_b.vectors.T
 
 
-def spd_inverse(a, return_floor_count: bool = False):
-    """Inverse of a symmetric positive (semi-)definite matrix.
+def spd_inverse(a) -> tuple[np.ndarray, int]:
+    """Inverse of a symmetric positive (semi-)definite matrix, and a count.
 
     Eigenvalues below ``FLOOR_RATIO`` times the largest eigenvalue are raised
     to that floor before inverting, which keeps near-singular Gram matrices
-    usable. With ``return_floor_count=True`` the number of floored eigenvalues
-    is returned alongside the inverse.
+    usable. Returns ``(inverse, floored)``, where ``floored`` is the number of
+    eigenvalues that were raised. ``a`` is checked by :func:`sym_eigen`.
     """
-    a = _as_matrix(a, "a")
-    _require_symmetric(a, "a")
     eig = sym_eigen(a)
     lam_max = float(eig.values[-1])
     floor = FLOOR_RATIO * lam_max if lam_max > 0.0 else FLOOR_RATIO
     floored = int(np.count_nonzero(eig.values < floor))
     values = np.maximum(eig.values, floor)
     inv = (eig.vectors / values) @ eig.vectors.T
-    inv = 0.5 * (inv + inv.T)
-    if return_floor_count:
-        return inv, floored
-    return inv
+    return 0.5 * (inv + inv.T), floored

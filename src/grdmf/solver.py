@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exceptions import DimensionError, ParameterError, SolverError
-from .linalg import _as_matrix, solve_sylvester_sym, spd_inverse, truncated_svd
+from .linalg import _as_matrix, _require_symmetric, solve_sylvester_sym, spd_inverse, truncated_svd
 
 __all__ = [
     "HyperParams",
@@ -121,12 +121,9 @@ class FitResult:
 
 
 def objective(x, factors: FactorSet, y, mask, l_d, l_v, mu: float, theta: float) -> float:
-    """Evaluate F at the given point; see the module docstring for the formula."""
-    x = _as_matrix(x, "x")
-    y = _as_matrix(y, "y")
-    mask = _as_matrix(mask, "mask")
-    l_d = _as_matrix(l_d, "l_d")
-    l_v = _as_matrix(l_v, "l_v")
+    """Evaluate F at the given point; see the module docstring for the formula.
+
+    Only shapes are checked; a non-finite F is a ``ValueError`` giving each term."""
     if x.shape != y.shape or mask.shape != y.shape:
         raise DimensionError(
             f"x {x.shape}, y {y.shape} and mask {mask.shape} must share one shape"
@@ -146,7 +143,13 @@ def objective(x, factors: FactorSet, y, mask, l_d, l_v, mu: float, theta: float)
         float(np.vdot(factors.u1, l_d @ factors.u1))
         + float(np.vdot(factors.v, factors.v @ l_v))
     )
-    return data + couple + reg
+    total = data + couple + reg
+    if not np.isfinite(total):
+        raise ValueError(
+            f"objective is not finite: data term {data!r}, "
+            f"coupling term {couple!r}, graph term {reg!r}"
+        )
+    return total
 
 
 def _factor_pair(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -223,12 +226,10 @@ def update_u1(x, u1_prev, tail_product, l_d, mu: float, theta: float) -> np.ndar
     """Proximal update of the leftmost factor.
 
     Solves (2*mu*L_d + I) @ U1 + U1 @ (theta*T@T.T) = theta*X@T.T + U1_prev
-    where T is the product of every factor to the right of U1.
+    where T is the product of every factor to the right of U1. Only shapes are
+    checked here; the Sylvester solve rejects a non-finite or asymmetric input.
     """
-    x = _as_matrix(x, "x")
-    u1_prev = _as_matrix(u1_prev, "u1_prev")
-    tail = _as_matrix(tail_product, "tail_product")
-    l_d = _as_matrix(l_d, "l_d")
+    tail = tail_product
     m = x.shape[0]
     if u1_prev.shape[0] != m or tail.shape != (u1_prev.shape[1], x.shape[1]):
         raise DimensionError(
@@ -242,24 +243,17 @@ def update_u1(x, u1_prev, tail_product, l_d, mu: float, theta: float) -> np.ndar
 
 
 def update_middle(
-    x,
-    factor_prev,
-    left_product,
-    right_product,
-    theta: float,
-    return_floor_count: bool = False,
-):
-    """Proximal update of one middle factor.
+    x, factor_prev, left_product, right_product, theta: float
+) -> tuple[np.ndarray, int]:
+    """Proximal update of one middle factor; returns ``(factor, floored)``.
 
     With G = (L.T @ L)^-1 for the fresh left product L and R the stale right
     product, solves G @ F + F @ (theta*R@R.T) = theta*G@L.T@X@R.T + G@F_prev.
     Near-singular L.T @ L is handled by eigenvalue flooring inside
-    :func:`spd_inverse`; pass ``return_floor_count=True`` to observe it.
+    :func:`spd_inverse`; ``floored`` counts the floored eigenvalues. Only
+    shapes are checked here; the solves reject a non-finite input.
     """
-    x = _as_matrix(x, "x")
-    factor_prev = _as_matrix(factor_prev, "factor_prev")
-    left = _as_matrix(left_product, "left_product")
-    right = _as_matrix(right_product, "right_product")
+    left, right = left_product, right_product
     if left.shape != (x.shape[0], factor_prev.shape[0]):
         raise DimensionError(
             f"left product must be {(x.shape[0], factor_prev.shape[0])}, got {left.shape}"
@@ -268,26 +262,21 @@ def update_middle(
         raise DimensionError(
             f"right product must be {(factor_prev.shape[1], x.shape[1])}, got {right.shape}"
         )
-    g, floored = spd_inverse(left.T @ left, return_floor_count=True)
+    g, floored = spd_inverse(left.T @ left)
     b = theta * (right @ right.T)
     b = 0.5 * (b + b.T)
     c = theta * (g @ (left.T @ x) @ right.T) + g @ factor_prev
-    out = solve_sylvester_sym(g, b, c)
-    if return_floor_count:
-        return out, floored
-    return out
+    return solve_sylvester_sym(g, b, c), floored
 
 
 def update_v(x, v_prev, head_product, l_v, mu: float, theta: float) -> np.ndarray:
     """Proximal update of the rightmost factor.
 
     Solves (theta*H.T@H) @ V + V @ (2*mu*L_v + I) = theta*H.T@X + V_prev
-    where H is the product of every factor to the left of V.
+    where H is the product of every factor to the left of V. Only shapes are
+    checked here; the Sylvester solve rejects a non-finite or asymmetric input.
     """
-    x = _as_matrix(x, "x")
-    v_prev = _as_matrix(v_prev, "v_prev")
-    head = _as_matrix(head_product, "head_product")
-    l_v = _as_matrix(l_v, "l_v")
+    head = head_product
     n = x.shape[1]
     if v_prev.shape[1] != n or head.shape != (x.shape[0], v_prev.shape[0]):
         raise DimensionError(
@@ -315,6 +304,11 @@ def fit(y, mask, l_d, l_v, hp: HyperParams, init: Optional[FactorSet] = None) ->
     others. The returned trace holds ``iters + 1`` objective values (the
     initial point included), the count of eigenvalue-flooring events and the
     wall-clock time.
+
+    ``fit`` is the boundary: y, mask (binary), l_d and l_v (symmetric) and the
+    shape of a custom init are checked here, once. A later failure, a
+    non-finite objective included, is a :class:`SolverError` naming the
+    iteration (0 for the starting point).
     """
     start = time.perf_counter()
     y = _as_matrix(y, "y")
@@ -330,35 +324,39 @@ def fit(y, mask, l_d, l_v, hp: HyperParams, init: Optional[FactorSet] = None) ->
         raise DimensionError(f"l_d must be {m}x{m}, got {l_d.shape}")
     if l_v.shape != (n, n):
         raise DimensionError(f"l_v must be {n}x{n}, got {l_v.shape}")
+    _require_symmetric(l_d, "l_d")
+    _require_symmetric(l_v, "l_v")
 
     if init is None:
         factors = init_factors(y, hp.dims)
     else:
         factors = init.copy()
+        shape = factors.product().shape
+        if shape != y.shape:
+            raise DimensionError(f"init factor product has shape {shape}, expected {y.shape}")
     u1, middles, v = factors.u1, factors.middles, factors.v
     x = y.copy()
 
-    loss = [objective(x, factors, y, mask, l_d, l_v, hp.mu, hp.theta)]
+    loss: list[float] = []
     floor_events = 0
-    for it in range(1, hp.iters + 1):
+    for it in range(hp.iters + 1):  # iteration 0 only scores the starting point
         try:
-            product = reduce(np.matmul, [u1, *middles, v])
-            x = update_x(x, product, y, mask, hp.alpha, hp.theta)
-            tail = reduce(np.matmul, [*middles, v])
-            u1 = update_u1(x, u1, tail, l_d, hp.mu, hp.theta)
-            for i in range(len(middles)):
-                left = reduce(np.matmul, [u1, *middles[:i]])
-                right = reduce(np.matmul, [*middles[i + 1 :], v])
-                middles[i], floored = update_middle(
-                    x, middles[i], left, right, hp.theta, return_floor_count=True
-                )
-                floor_events += floored
-            head = reduce(np.matmul, [u1, *middles])
-            v = update_v(x, v, head, l_v, hp.mu, hp.theta)
+            if it > 0:
+                product = reduce(np.matmul, [u1, *middles, v])
+                x = update_x(x, product, y, mask, hp.alpha, hp.theta)
+                tail = reduce(np.matmul, [*middles, v])
+                u1 = update_u1(x, u1, tail, l_d, hp.mu, hp.theta)
+                for i in range(len(middles)):
+                    left = reduce(np.matmul, [u1, *middles[:i]])
+                    right = reduce(np.matmul, [*middles[i + 1 :], v])
+                    middles[i], floored = update_middle(x, middles[i], left, right, hp.theta)
+                    floor_events += floored
+                head = reduce(np.matmul, [u1, *middles])
+                v = update_v(x, v, head, l_v, hp.mu, hp.theta)
+                factors = FactorSet(u1=u1, middles=middles, v=v)
+            loss.append(objective(x, factors, y, mask, l_d, l_v, hp.mu, hp.theta))
         except Exception as exc:
             raise SolverError(f"iteration {it} failed: {exc}") from exc
-        factors = FactorSet(u1=u1, middles=middles, v=v)
-        loss.append(objective(x, factors, y, mask, l_d, l_v, hp.mu, hp.theta))
 
     trace = SolveTrace(
         loss=loss,

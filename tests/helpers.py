@@ -91,7 +91,7 @@ def block_walk(y, mask, l_d, l_v, hp, init):
             before = f(x, u1, middles, v)
             left = reduce(np.matmul, [u1, *middles[:i]])
             right = reduce(np.matmul, [*middles[i + 1 :], v])
-            mid_new = update_middle(x, middles[i], left, right, hp.theta)
+            mid_new, _ = update_middle(x, middles[i], left, right, hp.theta)
             trial = list(middles)
             trial[i] = mid_new
             after = f(x, u1, trial, v)

@@ -321,6 +321,29 @@ def test_config_file_with_flag_override(bundle, tmp_path):
     assert "chem" in embedded["drug_sims"]
 
 
+def test_config_string_is_one_similarity_path(bundle, tmp_path):
+    # a bare string is one path (or one NAME=PATH), never a list of characters
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(
+        json.dumps(
+            {
+                "drug_sims": bundle["drug_sim"],
+                "virus_sims": f"gen={bundle['virus_sim']}",
+            }
+        )
+    )
+    out = tmp_path / "strout"
+    args = [
+        "fit", "--config", str(cfg_path), "--association", bundle["association"],
+        "--dims", "4,2", "--iters", "1", "--out", str(out),
+    ]
+    assert main(args) == 0
+    header = (out / "trace.csv").read_text().splitlines()[0]
+    embedded = json.loads(header[len("# config ") :])
+    assert embedded["drug_sims"] == {"s1_d": bundle["drug_sim"]}
+    assert embedded["virus_sims"] == {"gen": bundle["virus_sim"]}
+
+
 def test_missing_inputs_fail_with_nonzero_exit(bundle, tmp_path):
     # no association at all
     assert main(["fit", "--drug-sim", bundle["drug_sim"],
@@ -363,8 +386,14 @@ def test_repeats_and_seed_are_validated(bundle, tmp_path, caplog, command, flag,
         ("fit", [], [1, 2], "must hold a JSON object"),
         ("ablation", ["--folds", "2", "--repeats", "1"], {"combos": [1]}, "combos [1]"),
         ("cv", [], {"scheme": "loo", "ks": [None]}, "ks [None]"),
+        ("cv", [], {"folds": True}, "folds True"),
+        ("fit", [], {"p": 2.9}, "p 2.9"),
+        ("fit", [], {"dims": [4.5, 2]}, "dims [4.5, 2]"),
     ],
-    ids=["repeats", "mu", "dims", "top-level-list", "combos", "ks"],
+    ids=[
+        "repeats", "mu", "dims", "top-level-list", "combos", "ks",
+        "bool-int", "float-int", "float-dims",
+    ],
 )
 def test_wrong_typed_config_values_fail_cleanly(
     bundle, tmp_path, caplog, command, extra, file_cfg, named

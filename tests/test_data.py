@@ -181,7 +181,7 @@ def test_similarity_load_memory_is_bounded(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * sim.values.nbytes
+    assert peak <= 2.5 * sim.values.nbytes
 
 
 # ---------------------------------------------------------------------------

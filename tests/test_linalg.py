@@ -154,7 +154,7 @@ def test_spd_inverse_matches_dense_inverse():
     rng = np.random.default_rng(3)
     for size in (1, 3, 6):
         a = random_spd(rng, size)
-        inv = spd_inverse(a)
+        inv, _ = spd_inverse(a)
         assert np.allclose(inv, np.linalg.inv(a), atol=1e-9)
         assert np.allclose(inv, inv.T)
 
@@ -162,16 +162,12 @@ def test_spd_inverse_matches_dense_inverse():
 def test_spd_inverse_floors_singular_directions():
     v = np.array([1.0, 2.0, 0.5, 1.5])[:, None]
     a = v @ v.T  # rank one, three zero eigenvalues
-    inv, floored = spd_inverse(a, return_floor_count=True)
+    inv, floored = spd_inverse(a)
     assert floored == 3
     assert np.all(np.isfinite(inv))
-    # the flag defaults to returning only the matrix
-    alone = spd_inverse(a)
-    assert isinstance(alone, np.ndarray)
-    assert np.allclose(alone, inv)
 
 
 def test_spd_inverse_zero_matrix():
-    inv, floored = spd_inverse(np.zeros((3, 3)), return_floor_count=True)
+    inv, floored = spd_inverse(np.zeros((3, 3)))
     assert floored == 3
     assert np.all(np.isfinite(inv))

@@ -7,10 +7,14 @@ block's prox objective, computed without reusing the solver's algebra.
 
 from functools import reduce
 
+import sys
+
 import numpy as np
 import pytest
 
-from grdmf.exceptions import DimensionError, ParameterError, SolverError
+import grdmf.linalg
+from grdmf.exceptions import DimensionError, ParameterError, SolverError, SymmetryError
+from grdmf.graphs import build_laplacian
 from grdmf.linalg import truncated_svd
 from grdmf.solver import (
     FactorSet,
@@ -23,6 +27,7 @@ from grdmf.solver import (
     update_v,
     update_x,
 )
+from grdmf.synthetic import make_synthetic_problem
 from helpers import block_walk, descent_instance
 
 # ---------------------------------------------------------------------------
@@ -266,7 +271,7 @@ def test_update_middle_is_stationary():
             (mid - f_prev) ** 2
         )
 
-    mid_new = update_middle(x, f_prev, left, right, theta)
+    mid_new, _ = update_middle(x, f_prev, left, right, theta)
     scale = 1.0 + abs(f(mid_new))
     for _ in range(6):
         d = rng.standard_normal((k1, k2))
@@ -282,7 +287,7 @@ def test_update_middle_reports_flooring():
     right = rng.standard_normal((2, 5))
     x = rng.random((6, 5))
     f_prev = rng.standard_normal((3, 2))
-    out, floored = update_middle(x, f_prev, left, right, 1.0, return_floor_count=True)
+    out, floored = update_middle(x, f_prev, left, right, 1.0)
     assert floored >= 1
     assert np.all(np.isfinite(out))
 
@@ -383,6 +388,68 @@ def test_fit_wraps_iteration_failures():
     hp = HyperParams(mu=1.0, theta=1.0, alpha=0.5, dims=(2, 2), iters=3)
     with pytest.raises(SolverError, match="iteration 1"):
         fit(y, np.ones_like(y), np.zeros((6, 6)), -0.5 * np.eye(4), hp)
+
+
+@pytest.mark.parametrize("side", ["l_d", "l_v"])
+def test_fit_rejects_asymmetric_laplacian_at_entry(side):
+    y, mask, l_d, l_v, hp = descent_instance(12)
+    laps = {"l_d": l_d.copy(), "l_v": l_v.copy()}
+    laps[side][0, 1] += 1.0
+    # a SymmetryError, not a SolverError: no iteration has started
+    with pytest.raises(SymmetryError, match=f"^{side} is not symmetric"):
+        fit(y, mask, laps["l_d"], laps["l_v"], hp)
+
+
+def test_fit_rejects_mismatched_init_at_entry():
+    # a custom init is an input too: a wrong shape is a DimensionError, not a
+    # SolverError from the starting point's objective
+    y, mask, l_d, l_v, hp = descent_instance(14)
+    init = init_factors(y[:, :-1], hp.dims)
+    with pytest.raises(DimensionError, match="^init factor product"):
+        fit(y, mask, l_d, l_v, hp, init=init)
+
+
+def test_fit_stops_on_nonfinite_objective():
+    # squared residuals of a 1e200-scaled Y overflow: the starting point's
+    # objective is already infinite, and the fit must say so
+    y, mask, l_d, l_v, hp = descent_instance(13)
+    with np.errstate(over="ignore"), pytest.raises(
+        SolverError, match=r"^iteration 0 failed: objective is not finite: .*coupling term inf"
+    ):
+        fit(y * 1e200, mask, l_d, l_v, hp)
+    fs = init_factors(y, hp.dims)
+    bad_x = np.full_like(y, np.nan)
+    with pytest.raises(ValueError, match="data term nan"):
+        objective(bad_x, fs, y, mask, l_d, l_v, hp.mu, hp.theta)
+
+
+def test_each_symmetric_operand_is_checked_once(monkeypatch):
+    # every symmetry check in a fit is either sym_eigen's own or one of the
+    # two Laplacian checks at entry; a kernel re-checking an operand that
+    # sym_eigen will check anyway breaks the equality
+    counts = {"_require_symmetric": 0, "sym_eigen": 0}
+
+    def counting(name):
+        original = getattr(grdmf.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "grdmf" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+
+    prob = make_synthetic_problem(m=86, n=23, rank=5, seed=0)
+    l_d = build_laplacian(list(prob.similarities.drug.values()), 2)
+    l_v = build_laplacian(list(prob.similarities.virus.values()), 2)
+    hp = HyperParams(mu=100.0, theta=1.0, alpha=0.05, dims=(17, 15), p=2, iters=10)
+    y = prob.dataset.y
+    counting("_require_symmetric")
+    counting("sym_eigen")
+    fit(y, np.ones_like(y), l_d, l_v, hp)
+    assert counts["sym_eigen"] > 0
+    assert counts["_require_symmetric"] == counts["sym_eigen"] + 2
 
 
 # ---------------------------------------------------------------------------
