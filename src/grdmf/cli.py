@@ -191,6 +191,13 @@ def _int(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """A real number; a bool is rejected, not read as 0.0 or 1.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _int_tuple(value) -> tuple[int, ...]:
     """Integers from a "17,15" string or a list."""
     if isinstance(value, str):
@@ -307,9 +314,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     try:
         hyperparams = HyperParams(
-            mu=pick("mu", "mu", hp_defaults["mu"], float),
-            theta=pick("theta", "theta", hp_defaults["theta"], float),
-            alpha=pick("alpha", "alpha", hp_defaults["alpha"], float),
+            mu=pick("mu", "mu", hp_defaults["mu"], _float),
+            theta=pick("theta", "theta", hp_defaults["theta"], _float),
+            alpha=pick("alpha", "alpha", hp_defaults["alpha"], _float),
             dims=dims if dims is not None else hp_defaults["dims"],
             p=pick("p", "p", hp_defaults["p"], _int),
             iters=pick("iters", "iters", DEFAULT_ITERS, _int),

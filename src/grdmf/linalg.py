@@ -1,8 +1,9 @@
 """Dense symmetric linear-algebra kernels.
 
-Everything here operates on plain 2-D float64 ndarrays and is pure: inputs are
-never modified, outputs are freshly allocated. Scales of interest are small
-(tens of rows), so clarity wins over cleverness throughout.
+Everything here operates on plain 2-D float64 ndarrays (or, for a Sylvester
+coefficient, its eigendecomposition) and is pure: inputs are never modified,
+outputs are freshly allocated. Scales of interest are small (tens of rows), so
+clarity wins over cleverness throughout.
 """
 
 from __future__ import annotations
@@ -118,11 +119,17 @@ def solve_sylvester_sym(a, b, c) -> np.ndarray:
     side is divided entrywise by the eigenvalue sums, so the cost is two
     symmetric eigendecompositions plus a few products. Raises
     :class:`SingularSystemError` when any eigenvalue sum falls below
-    ``MIN_EIGSUM``. ``a`` and ``b`` are checked by :func:`sym_eigen`.
+    ``MIN_EIGSUM``.
+
+    Either side may be passed as its :class:`SymEigen` instead of a matrix,
+    which skips that side's eigendecomposition: a coefficient that stays
+    constant over many solves is diagonalized once. A matrix side is checked
+    by :func:`sym_eigen`; a ``SymEigen`` side is used as is, since
+    :func:`sym_eigen` checked the matrix when it made it.
     """
     c = _as_matrix(c, "c")
-    eig_a = sym_eigen(a)
-    eig_b = sym_eigen(b)
+    eig_a = a if isinstance(a, SymEigen) else sym_eigen(a)
+    eig_b = b if isinstance(b, SymEigen) else sym_eigen(b)
     if c.shape != (eig_a.values.size, eig_b.values.size):
         raise DimensionError(
             f"c must have shape {(eig_a.values.size, eig_b.values.size)}, got {c.shape}"

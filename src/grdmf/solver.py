@@ -25,7 +25,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exceptions import DimensionError, ParameterError, SolverError
-from .linalg import _as_matrix, _require_symmetric, solve_sylvester_sym, spd_inverse, truncated_svd
+from .linalg import (
+    SymEigen,
+    _as_matrix,
+    _require_symmetric,
+    solve_sylvester_sym,
+    spd_inverse,
+    sym_eigen,
+    truncated_svd,
+)
 
 __all__ = [
     "HyperParams",
@@ -222,24 +230,30 @@ def update_x(x, product, y, mask, alpha: float, theta: float) -> np.ndarray:
     return np.maximum((b + theta * product) / (1.0 + theta), 0.0)
 
 
-def update_u1(x, u1_prev, tail_product, l_d, mu: float, theta: float) -> np.ndarray:
+def update_u1(x, u1_prev, tail_product, coef_d: SymEigen, theta: float) -> np.ndarray:
     """Proximal update of the leftmost factor.
 
     Solves (2*mu*L_d + I) @ U1 + U1 @ (theta*T@T.T) = theta*X@T.T + U1_prev
-    where T is the product of every factor to the right of U1. Only shapes are
-    checked here; the Sylvester solve rejects a non-finite or asymmetric input.
+    where T is the product of every factor to the right of U1 and ``coef_d``
+    is the :class:`SymEigen` of the constant left coefficient 2*mu*L_d + I.
+    Only shapes are checked here; the Sylvester solve rejects a non-finite or
+    asymmetric input.
     """
     tail = tail_product
     m = x.shape[0]
-    if u1_prev.shape[0] != m or tail.shape != (u1_prev.shape[1], x.shape[1]):
+    if (
+        u1_prev.shape[0] != m
+        or coef_d.values.size != m
+        or tail.shape != (u1_prev.shape[1], x.shape[1])
+    ):
         raise DimensionError(
-            f"inconsistent shapes: x {x.shape}, u1_prev {u1_prev.shape}, tail {tail.shape}"
+            f"inconsistent shapes: x {x.shape}, u1_prev {u1_prev.shape}, "
+            f"tail {tail.shape}, coefficient {coef_d.values.size}x{coef_d.values.size}"
         )
-    a = 2.0 * mu * l_d + np.eye(m)
     b = theta * (tail @ tail.T)
     b = 0.5 * (b + b.T)
     c = theta * (x @ tail.T) + u1_prev
-    return solve_sylvester_sym(a, b, c)
+    return solve_sylvester_sym(coef_d, b, c)
 
 
 def update_middle(
@@ -269,24 +283,30 @@ def update_middle(
     return solve_sylvester_sym(g, b, c), floored
 
 
-def update_v(x, v_prev, head_product, l_v, mu: float, theta: float) -> np.ndarray:
+def update_v(x, v_prev, head_product, coef_v: SymEigen, theta: float) -> np.ndarray:
     """Proximal update of the rightmost factor.
 
     Solves (theta*H.T@H) @ V + V @ (2*mu*L_v + I) = theta*H.T@X + V_prev
-    where H is the product of every factor to the left of V. Only shapes are
-    checked here; the Sylvester solve rejects a non-finite or asymmetric input.
+    where H is the product of every factor to the left of V and ``coef_v`` is
+    the :class:`SymEigen` of the constant right coefficient 2*mu*L_v + I.
+    Only shapes are checked here; the Sylvester solve rejects a non-finite or
+    asymmetric input.
     """
     head = head_product
     n = x.shape[1]
-    if v_prev.shape[1] != n or head.shape != (x.shape[0], v_prev.shape[0]):
+    if (
+        v_prev.shape[1] != n
+        or coef_v.values.size != n
+        or head.shape != (x.shape[0], v_prev.shape[0])
+    ):
         raise DimensionError(
-            f"inconsistent shapes: x {x.shape}, v_prev {v_prev.shape}, head {head.shape}"
+            f"inconsistent shapes: x {x.shape}, v_prev {v_prev.shape}, "
+            f"head {head.shape}, coefficient {coef_v.values.size}x{coef_v.values.size}"
         )
     a = theta * (head.T @ head)
     a = 0.5 * (a + a.T)
-    b = 2.0 * mu * l_v + np.eye(n)
     c = theta * (head.T @ x) + v_prev
-    return solve_sylvester_sym(a, b, c)
+    return solve_sylvester_sym(a, coef_v, c)
 
 
 def fit(y, mask, l_d, l_v, hp: HyperParams, init: Optional[FactorSet] = None) -> FitResult:
@@ -309,6 +329,10 @@ def fit(y, mask, l_d, l_v, hp: HyperParams, init: Optional[FactorSet] = None) ->
     shape of a custom init are checked here, once. A later failure, a
     non-finite objective included, is a :class:`SolverError` naming the
     iteration (0 for the starting point).
+
+    The graph-side coefficients 2*mu*L_d + I and 2*mu*L_v + I stay constant
+    for the whole fit, so each is diagonalized once, in iteration 0, and every
+    U1 and V update reuses its eigendecomposition.
     """
     start = time.perf_counter()
     y = _as_matrix(y, "y")
@@ -339,20 +363,23 @@ def fit(y, mask, l_d, l_v, hp: HyperParams, init: Optional[FactorSet] = None) ->
 
     loss: list[float] = []
     floor_events = 0
-    for it in range(hp.iters + 1):  # iteration 0 only scores the starting point
+    for it in range(hp.iters + 1):  # iteration 0 only prepares and scores the start
         try:
-            if it > 0:
+            if it == 0:
+                coef_d = sym_eigen(2.0 * hp.mu * l_d + np.eye(m))
+                coef_v = sym_eigen(2.0 * hp.mu * l_v + np.eye(n))
+            else:
                 product = reduce(np.matmul, [u1, *middles, v])
                 x = update_x(x, product, y, mask, hp.alpha, hp.theta)
                 tail = reduce(np.matmul, [*middles, v])
-                u1 = update_u1(x, u1, tail, l_d, hp.mu, hp.theta)
+                u1 = update_u1(x, u1, tail, coef_d, hp.theta)
                 for i in range(len(middles)):
                     left = reduce(np.matmul, [u1, *middles[:i]])
                     right = reduce(np.matmul, [*middles[i + 1 :], v])
                     middles[i], floored = update_middle(x, middles[i], left, right, hp.theta)
                     floor_events += floored
                 head = reduce(np.matmul, [u1, *middles])
-                v = update_v(x, v, head, l_v, hp.mu, hp.theta)
+                v = update_v(x, v, head, coef_v, hp.theta)
                 factors = FactorSet(u1=u1, middles=middles, v=v)
             loss.append(objective(x, factors, y, mask, l_d, l_v, hp.mu, hp.theta))
         except Exception as exc:

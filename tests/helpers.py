@@ -11,6 +11,7 @@ from functools import reduce
 import numpy as np
 
 from grdmf.graphs import build_laplacian
+from grdmf.linalg import sym_eigen
 from grdmf.solver import (
     FactorSet,
     HyperParams,
@@ -66,7 +67,10 @@ def block_walk(y, mask, l_d, l_v, hp, init):
     move and the objective values bracket that single update. The X update
     happens between iterations exactly as in ``fit`` but is not a record: the
     descent inequality under test is the one the proximal factor steps obey.
+    As in ``fit``, the graph-side coefficients are diagonalized once.
     """
+    coef_d = sym_eigen(2.0 * hp.mu * l_d + np.eye(l_d.shape[0]))
+    coef_v = sym_eigen(2.0 * hp.mu * l_v + np.eye(l_v.shape[0]))
     u1 = init.u1.copy()
     middles = [m.copy() for m in init.middles]
     v = init.v.copy()
@@ -82,7 +86,7 @@ def block_walk(y, mask, l_d, l_v, hp, init):
 
         before = f(x, u1, middles, v)
         tail = reduce(np.matmul, [*middles, v])
-        u1_new = update_u1(x, u1, tail, l_d, hp.mu, hp.theta)
+        u1_new = update_u1(x, u1, tail, coef_d, hp.theta)
         after = f(x, u1_new, middles, v)
         yield "u1", before, after, float(np.sum((u1_new - u1) ** 2))
         u1 = u1_new
@@ -105,7 +109,7 @@ def block_walk(y, mask, l_d, l_v, hp, init):
 
         before = f(x, u1, middles, v)
         head = reduce(np.matmul, [u1, *middles])
-        v_new = update_v(x, v, head, l_v, hp.mu, hp.theta)
+        v_new = update_v(x, v, head, coef_v, hp.theta)
         after = f(x, u1, middles, v_new)
         yield "v", before, after, float(np.sum((v_new - v) ** 2))
         v = v_new

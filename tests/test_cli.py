@@ -389,10 +389,11 @@ def test_repeats_and_seed_are_validated(bundle, tmp_path, caplog, command, flag,
         ("cv", [], {"folds": True}, "folds True"),
         ("fit", [], {"p": 2.9}, "p 2.9"),
         ("fit", [], {"dims": [4.5, 2]}, "dims [4.5, 2]"),
+        ("fit", [], {"mu": True}, "mu True"),
     ],
     ids=[
         "repeats", "mu", "dims", "top-level-list", "combos", "ks",
-        "bool-int", "float-int", "float-dims",
+        "bool-int", "float-int", "float-dims", "bool-float",
     ],
 )
 def test_wrong_typed_config_values_fail_cleanly(

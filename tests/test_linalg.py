@@ -127,6 +127,19 @@ def test_sylvester_residual_property(seed, n, k):
     assert np.linalg.norm(a @ x + x @ b - c) <= 1e-8 * scale
 
 
+@pytest.mark.parametrize("decomposed", ["a", "b", "both"])
+def test_sylvester_takes_a_predecomposed_side(decomposed):
+    # a side passed as its SymEigen gives the same bits as when the solve
+    # diagonalizes that matrix itself
+    rng = np.random.default_rng(5)
+    a = random_spd(rng, 6)
+    b = random_spd(rng, 4)
+    c = rng.standard_normal((6, 4))
+    side_a = sym_eigen(a) if decomposed in ("a", "both") else a
+    side_b = sym_eigen(b) if decomposed in ("b", "both") else b
+    assert np.array_equal(solve_sylvester_sym(side_a, side_b, c), solve_sylvester_sym(a, b, c))
+
+
 def test_sylvester_singular_system():
     # spectra of a and -b overlap -> some eigenvalue sum vanishes
     a = np.eye(2)

@@ -5,6 +5,7 @@ central finite differences — the update must be a stationary point of the
 block's prox objective, computed without reusing the solver's algebra.
 """
 
+from dataclasses import replace
 from functools import reduce
 
 import sys
@@ -15,7 +16,7 @@ import pytest
 import grdmf.linalg
 from grdmf.exceptions import DimensionError, ParameterError, SolverError, SymmetryError
 from grdmf.graphs import build_laplacian
-from grdmf.linalg import truncated_svd
+from grdmf.linalg import sym_eigen, truncated_svd
 from grdmf.solver import (
     FactorSet,
     HyperParams,
@@ -221,7 +222,7 @@ def test_update_u1_is_stationary():
             + np.sum((u - u1_prev) ** 2)
         )
 
-    u_new = update_u1(x, u1_prev, tail, l_d, mu, theta)
+    u_new = update_u1(x, u1_prev, tail, sym_eigen(2.0 * mu * l_d + np.eye(m)), theta)
     scale = 1.0 + abs(f(u_new))
     for _ in range(6):
         d = rng.standard_normal((m, k))
@@ -248,7 +249,7 @@ def test_update_v_is_stationary():
             + np.sum((v - v_prev) ** 2)
         )
 
-    v_new = update_v(x, v_prev, head, l_v, mu, theta)
+    v_new = update_v(x, v_prev, head, sym_eigen(2.0 * mu * l_v + np.eye(n)), theta)
     scale = 1.0 + abs(f(v_new))
     for _ in range(6):
         d = rng.standard_normal((k, n))
@@ -299,24 +300,42 @@ def test_update_limits():
     tail = rng.standard_normal((k, n))
     u1_prev = rng.standard_normal((m, k))
     zeros = np.zeros((m, m))
+    coef = sym_eigen(2.0 * 0.0 * zeros + np.eye(m))
     # theta huge, mu = 0: least-squares fit of X onto the tail dominates
-    big = update_u1(x, u1_prev, tail, zeros, 0.0, 1e8)
+    big = update_u1(x, u1_prev, tail, coef, 1e8)
     ls = x @ tail.T @ np.linalg.inv(tail @ tail.T)
     assert np.allclose(big, ls, atol=1e-5)
     # theta tiny, mu = 0: the prox tether pins the block to its previous value
-    small = update_u1(x, u1_prev, tail, zeros, 0.0, 1e-12)
+    small = update_u1(x, u1_prev, tail, coef, 1e-12)
     assert np.allclose(small, u1_prev, atol=1e-9)
+
+
+@pytest.mark.parametrize("block", ["u1", "v"])
+def test_wrong_sized_graph_coefficient_is_a_dimension_error(block):
+    rng = np.random.default_rng(22)
+    m, n, k = 8, 5, 3
+    x = rng.random((m, n))
+    one = sym_eigen(np.eye(1))
+    with pytest.raises(DimensionError, match="coefficient 1x1"):
+        if block == "u1":
+            update_u1(x, rng.standard_normal((m, k)), rng.standard_normal((k, n)), one, 1.0)
+        else:
+            update_v(x, rng.standard_normal((k, n)), rng.standard_normal((m, k)), one, 1.0)
 
 
 # ---------------------------------------------------------------------------
 # per-block descent along the real iteration
 
 
-def test_block_updates_never_increase_their_prox_objective():
+@pytest.mark.parametrize("depth", [2, 3], ids=["depth2", "depth3"])
+def test_block_updates_never_increase_their_prox_objective(depth):
     # F(new) + ||Delta||^2 <= F(old): the defining inequality of a unit-weight
     # proximal step, checked across whole runs of the actual iteration
     for seed in (0, 1, 2):
         y, mask, l_d, l_v, hp = descent_instance(seed)
+        if depth == 3:
+            k1, k2 = hp.dims
+            hp = replace(hp, dims=(k1, k2, k2))
         init = init_factors(y, hp.dims)
         for label, before, after, delta_sq in block_walk(y, mask, l_d, l_v, hp, init):
             assert after + delta_sq <= before + 1e-8, (seed, label)
@@ -409,6 +428,14 @@ def test_fit_rejects_mismatched_init_at_entry():
         fit(y, mask, l_d, l_v, hp, init=init)
 
 
+def test_fit_wraps_a_nonfinite_graph_coefficient():
+    # mu = inf makes 2*mu*L + I non-finite; its eigendecomposition fails inside
+    # the fit's error wrapping, so the CLI reports it instead of a traceback
+    y, mask, l_d, l_v, hp = descent_instance(15)
+    with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="^iteration 0 failed"):
+        fit(y, mask, l_d, l_v, replace(hp, mu=np.inf))
+
+
 def test_fit_stops_on_nonfinite_objective():
     # squared residuals of a 1e200-scaled Y overflow: the starting point's
     # objective is already infinite, and the fit must say so
@@ -450,6 +477,31 @@ def test_each_symmetric_operand_is_checked_once(monkeypatch):
     fit(y, np.ones_like(y), l_d, l_v, hp)
     assert counts["sym_eigen"] > 0
     assert counts["_require_symmetric"] == counts["sym_eigen"] + 2
+
+
+@pytest.mark.parametrize("dims", [(17, 15), (17, 15, 15)], ids=["depth2", "depth3"])
+def test_graph_side_coefficients_are_diagonalized_once_per_fit(monkeypatch, dims):
+    # 2*mu*L_d + I and 2*mu*L_v + I are constant for a fit: one m x m and one
+    # n x n eigendecomposition per fit, not one per iteration
+    shapes = []
+    original = grdmf.linalg.sym_eigen
+
+    def recording(a):
+        shapes.append(np.shape(a))
+        return original(a)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "grdmf" and getattr(module, "sym_eigen", None) is original:
+            monkeypatch.setattr(module, "sym_eigen", recording)
+
+    prob = make_synthetic_problem(m=86, n=23, rank=5, seed=0)
+    l_d = build_laplacian(list(prob.similarities.drug.values()), 2)
+    l_v = build_laplacian(list(prob.similarities.virus.values()), 2)
+    hp = HyperParams(mu=100.0, theta=1.0, alpha=0.05, dims=dims, p=2, iters=10)
+    y = prob.dataset.y
+    fit(y, np.ones_like(y), l_d, l_v, hp)
+    assert shapes.count((86, 86)) == 1
+    assert shapes.count((23, 23)) == 1
 
 
 # ---------------------------------------------------------------------------
