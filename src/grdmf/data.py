@@ -16,6 +16,7 @@ carry their resolved run configuration in the header.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import warnings
 from dataclasses import dataclass
@@ -49,6 +50,9 @@ logger = logging.getLogger("grdmf")
 
 #: asymmetry beyond this (absolute, entrywise) triggers averaging on load
 ASYMMETRY_TOL = 1e-9
+
+#: rows per call of numpy's text reader when parsing a CSV body
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -123,46 +127,124 @@ def _first_bad_cell(path, lineno: int, cells: Sequence[str], binary: bool) -> Pa
             )
 
 
+def _walk_rows(handle, path, binary: bool):
+    """The exact reader: ``csv`` rows, ``float()`` per cell, each row checked
+    as it is read, so the error names the first bad cell in file order."""
+    rows = (
+        (lineno, row)
+        for lineno, row in enumerate(csv.reader(handle), start=1)
+        if row and not row[0].startswith("#")
+    )
+    header_line, header = next(rows, (None, None))
+    if header is None:
+        raise ParseError(f"{Path(path)} contains no data rows")
+    col_names = [h.strip() for h in header[1:]]
+    if not col_names:
+        raise ParseError(f"{path}:{header_line}: header row names no columns")
+    _check_unique(col_names, "column", path)
+    width = len(col_names)
+    row_names: list[str] = []
+    data: list[np.ndarray] = []
+    for lineno, row in rows:
+        if len(row) != width + 1:
+            raise ParseError(
+                f"{path}:{lineno}: expected {width + 1} fields, got {len(row)}"
+            )
+        cells = row[1:]
+        try:
+            values = np.fromiter(map(float, cells), float, width)
+        except ValueError:
+            values = None
+        if values is None or not _body_ok(values, binary).all():
+            raise _first_bad_cell(path, lineno, cells, binary)
+        row_names.append(row[0].strip())
+        data.append(values)
+    _check_unique(row_names, "row", path)
+    return tuple(row_names), tuple(col_names), np.array(data, dtype=float)
+
+
+def _read_plain(handle, binary: bool):
+    """The common case in one streaming pass: names by ``str.partition``, the
+    body by numpy's C text reader. Returns None wherever the result could
+    differ from :func:`_walk_rows`: a ``"`` anywhere (quoting), a line longer
+    than ``csv``'s field limit, no data rows, a row without cells, a ragged
+    row, a spelling only ``float()`` accepts (``1_0``, non-ASCII digits) or a
+    cell that breaks the body contract. Both readers convert numbers with
+    CPython's ``PyOS_string_to_double``, so accepted values agree bit for
+    bit."""
+    limit = csv.field_size_limit()
+    plain = True
+    row_names: list[str] = []
+
+    def lines():
+        nonlocal plain
+        for line in handle:
+            if '"' in line or len(line) > limit:
+                plain = False
+                return
+            line = line.rstrip("\r\n")
+            if line and not line.startswith("#"):
+                yield line
+
+    def cells(body):
+        nonlocal plain
+        for line in body:
+            name, _, rest = line.partition(",")
+            if not rest:
+                plain = False
+                return
+            row_names.append(name.strip())
+            yield rest
+
+    body = lines()
+    header = next(body, None)
+    if header is None:
+        return None
+    col_names = [h.strip() for h in header.split(",")[1:]]
+    rests = cells(body)
+    # fixed-size blocks, stacked once: no array grows by reallocation, and
+    # no block is empty (numpy warns on an empty input)
+    blocks = []
+    try:
+        for first in rests:
+            block = itertools.chain((first,), itertools.islice(rests, _BLOCK_ROWS - 1))
+            blocks.append(
+                np.loadtxt(block, delimiter=",", comments=None, quotechar=None, ndmin=2)
+            )
+        values = np.concatenate(blocks) if blocks else None
+    except ValueError:
+        return None
+    if (
+        not plain
+        or values is None
+        or values.shape != (len(row_names), len(col_names))
+        or not _body_ok(values, binary).all()
+    ):
+        return None
+    return tuple(row_names), tuple(col_names), values
+
+
 def _parse_table(path, binary: bool):
     """Shared reader: header row of column names, first column of row names.
-    One pass: each row is parsed with ``float()`` and checked as it is read,
-    so the error names the first bad cell in file order."""
+
+    The body is parsed by numpy's C text reader (:func:`_read_plain`); a
+    file it does not take is read again by the exact row walker
+    (:func:`_walk_rows`), which accepts the same files with the same values
+    and raises every error."""
     try:
         handle = Path(path).open(newline="")
     except OSError as exc:
         raise ParseError(f"cannot read {Path(path)}: {exc}") from exc
     with handle:
-        rows = (
-            (lineno, row)
-            for lineno, row in enumerate(csv.reader(handle), start=1)
-            if row and not row[0].startswith("#")
-        )
-        header_line, header = next(rows, (None, None))
-        if header is None:
-            raise ParseError(f"{Path(path)} contains no data rows")
-        col_names = [h.strip() for h in header[1:]]
-        if not col_names:
-            raise ParseError(f"{path}:{header_line}: header row names no columns")
-        _check_unique(col_names, "column", path)
-        width = len(col_names)
-        row_names: list[str] = []
-        data: list[np.ndarray] = []
-        for lineno, row in rows:
-            if len(row) != width + 1:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {width + 1} fields, got {len(row)}"
-                )
-            cells = row[1:]
-            try:
-                values = np.fromiter(map(float, cells), float, width)
-            except ValueError:
-                values = None
-            if values is None or not _body_ok(values, binary).all():
-                raise _first_bad_cell(path, lineno, cells, binary)
-            row_names.append(row[0].strip())
-            data.append(values)
-    _check_unique(row_names, "row", path)
-    return tuple(row_names), tuple(col_names), np.array(data, dtype=float)
+        if handle.seekable():
+            parsed = _read_plain(handle, binary)
+            if parsed is not None:
+                row_names, col_names, _ = parsed
+                _check_unique(col_names, "column", path)
+                _check_unique(row_names, "row", path)
+                return parsed
+            handle.seek(0)
+        return _walk_rows(handle, path, binary)
 
 
 def load_association_csv(path) -> AssociationDataset:
@@ -261,11 +343,11 @@ def align_profile(profile: FeatureProfile, registry: Sequence[str]) -> np.ndarra
 def write_matrix_csv(path, row_names, col_names, values, comments: Iterable[str] = ()) -> None:
     """Write a real-valued matrix with the shared header/first-column layout."""
     path = Path(path)
-    values = np.asarray(values)
+    values = np.asarray(values, dtype=float)
     with path.open("w", newline="") as handle:
         for comment in comments:
             handle.write(f"# {comment}\n")
         writer = csv.writer(handle)
         writer.writerow(["", *col_names])
         for name, row in zip(row_names, values):
-            writer.writerow([name, *(repr(float(v)) for v in row)])
+            writer.writerow([name, *map(repr, row.tolist())])

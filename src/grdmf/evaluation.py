@@ -224,15 +224,10 @@ def _check_scores_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
 
 def _midranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the mean rank of their group."""
-    order = np.argsort(x, kind="stable")
-    sx = x[order]
-    bounds = np.flatnonzero(np.diff(sx)) + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [x.size]))
-    ranks = np.empty(x.size)
-    for s, e in zip(starts, ends):
-        ranks[order[s:e]] = 0.5 * (s + 1 + e)
-    return ranks
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    # group g holds sorted positions ends[g] - counts[g] + 1 .. ends[g]
+    return (0.5 * (ends - counts + 1 + ends))[group]
 
 
 def auc(scores, labels) -> float:

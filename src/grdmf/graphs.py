@@ -109,5 +109,18 @@ def combine_laplacians(parts: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def build_laplacian(similarities: Sequence[np.ndarray], p: int) -> np.ndarray:
-    """Sparsify each similarity with ``p`` neighbours, then sum the Laplacians."""
-    return combine_laplacians([laplacian(sparsify_pnn(s, p)) for s in similarities])
+    """Sparsify each similarity with ``p`` neighbours, then sum the Laplacians.
+
+    Every weight must be nonnegative: a negative one makes the Laplacian
+    indefinite, and the solver would fail on it only inside an iteration.
+    """
+    parts = []
+    for i, s in enumerate(similarities):
+        s = _as_matrix(s, "similarity")
+        if (s < 0.0).any():
+            raise ParameterError(
+                f"similarity {i} has a negative weight ({s.min():g}); "
+                "graph weights must be nonnegative"
+            )
+        parts.append(laplacian(sparsify_pnn(s, p)))
+    return combine_laplacians(parts)

@@ -54,8 +54,8 @@ __all__ = [
 class HyperParams:
     """Solver hyperparameters.
 
-    mu     -- graph regularization weight, >= 0
-    theta  -- coupling weight between X and the factor product, > 0
+    mu     -- graph regularization weight, finite and >= 0
+    theta  -- coupling weight between X and the factor product, finite and > 0
     alpha  -- relaxation step for the X update, in the open interval (0, 2)
     dims   -- inner factor dimensions (k1, k2) or (k1, k2, k3)
     p      -- nearest-neighbour count used when sparsifying similarity graphs
@@ -72,6 +72,9 @@ class HyperParams:
     sigma: float = field(default=1.0, init=False)
 
     def __post_init__(self):
+        for key, value in (("mu", self.mu), ("theta", self.theta)):
+            if not np.isfinite(value):
+                raise ParameterError(f"{key} must be finite, got {value}")
         if self.mu < 0:
             raise ParameterError(f"mu must be >= 0, got {self.mu}")
         if self.theta <= 0:

@@ -6,10 +6,13 @@ lifts, explicit products) so that agreement with the fast implementations is
 evidence, not tautology.
 """
 
+import csv
+import math
 from functools import reduce
 
 import numpy as np
 
+from grdmf.exceptions import ParseError, RegistryError
 from grdmf.graphs import build_laplacian
 from grdmf.linalg import sym_eigen
 from grdmf.solver import (
@@ -173,6 +176,60 @@ def random_scores_labels(rng, size: int, quantize: bool):
     if labels.sum() == size:
         labels[int(rng.integers(size))] = 0.0
     return scores, labels
+
+
+# ---------------------------------------------------------------------------
+# matrix CSV oracle
+
+
+def _first_duplicate(names, what: str, path) -> None:
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise RegistryError(f"duplicate {what} name {name!r} in {path}")
+
+
+def csv_table_oracle(path, binary: bool):
+    """The matrix CSV contract from its definition: every ``csv`` row read
+    first, then checked in file order with ``float()`` per cell.
+
+    Returns (row names, column names, values), or raises the ParseError or
+    RegistryError, with its text, that the loader must raise.
+    """
+    with open(path, newline="") as handle:
+        records = [
+            (lineno, row)
+            for lineno, row in enumerate(csv.reader(handle), start=1)
+            if row and not row[0].startswith("#")
+        ]
+    if not records:
+        raise ParseError(f"{path} contains no data rows")
+    (header_line, header), body = records[0], records[1:]
+    cols = [h.strip() for h in header[1:]]
+    if not cols:
+        raise ParseError(f"{path}:{header_line}: header row names no columns")
+    _first_duplicate(cols, "column", path)
+    expected = "0 or 1" if binary else "a finite nonnegative number"
+    values = []
+    for lineno, row in body:
+        if len(row) != len(cols) + 1:
+            raise ParseError(
+                f"{path}:{lineno}: expected {len(cols) + 1} fields, got {len(row)}"
+            )
+        parsed = []
+        for col, text in enumerate(row[1:], start=2):
+            where = f"{path}:{lineno}: column {col}"
+            try:
+                value = float(text)
+            except ValueError:
+                raise ParseError(f"{where}: cannot parse {text!r} as a number") from None
+            ok = value in (0.0, 1.0) if binary else math.isfinite(value) and value >= 0.0
+            if not ok:
+                raise ParseError(f"{where}: expected {expected}, got {text!r}")
+            parsed.append(value)
+        values.append(parsed)
+    names = [row[0].strip() for _, row in body]
+    _first_duplicate(names, "row", path)
+    return tuple(names), tuple(cols), np.array(values, dtype=float)
 
 
 # ---------------------------------------------------------------------------

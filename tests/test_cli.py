@@ -377,6 +377,19 @@ def test_repeats_and_seed_are_validated(bundle, tmp_path, caplog, command, flag,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--mu", "--theta"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_weights_are_config_errors(bundle, tmp_path, caplog, flag, value):
+    # rejected by HyperParams, naming the key, before any fit starts
+    out = tmp_path / "nonfinite"
+    args = _base_args(bundle, out)
+    args[args.index(flag) + 1] = value
+    assert main(["fit", *args]) == 1
+    assert f"bad hyperparameters: {flag[2:]} must be finite, got {value}" in caplog.text
+    assert "iteration" not in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, extra, file_cfg, named",
     [

@@ -1,10 +1,17 @@
 """CSV ingestion, validation and alignment tests."""
 
+import csv
+import os
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from grdmf import data
 from grdmf.data import (
     AssociationDataset,
     align_profile,
@@ -21,6 +28,7 @@ from grdmf.exceptions import (
     RegistryError,
     ZeroProfileWarning,
 )
+from helpers import csv_table_oracle
 
 # ---------------------------------------------------------------------------
 # association matrices
@@ -244,3 +252,142 @@ def test_comments_anywhere_are_skipped(tmp_path):
     ds = load_association_csv(path)
     assert ds.drugs == ("d1",)
     assert ds.y[0, 0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the reader against its definition
+
+# tokens where numpy's C reader and csv + float() could part ways: spellings
+# only float() accepts, quoting, padding, signed zero, subnormals, non-finite
+_CELLS = st.one_of(
+    st.sampled_from(["0", "1", "0.5", "1.0", "-0", "-0.0", "1e-300", "5e-324", "0.25 "]),
+    st.sampled_from([
+        "1_0", "\u0661", " 1", '" 1"', '"1"', "nan", "inf", "-1", "", " ", "1e999", "abc",
+        "1\xa0",
+    ]),
+)
+_NAMES = st.sampled_from(["a", "b", "c", " d ", "\u00e9", '"e"', '"x,y"', "#n", ""])
+_ODD_LINES = st.sampled_from(["# mid", "# mid,1", '# "q"', "", " ", "\t"])
+
+
+@st.composite
+def _csv_texts(draw):
+    width = draw(st.integers(min_value=1, max_value=3))
+    lines = draw(st.lists(st.sampled_from(["# top", ""]), max_size=1))
+    lines.append(",".join([draw(st.sampled_from(["", "drug"]))]
+                          + draw(st.lists(_NAMES, min_size=width, max_size=width))))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        if draw(st.integers(min_value=0, max_value=4)) == 0:
+            lines.append(draw(_ODD_LINES))
+            continue
+        n = draw(st.sampled_from([width, width, width, width - 1, width + 1]))
+        cells = draw(st.lists(_CELLS, min_size=n, max_size=n))
+        lines.append(",".join([draw(_NAMES), *cells]))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _outcome(read, path, binary):
+    try:
+        names, cols, values = read(path, binary)
+    except (ParseError, RegistryError) as exc:
+        return type(exc).__name__, str(exc)
+    return names, cols, values.shape, values.tobytes()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_csv_texts(), binary=st.booleans())
+def test_reader_matches_csv_and_float_per_cell(tmp_path, text, binary):
+    # same names, bit-identical values, or the same error type and text
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(data._parse_table, path, binary)
+    assert got == _outcome(csv_table_oracle, path, binary)
+
+
+@pytest.mark.parametrize("text", ["drug,v1,v2\n", "drug,v1\nd1,\n", "drug,v1\r\n\r\n"])
+def test_bodies_without_cells_emit_no_warning(tmp_path, text):
+    # numpy's reader warns on an empty body; the loader must not pass it one
+    path = _write(tmp_path / "h.csv", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(data._parse_table, path, True)
+    assert got == _outcome(csv_table_oracle, path, True)
+
+
+def test_bodies_longer_than_one_reader_block(tmp_path):
+    # the C reader takes the body in blocks of rows; rows that agree within
+    # their own block but not with the header are still a field-count error
+    rows = [f"r{i},0.5,1" for i in range(150)]
+    path = _write(tmp_path / "tall.csv", ",a,b\n" + "\n".join(rows) + "\n")
+    got = _outcome(data._parse_table, path, False)
+    assert got == _outcome(csv_table_oracle, path, False) and got[2] == (150, 2)
+    ragged = rows[:data._BLOCK_ROWS] + [row + ",1" for row in rows[data._BLOCK_ROWS:]]
+    path = _write(tmp_path / "ragged.csv", ",a,b\n" + "\n".join(ragged) + "\n")
+    line = data._BLOCK_ROWS + 2
+    with pytest.raises(ParseError, match=rf"ragged\.csv:{line}: expected 3 fields, got 4"):
+        data._parse_table(path, False)
+
+
+def test_fields_past_the_csv_limit_are_left_to_csv(tmp_path):
+    # csv refuses a field longer than its limit; the C reader has none
+    path = _write(tmp_path / "l.csv", "drug,v1\nlonger_name,1\n")
+    limit = csv.field_size_limit(8)
+    try:
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            data._parse_table(path, True)
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_plain_bodies_skip_the_row_walker(tmp_path, monkeypatch):
+    # the C reader takes plain files; only a file it cannot take exactly (here
+    # a quoted name) is walked row by row
+    walked = []
+    walk = data._walk_rows
+
+    def recording(handle, path, binary):
+        walked.append(path)
+        return walk(handle, path, binary)
+
+    monkeypatch.setattr(data, "_walk_rows", recording)
+    plain = _write(tmp_path / "p.csv", "# c\r\n,a,b\r\na, 1 ,0.5\r\n\r\nb,0.5,1e0\n")
+    assert load_similarity_csv(plain).values.tolist() == [[1.0, 0.5], [0.5, 1.0]]
+    assert walked == []
+    quoted = _write(tmp_path / "q.csv", ',a,b\n"a",1,0.5\nb,0.5,1\n')
+    assert load_similarity_csv(quoted).entities == ("a", "b")
+    assert walked == [quoted]
+
+
+def test_unseekable_input_is_walked_once(tmp_path):
+    # a pipe (a shell's `<(...)`) cannot be rewound for a second read, so
+    # it goes to the row walker directly
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(',a\n"a",1\n',), daemon=True)
+    writer.start()
+    try:
+        names, cols, values = data._parse_table(fifo, False)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert (names, cols, values.tolist()) == (("a",), ("a",), [[1.0]])
+
+
+def test_matrix_writer_bytes_are_pinned(tmp_path):
+    # shortest round-trip repr per cell, csv quoting for names, CRLF rows
+    path = tmp_path / "m.csv"
+    values = np.array([[-0.0, 1e-300, 5e-324], [0.1, 1.0 / 3.0, 1e16]])
+    write_matrix_csv(path, ["r1", "r,2"], ["a", "b", "c"], values, comments=["note"])
+    assert path.read_bytes() == (
+        b"# note\n,a,b,c\r\n"
+        b"r1,-0.0,1e-300,5e-324\r\n"
+        b'"r,2",0.1,0.3333333333333333,1e+16\r\n'
+    )
+    write_matrix_csv(path, ["r"], ["a", "b"], np.array([[1, 0]]))
+    assert path.read_bytes() == b",a,b\r\nr,1.0,0.0\r\n"

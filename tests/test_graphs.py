@@ -207,3 +207,16 @@ def test_build_laplacian_is_the_composition():
     built = build_laplacian(sims, 2)
     manual = combine_laplacians([laplacian(sparsify_pnn(s, 2)) for s in sims])
     assert np.array_equal(built, manual)
+
+
+def test_build_laplacian_rejects_negative_weights():
+    # an all-negative similarity gives a Laplacian with eigenvalue -4: reject
+    # it where it enters, naming which similarity of the list is at fault
+    good = np.full((4, 4), 0.5)
+    with pytest.raises(ParameterError, match="^similarity 1 has a negative weight"):
+        build_laplacian([good, -np.ones((4, 4))], 2)
+    one_edge = good.copy()
+    one_edge[0, 3] = one_edge[3, 0] = -0.25
+    with pytest.raises(ParameterError, match=r"^similarity 0 .*\(-0\.25\)"):
+        build_laplacian([one_edge], 2)
+    assert np.array_equal(build_laplacian([-0.0 * good], 2), np.zeros((4, 4)))

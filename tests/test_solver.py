@@ -58,6 +58,16 @@ def test_hyperparams_validation():
         HyperParams(**good, iters=0)
 
 
+@pytest.mark.parametrize("key", ["mu", "theta"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_hyperparams_reject_nonfinite_weights(key, value):
+    # nan passes `< 0` and `<= 0`, and inf passes both range checks: without a
+    # finiteness check these reach fit and fail only inside iteration 0
+    good = dict(mu=1.0, theta=1.0, alpha=0.5, dims=(4, 2))
+    with pytest.raises(ParameterError, match=f"^{key} must be finite"):
+        HyperParams(**{**good, key: value})
+
+
 def test_hyperparams_coercion_and_fixed_prox_weight():
     hp = HyperParams(mu=1.0, theta=2.0, alpha=0.5, dims=[np.int64(4), np.int64(2)])
     assert hp.dims == (4, 2)
@@ -429,11 +439,13 @@ def test_fit_rejects_mismatched_init_at_entry():
 
 
 def test_fit_wraps_a_nonfinite_graph_coefficient():
-    # mu = inf makes 2*mu*L + I non-finite; its eigendecomposition fails inside
-    # the fit's error wrapping, so the CLI reports it instead of a traceback
+    # a finite mu this large overflows 2*mu*L + I; its eigendecomposition fails
+    # inside the fit's error wrapping, so the CLI reports it instead of a traceback
     y, mask, l_d, l_v, hp = descent_instance(15)
-    with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="^iteration 0 failed"):
-        fit(y, mask, l_d, l_v, replace(hp, mu=np.inf))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        SolverError, match="^iteration 0 failed"
+    ):
+        fit(y, mask, l_d, l_v, replace(hp, mu=1e308))
 
 
 def test_fit_stops_on_nonfinite_objective():
