@@ -275,7 +275,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file not found: {config_path}")
         try:
             file_cfg = json.loads(config_path.read_text())
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(

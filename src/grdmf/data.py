@@ -127,14 +127,21 @@ def _first_bad_cell(path, lineno: int, cells: Sequence[str], binary: bool) -> Pa
             )
 
 
+def _csv_rows(handle, path):
+    """``(line, row)`` per data row; a row ``csv`` refuses is a ParseError."""
+    lineno = 0
+    try:
+        for lineno, row in enumerate(csv.reader(handle), start=1):
+            if row and not row[0].startswith("#"):
+                yield lineno, row
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{lineno + 1}: {exc}") from exc
+
+
 def _walk_rows(handle, path, binary: bool):
     """The exact reader: ``csv`` rows, ``float()`` per cell, each row checked
     as it is read, so the error names the first bad cell in file order."""
-    rows = (
-        (lineno, row)
-        for lineno, row in enumerate(csv.reader(handle), start=1)
-        if row and not row[0].startswith("#")
-    )
+    rows = _csv_rows(handle, path)
     header_line, header = next(rows, (None, None))
     if header is None:
         raise ParseError(f"{Path(path)} contains no data rows")
@@ -230,21 +237,21 @@ def _parse_table(path, binary: bool):
     The body is parsed by numpy's C text reader (:func:`_read_plain`); a
     file it does not take is read again by the exact row walker
     (:func:`_walk_rows`), which accepts the same files with the same values
-    and raises every error."""
+    and raises every error. A file that cannot be opened or decoded is a
+    :class:`ParseError` too, whichever reader meets the bad byte."""
     try:
-        handle = Path(path).open(newline="")
-    except OSError as exc:
+        with Path(path).open(newline="") as handle:
+            if handle.seekable():
+                parsed = _read_plain(handle, binary)
+                if parsed is not None:
+                    row_names, col_names, _ = parsed
+                    _check_unique(col_names, "column", path)
+                    _check_unique(row_names, "row", path)
+                    return parsed
+                handle.seek(0)
+            return _walk_rows(handle, path, binary)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {Path(path)}: {exc}") from exc
-    with handle:
-        if handle.seekable():
-            parsed = _read_plain(handle, binary)
-            if parsed is not None:
-                row_names, col_names, _ = parsed
-                _check_unique(col_names, "column", path)
-                _check_unique(row_names, "row", path)
-                return parsed
-            handle.seek(0)
-        return _walk_rows(handle, path, binary)
 
 
 def load_association_csv(path) -> AssociationDataset:

@@ -24,14 +24,15 @@ __all__ = [
 
 
 def cosine_similarity(indicator) -> np.ndarray:
-    """Pairwise cosine similarity of the rows of a binary indicator matrix.
+    """Pairwise cosine similarity of the rows of a finite nonnegative matrix.
 
+    Binary profiles are checked where they load; any nonnegative rows work.
     Rows with no features get similarity 0 to everything else and 1 to
     themselves, and a :class:`ZeroProfileWarning` is emitted for them.
     """
     indicator = _as_matrix(indicator, "indicator")
-    if not np.isin(indicator, (0.0, 1.0)).all():
-        raise ParameterError("indicator matrix must be binary (0/1 entries)")
+    if (indicator < 0.0).any():
+        raise ParameterError("indicator matrix must be nonnegative")
     norms = np.sqrt((indicator * indicator).sum(axis=1))
     zero_rows = np.flatnonzero(norms == 0.0)
     if zero_rows.size:
@@ -83,29 +84,27 @@ def laplacian(s) -> np.ndarray:
 
     The degree sum runs over every column including the diagonal, so row sums
     of ``L`` vanish and ``x.T @ L @ x == 0.5 * sum_ij S_ij (x_i - x_j)^2``.
+    ``s`` is trusted to be symmetric, as :func:`sparsify_pnn` returns it.
     """
-    s = _as_matrix(s, "similarity")
-    _require_symmetric(s, "similarity")
-    sym = 0.5 * (s + s.T)
-    lap = np.diag(sym.sum(axis=1)) - sym
-    return lap
+    s = np.asarray(s, dtype=float)
+    return np.diag(s.sum(axis=1)) - s
 
 
 def combine_laplacians(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """Entrywise sum of Laplacians over several graphs on the same entities."""
+    """Entrywise sum of Laplacians over several graphs on the same entities.
+
+    A single Laplacian is returned as it is, not copied.
+    """
     if len(parts) == 0:
         raise ParameterError("need at least one Laplacian to combine")
-    mats = [_as_matrix(p, f"laplacian {i}") for i, p in enumerate(parts)]
+    mats = [np.asarray(p, dtype=float) for p in parts]
     shape = mats[0].shape
     for i, m in enumerate(mats):
         if m.shape != shape:
             raise DimensionError(
                 f"laplacian {i} has shape {m.shape}, expected {shape}"
             )
-    total = np.zeros(shape)
-    for m in mats:
-        total += m
-    return total
+    return sum(mats[1:], mats[0])
 
 
 def build_laplacian(similarities: Sequence[np.ndarray], p: int) -> np.ndarray:
@@ -113,13 +112,14 @@ def build_laplacian(similarities: Sequence[np.ndarray], p: int) -> np.ndarray:
 
     Every weight must be nonnegative: a negative one makes the Laplacian
     indefinite, and the solver would fail on it only inside an iteration.
+    :func:`sparsify_pnn` is the one check of the rest: 2-D, finite, symmetric.
     """
     parts = []
     for i, s in enumerate(similarities):
-        s = _as_matrix(s, "similarity")
+        s = np.asarray(s, dtype=float)
         if (s < 0.0).any():
             raise ParameterError(
-                f"similarity {i} has a negative weight ({s.min():g}); "
+                f"similarity {i} has a negative weight ({np.nanmin(s):g}); "
                 "graph weights must be nonnegative"
             )
         parts.append(laplacian(sparsify_pnn(s, p)))

@@ -218,11 +218,8 @@ def update_x(x, product, y, mask, alpha: float, theta: float) -> np.ndarray:
 
     B = X + alpha * (M . (Y - M . X)), then the proximal step
     X+ = max((B + theta * P) / (1 + theta), 0) with P the factor product.
+    Only shapes, alpha and theta are checked here; :func:`fit` checks y and mask.
     """
-    x = _as_matrix(x, "x")
-    product = _as_matrix(product, "product")
-    y = _as_matrix(y, "y")
-    mask = _as_matrix(mask, "mask")
     if not (x.shape == product.shape == y.shape == mask.shape):
         raise DimensionError("x, product, y and mask must share one shape")
     if not 0.0 < alpha < 2.0:

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import AssociationDataset, SimilaritySet, save_association_csv, write_matrix_csv
+from .graphs import cosine_similarity
 
 __all__ = ["SyntheticProblem", "make_synthetic_problem", "write_synthetic_csvs"]
 
@@ -25,15 +26,6 @@ class SyntheticProblem:
     similarities: SimilaritySet
     latent_left: np.ndarray
     latent_right: np.ndarray
-
-
-def _cosine_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.sqrt((x * x).sum(axis=1))
-    norms = np.where(norms == 0.0, 1.0, norms)
-    sim = (x @ x.T) / np.outer(norms, norms)
-    sim = 0.5 * (sim + sim.T)
-    np.fill_diagonal(sim, 1.0)
-    return sim
 
 
 def make_synthetic_problem(
@@ -57,8 +49,8 @@ def make_synthetic_problem(
     viruses = tuple(f"virus{j:03d}" for j in range(n))
     dataset = AssociationDataset(drugs=drugs, viruses=viruses, y=y)
     similarities = SimilaritySet(
-        drug={"s1_d": _cosine_rows(left)},
-        virus={"s1_v": _cosine_rows(right.T)},
+        drug={"s1_d": cosine_similarity(left)},
+        virus={"s1_v": cosine_similarity(right.T)},
     )
     return SyntheticProblem(
         dataset=dataset,

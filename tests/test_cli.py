@@ -6,6 +6,7 @@ on exit codes and on the artifacts the commands leave behind.
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -446,6 +447,27 @@ def test_bad_similarity_cell_fails_cleanly(bundle, tmp_path, caplog):
     assert main(args) == 1  # a ParseError, not an escaping ValueError
     assert f"{bad}:3: column 4" in caplog.text
     assert not out.exists()
+
+
+def test_undecodable_inputs_fail_cleanly(bundle, tmp_path, caplog):
+    # a byte the text encoding rejects is a ParseError (CSV) or a ConfigError
+    # (config file) naming the file, not an escaping UnicodeDecodeError
+    bad_csv = tmp_path / "association.csv"
+    raw = Path(bundle["association"]).read_bytes()
+    bad_csv.write_bytes(raw.replace(b"drug001", b"drug\xff01", 1))
+    bad_cfg = tmp_path / "run.json"
+    bad_cfg.write_bytes(b'{"mu": 1\xff}')
+    inputs = ["--drug-sim", bundle["drug_sim"], "--virus-sim", bundle["virus_sim"]]
+    for args, named in [
+        (["--association", str(bad_csv)], f"cannot read {bad_csv}"),
+        (["--config", str(bad_cfg), "--association", bundle["association"]],
+         f"config file {bad_cfg} is not valid JSON"),
+    ]:
+        out = tmp_path / "undecodable"
+        assert main(["fit", *args, *inputs, "--iters", "1", "--out", str(out)]) == 1
+        assert named in caplog.text
+        assert "can't decode byte 0xff" in caplog.text
+        assert not out.exists()
 
 
 def test_scheme_defaults_reach_the_report(bundle, tmp_path):

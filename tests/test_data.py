@@ -339,10 +339,36 @@ def test_fields_past_the_csv_limit_are_left_to_csv(tmp_path):
     path = _write(tmp_path / "l.csv", "drug,v1\nlonger_name,1\n")
     limit = csv.field_size_limit(8)
     try:
-        with pytest.raises(csv.Error, match="field larger than field limit"):
+        with pytest.raises(ParseError, match=r"l\.csv:2: field larger than field limit"):
             data._parse_table(path, True)
     finally:
         csv.field_size_limit(limit)
+
+
+def test_field_past_the_default_csv_limit_names_file_and_line(tmp_path):
+    name = "d" * (csv.field_size_limit() + 1)
+    path = _write(tmp_path / "long.csv", f"# note\ndrug,v1\nd0,1\n{name},0\n")
+    with pytest.raises(ParseError, match=r"long\.csv:4: field larger than field limit"):
+        load_association_csv(path)
+
+
+@pytest.mark.parametrize("line", [0, 1500], ids=["header", "past-first-read"])
+def test_undecodable_byte_is_a_parse_error(tmp_path, line):
+    # in the header the C-reader pass meets the byte; 1500 rows down, past
+    # the first buffered read, that pass declines and the row walker meets it.
+    # Either way the error names the file, in the platform's text encoding
+    lines = [b"drug,v1,v2", *(b"d%d,1,0" % i for i in range(1500))]
+    lines[line] += b"\xff"
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    try:
+        path.read_text()
+    except UnicodeDecodeError:
+        pass
+    else:
+        pytest.skip("0xff decodes in this platform's encoding")
+    with pytest.raises(ParseError, match=r"^cannot read .*bytes\.csv: .*can't decode byte 0xff"):
+        load_association_csv(path)
 
 
 def test_plain_bodies_skip_the_row_walker(tmp_path, monkeypatch):

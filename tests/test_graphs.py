@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grdmf.graphs
 from grdmf.exceptions import (
     DimensionError,
     ParameterError,
@@ -54,9 +55,15 @@ def test_cosine_zero_profile_warns_and_isolates():
     assert sim[1, 1] == 1.0  # self-similarity stays defined
 
 
-def test_cosine_rejects_nonbinary():
-    with pytest.raises(ParameterError):
-        cosine_similarity(np.array([[0.5, 1.0], [1.0, 0.0]]))
+def test_cosine_rejects_negative_and_nonfinite_rows():
+    # binary profiles are checked where they load; the cosine takes any
+    # finite nonnegative rows, such as a synthetic problem's latent factors
+    with pytest.raises(ParameterError, match="nonnegative"):
+        cosine_similarity(np.array([[0.5, -1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        cosine_similarity(np.array([[0.5, np.nan], [1.0, 0.0]]))
+    sim = cosine_similarity(np.array([[0.5, 1.0], [1.0, 0.0]]))
+    assert sim[0, 1] == pytest.approx(0.5 / np.sqrt(1.25))
 
 
 @settings(max_examples=30, deadline=None)
@@ -180,6 +187,33 @@ def test_laplacian_of_diagonal_similarity_is_zero():
     assert np.allclose(lap, 0.0)
 
 
+# ties, exact zeros and arbitrary weights; the diagonal draws from the same
+# pool, so self-loops carry mass too
+_WEIGHTS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 10.0))
+
+
+@st.composite
+def _symmetric_similarities(draw):
+    n = draw(st.integers(min_value=2, max_value=9))
+    upper = draw(st.lists(_WEIGHTS, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    s = np.zeros((n, n))
+    s[np.triu_indices(n)] = upper
+    return s + np.triu(s, 1).T
+
+
+@settings(max_examples=60, deadline=None)
+@given(_symmetric_similarities())
+def test_sparsified_laplacian_is_symmetric_balanced_and_psd(s):
+    # what laplacian must deliver on every graph sparsify_pnn can hand it,
+    # now that it trusts its input instead of checking it
+    for p in range(1, s.shape[0]):
+        lap = laplacian(sparsify_pnn(s, p))
+        scale = 1.0 + np.linalg.norm(lap)
+        assert np.array_equal(lap, lap.T)
+        assert np.abs(lap.sum(axis=1)).max() <= 1e-12 * scale
+        assert np.linalg.eigvalsh(lap).min() >= -1e-10 * scale
+
+
 # ---------------------------------------------------------------------------
 # combining
 
@@ -220,3 +254,24 @@ def test_build_laplacian_rejects_negative_weights():
     with pytest.raises(ParameterError, match=r"^similarity 0 .*\(-0\.25\)"):
         build_laplacian([one_edge], 2)
     assert np.array_equal(build_laplacian([-0.0 * good], 2), np.zeros((4, 4)))
+
+
+def test_build_laplacian_checks_each_similarity_once(monkeypatch):
+    # sparsify_pnn is the one check of a similarity; the negativity check,
+    # laplacian and combine_laplacians trust what it has already scanned
+    counts = {"_as_matrix": 0, "_require_symmetric": 0}
+    for name in counts:
+        original = getattr(grdmf.graphs, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(grdmf.graphs, name, counting)
+    rng = np.random.default_rng(9)
+    sims = []
+    for _ in range(3):
+        s = rng.random((6, 6))
+        sims.append(0.5 * (s + s.T))
+    build_laplacian(sims, 2)
+    assert counts == {"_as_matrix": 3, "_require_symmetric": 3}

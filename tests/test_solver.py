@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import grdmf.linalg
+import grdmf.solver
 from grdmf.exceptions import DimensionError, ParameterError, SolverError, SymmetryError
 from grdmf.graphs import build_laplacian
 from grdmf.linalg import sym_eigen, truncated_svd
@@ -205,6 +206,22 @@ def test_update_x_validates():
         update_x(x, x, x, np.ones_like(x), 0.5, 0.0)
     with pytest.raises(DimensionError):
         update_x(x, np.zeros((2, 3)), x, np.ones_like(x), 0.5, 1.0)
+
+
+def test_update_x_trusts_its_inputs(monkeypatch):
+    # fit checks y and mask once; the X step, run every iteration, only
+    # compares shapes
+    names = []
+    original = grdmf.solver._as_matrix
+
+    def counting(a, name="matrix"):
+        names.append(name)
+        return original(a, name)
+
+    monkeypatch.setattr(grdmf.solver, "_as_matrix", counting)
+    x = np.zeros((2, 2))
+    update_x(x, x, x, np.ones_like(x), 0.5, 1.0)
+    assert names == []
 
 
 # ---------------------------------------------------------------------------
