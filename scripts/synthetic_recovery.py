@@ -31,7 +31,7 @@ def run_seed(seed: int, args) -> tuple[float, float, float]:
     )
     l_d = build_laplacian(list(problem.similarities.drug.values()), hp.p)
     l_v = build_laplacian(list(problem.similarities.virus.values()), hp.p)
-    cells = split_entries(y.shape, fraction=args.hide, seed=seed)[0].hidden_cells
+    cells = split_entries(y.shape, folds=round(1 / args.hide), seed=seed)[0].hidden_cells
     mask = np.ones_like(y)
     mask[cells[:, 0], cells[:, 1]] = 0.0
     result = fit(y * mask, mask, l_d, l_v, hp)
@@ -48,7 +48,8 @@ def main() -> None:
     parser.add_argument("--rank", type=int, default=3)
     parser.add_argument("--percentile", type=float, default=70.0)
     parser.add_argument("--hide", type=float, default=0.1,
-                        help="fraction of cells hidden per seed")
+                        help="fraction of cells hidden per seed, as one fold of "
+                        "round(1/hide)")
     parser.add_argument("--mu", type=float, default=1.0)
     parser.add_argument("--theta", type=float, default=1.0)
     parser.add_argument("--alpha", type=float, default=0.5)
@@ -56,6 +57,8 @@ def main() -> None:
     parser.add_argument("--dims", default="5,3")
     parser.add_argument("--iters", type=int, default=10)
     args = parser.parse_args()
+    if not 0.0 < args.hide <= 2 / 3:  # round(1 / hide) >= 2 folds
+        parser.error(f"--hide must lie in (0, 2/3], got {args.hide}")
 
     print(f"{'seed':>4}  {'AUC':>7}  {'AUPR':>7}  {'fit s':>6}")
     aucs, auprs = [], []

@@ -12,9 +12,10 @@ import argparse
 import hashlib
 import json
 import logging
+import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -104,33 +105,10 @@ class RunConfig:
     digests: dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        hp = self.hyperparams
-        return {
-            "command": self.command,
-            "association": str(self.association),
-            "drug_sims": {k: str(v) for k, v in self.drug_sims.items()},
-            "virus_sims": {k: str(v) for k, v in self.virus_sims.items()},
-            "drug_profile": str(self.drug_profile) if self.drug_profile else None,
-            "virus_profile": str(self.virus_profile) if self.virus_profile else None,
-            "hyperparams": {
-                "mu": hp.mu,
-                "theta": hp.theta,
-                "alpha": hp.alpha,
-                "dims": list(hp.dims),
-                "p": hp.p,
-                "iters": hp.iters,
-                "sigma": hp.sigma,
-            },
-            "scheme": self.scheme,
-            "folds": self.folds,
-            "repeats": self.repeats,
-            "seed": self.seed,
-            "ks": list(self.ks),
-            "k": self.k,
-            "virus": self.virus,
-            "out": str(self.out),
-            "digests": dict(sorted(self.digests.items())),
-        }
+        """Every field but ``combos``, as JSON values: paths become strings."""
+        values = asdict(self)
+        del values["combos"]
+        return json.loads(json.dumps(values, default=os.fspath))
 
 
 def _virus_column(dataset: AssociationDataset, virus_name: str) -> int:
@@ -349,6 +327,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     seed = pick("seed", "seed", 0, _int)
     if seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
+    k = pick("k", "k", 10, _int)
+    if k < 1:
+        raise ConfigError(f"--k must be >= 1, got {k}")
 
     cfg = RunConfig(
         command=command,
@@ -363,7 +344,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         repeats=repeats,
         seed=seed,
         ks=pick("ks", "ks", (3, 5, 7), _int_tuple),
-        k=pick("k", "k", 10, _int),
+        k=k,
         virus=virus,
         combos=combos,
         out=pick("out", "out", "grdmf_out", Path),

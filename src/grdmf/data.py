@@ -250,8 +250,22 @@ def _parse_table(path, binary: bool):
                     return parsed
                 handle.seek(0)
             return _walk_rows(handle, path, binary)
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {Path(path)}: {_undecodable_line(path, exc)}") from exc
+    except OSError as exc:
         raise ParseError(f"cannot read {Path(path)}: {exc}") from exc
+
+
+def _undecodable_line(path, exc: UnicodeDecodeError) -> str:
+    """``exc`` restated for the first line it occurs on: the codec counts its
+    position from the start of a buffered chunk, not of the file or a line."""
+    with Path(path).open("rb") as raw:
+        for lineno, line in enumerate(raw, start=1):
+            try:
+                line.decode(exc.encoding)
+            except UnicodeDecodeError as at:
+                return f"line {lineno}: {at}"
+    return str(exc)
 
 
 def load_association_csv(path) -> AssociationDataset:

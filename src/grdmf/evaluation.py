@@ -145,22 +145,17 @@ def _str_keys(d: Optional[Mapping[int, float]]) -> Optional[dict[str, float]]:
 
 def split_entries(
     shape: tuple[int, int],
-    fraction: float = 0.1,
-    folds: Optional[int] = None,
+    folds: int = 10,
     seed: int = 0,
 ) -> list[FoldSplit]:
     """Partition all m*n cells into near-equal random folds.
 
-    Fold sizes differ by at most one. When ``folds`` is omitted it is taken
-    as round(1/fraction), so the default hides 10% of cells per fold.
+    Fold sizes differ by at most one, so each fold hides about 1/folds of
+    the cells: 10% by default.
     """
     m, n = shape
     if m < 1 or n < 1:
         raise ParameterError(f"degenerate shape {shape}")
-    if folds is None:
-        if not 0.0 < fraction < 1.0:
-            raise ParameterError(f"fraction must lie in (0, 1), got {fraction}")
-        folds = round(1.0 / fraction)
     folds = int(folds)
     if not 2 <= folds <= m * n:
         raise ParameterError(f"folds={folds} out of range [2, {m * n}]")

@@ -28,7 +28,8 @@ def cosine_similarity(indicator) -> np.ndarray:
 
     Binary profiles are checked where they load; any nonnegative rows work.
     Rows with no features get similarity 0 to everything else and 1 to
-    themselves, and a :class:`ZeroProfileWarning` is emitted for them.
+    themselves, and a :class:`ZeroProfileWarning` is emitted for them. The
+    result is exactly symmetric by construction.
     """
     indicator = _as_matrix(indicator, "indicator")
     if (indicator < 0.0).any():
@@ -43,10 +44,12 @@ def cosine_similarity(indicator) -> np.ndarray:
             stacklevel=2,
         )
     safe = np.where(norms == 0.0, 1.0, norms)
+    # on one contiguous operand numpy forms a @ a.T with syrk, which fills
+    # one triangle and mirrors it, so the ratio is exactly symmetric
+    indicator = np.ascontiguousarray(indicator)
     sim = (indicator @ indicator.T) / np.outer(safe, safe)
     sim[zero_rows, :] = 0.0
     sim[:, zero_rows] = 0.0
-    sim = 0.5 * (sim + sim.T)
     np.clip(sim, 0.0, 1.0, out=sim)
     np.fill_diagonal(sim, 1.0)
     return sim

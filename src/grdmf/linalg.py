@@ -1,9 +1,9 @@
 """Dense symmetric linear-algebra kernels.
 
-Everything here operates on plain 2-D float64 ndarrays (or, for a Sylvester
-coefficient, its eigendecomposition) and is pure: inputs are never modified,
-outputs are freshly allocated. Scales of interest are small (tens of rows), so
-clarity wins over cleverness throughout.
+Everything here operates on plain 2-D float64 ndarrays (a Sylvester solve
+takes its two coefficients as eigendecompositions) and is pure: inputs are
+never modified, outputs are freshly allocated. Scales of interest are small
+(tens of rows), so clarity wins over cleverness throughout.
 """
 
 from __future__ import annotations
@@ -112,24 +112,16 @@ def truncated_svd(a, r: int) -> TruncatedSvd:
     return TruncatedSvd(left=u[:, :r].copy(), singular=s, right=vh[:r].T.copy())
 
 
-def solve_sylvester_sym(a, b, c) -> np.ndarray:
-    """Solve ``a @ x + x @ b = c`` for symmetric ``a`` (n, n) and ``b`` (k, k).
+def solve_sylvester_sym(eig_a: SymEigen, eig_b: SymEigen, c) -> np.ndarray:
+    """Solve ``a @ x + x @ b = c`` given the eigendecompositions of symmetric
+    ``a`` (n, n) and ``b`` (k, k), as :func:`sym_eigen` returns them.
 
-    Both coefficient matrices are diagonalized and the transformed right-hand
-    side is divided entrywise by the eigenvalue sums, so the cost is two
-    symmetric eigendecompositions plus a few products. Raises
+    The right-hand side is transformed into both eigenbases and divided
+    entrywise by the eigenvalue sums, so the cost is a few products. Raises
     :class:`SingularSystemError` when any eigenvalue sum falls below
     ``MIN_EIGSUM``.
-
-    Either side may be passed as its :class:`SymEigen` instead of a matrix,
-    which skips that side's eigendecomposition: a coefficient that stays
-    constant over many solves is diagonalized once. A matrix side is checked
-    by :func:`sym_eigen`; a ``SymEigen`` side is used as is, since
-    :func:`sym_eigen` checked the matrix when it made it.
     """
     c = _as_matrix(c, "c")
-    eig_a = a if isinstance(a, SymEigen) else sym_eigen(a)
-    eig_b = b if isinstance(b, SymEigen) else sym_eigen(b)
     if c.shape != (eig_a.values.size, eig_b.values.size):
         raise DimensionError(
             f"c must have shape {(eig_a.values.size, eig_b.values.size)}, got {c.shape}"

@@ -236,8 +236,8 @@ def update_u1(x, u1_prev, tail_product, coef_d: SymEigen, theta: float) -> np.nd
     Solves (2*mu*L_d + I) @ U1 + U1 @ (theta*T@T.T) = theta*X@T.T + U1_prev
     where T is the product of every factor to the right of U1 and ``coef_d``
     is the :class:`SymEigen` of the constant left coefficient 2*mu*L_d + I.
-    Only shapes are checked here; the Sylvester solve rejects a non-finite or
-    asymmetric input.
+    Only shapes are checked here; :func:`sym_eigen` rejects a non-finite Gram
+    matrix, and the solve a non-finite right-hand side.
     """
     tail = tail_product
     m = x.shape[0]
@@ -251,9 +251,8 @@ def update_u1(x, u1_prev, tail_product, coef_d: SymEigen, theta: float) -> np.nd
             f"tail {tail.shape}, coefficient {coef_d.values.size}x{coef_d.values.size}"
         )
     b = theta * (tail @ tail.T)
-    b = 0.5 * (b + b.T)
     c = theta * (x @ tail.T) + u1_prev
-    return solve_sylvester_sym(coef_d, b, c)
+    return solve_sylvester_sym(coef_d, sym_eigen(b), c)
 
 
 def update_middle(
@@ -278,9 +277,8 @@ def update_middle(
         )
     g, floored = spd_inverse(left.T @ left)
     b = theta * (right @ right.T)
-    b = 0.5 * (b + b.T)
     c = theta * (g @ (left.T @ x) @ right.T) + g @ factor_prev
-    return solve_sylvester_sym(g, b, c), floored
+    return solve_sylvester_sym(sym_eigen(g), sym_eigen(b), c), floored
 
 
 def update_v(x, v_prev, head_product, coef_v: SymEigen, theta: float) -> np.ndarray:
@@ -289,8 +287,8 @@ def update_v(x, v_prev, head_product, coef_v: SymEigen, theta: float) -> np.ndar
     Solves (theta*H.T@H) @ V + V @ (2*mu*L_v + I) = theta*H.T@X + V_prev
     where H is the product of every factor to the left of V and ``coef_v`` is
     the :class:`SymEigen` of the constant right coefficient 2*mu*L_v + I.
-    Only shapes are checked here; the Sylvester solve rejects a non-finite or
-    asymmetric input.
+    Only shapes are checked here; :func:`sym_eigen` rejects a non-finite Gram
+    matrix, and the solve a non-finite right-hand side.
     """
     head = head_product
     n = x.shape[1]
@@ -304,9 +302,8 @@ def update_v(x, v_prev, head_product, coef_v: SymEigen, theta: float) -> np.ndar
             f"head {head.shape}, coefficient {coef_v.values.size}x{coef_v.values.size}"
         )
     a = theta * (head.T @ head)
-    a = 0.5 * (a + a.T)
     c = theta * (head.T @ x) + v_prev
-    return solve_sylvester_sym(a, coef_v, c)
+    return solve_sylvester_sym(sym_eigen(a), coef_v, c)
 
 
 def fit(y, mask, l_d, l_v, hp: HyperParams, init: Optional[FactorSet] = None) -> FitResult:

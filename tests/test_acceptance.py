@@ -35,7 +35,7 @@ from grdmf.cli import DEFAULT_HYPERPARAMS, main, predict_topk
 from grdmf.data import AssociationDataset, SimilaritySet, load_association_csv, load_similarity_csv, align_similarity
 from grdmf.evaluation import auc, aupr, run_cv, split_entries, topk_metrics
 from grdmf.graphs import build_laplacian, laplacian
-from grdmf.linalg import solve_sylvester_sym
+from grdmf.linalg import solve_sylvester_sym, sym_eigen
 from grdmf.solver import FactorSet, HyperParams, fit, init_factors, objective
 from grdmf.synthetic import make_synthetic_problem, write_synthetic_csvs
 from helpers import (
@@ -72,7 +72,7 @@ def test_sylvester_oracle_equivalence():
         a = random_spd(rng, n)
         b = random_spd(rng, k)
         c = rng.standard_normal((n, k))
-        x = solve_sylvester_sym(a, b, c)
+        x = solve_sylvester_sym(sym_eigen(a), sym_eigen(b), c)
         worst = max(worst, float(np.linalg.norm(x - kron_solve(a, b, c))))
     elapsed = time.perf_counter() - start
     _report(
@@ -199,7 +199,7 @@ def test_synthetic_recovery():
         y = prob.dataset.y
         l_d = build_laplacian(list(prob.similarities.drug.values()), hp.p)
         l_v = build_laplacian(list(prob.similarities.virus.values()), hp.p)
-        cells = split_entries(y.shape, fraction=0.1, seed=seed)[0].hidden_cells
+        cells = split_entries(y.shape, folds=10, seed=seed)[0].hidden_cells
         mask = np.ones_like(y)
         mask[cells[:, 0], cells[:, 1]] = 0.0
         res = fit(y * mask, mask, l_d, l_v, hp)

@@ -156,6 +156,29 @@ def test_predict_unknown_virus_fails_cleanly(bundle, tmp_path, monkeypatch):
     assert not (out / "recommendations.csv").exists()
 
 
+@pytest.mark.parametrize("k", [0, -3])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_predict_rejects_k_below_one_before_any_fit(
+    bundle, tmp_path, monkeypatch, caplog, k, source
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("k is checked before any fit")
+
+    monkeypatch.setattr("grdmf.cli.fit", no_fit)
+    out = tmp_path / "predk"
+    virus = load_association_csv(bundle["association"]).viruses[0]
+    args = ["predict", *_base_args(bundle, out), "--virus", virus]
+    if source == "flag":
+        args += ["--k", str(k)]
+    else:
+        cfg_path = tmp_path / "k.json"
+        cfg_path.write_text(json.dumps({"k": k}))
+        args += ["--config", str(cfg_path)]
+    assert main(args) == 1
+    assert f"--k must be >= 1, got {k}" in caplog.text
+    assert not out.exists()
+
+
 def test_predict_topk_unit_behaviour():
     x = np.array([[0.2, 0.9], [0.8, 0.1], [0.5, 0.5]])
     dataset_like = type(

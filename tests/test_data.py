@@ -367,8 +367,14 @@ def test_undecodable_byte_is_a_parse_error(tmp_path, line):
         pass
     else:
         pytest.skip("0xff decodes in this platform's encoding")
-    with pytest.raises(ParseError, match=r"^cannot read .*bytes\.csv: .*can't decode byte 0xff"):
+    with pytest.raises(
+        ParseError, match=r"^cannot read .*bytes\.csv: .*can't decode byte 0xff"
+    ) as info:
         load_association_csv(path)
+    # the physical line, and the position counted within that line, not from
+    # the start of the decoder's buffered chunk
+    assert f"bytes.csv: line {line + 1}: " in str(info.value)
+    assert f" in position {len(lines[line]) - 1}: " in str(info.value)
 
 
 def test_plain_bodies_skip_the_row_walker(tmp_path, monkeypatch):

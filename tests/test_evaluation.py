@@ -72,8 +72,6 @@ def test_split_entries_seeded_determinism():
 
 def test_split_entries_validation():
     with pytest.raises(ParameterError):
-        split_entries((4, 4), fraction=0.0)
-    with pytest.raises(ParameterError):
         split_entries((4, 4), folds=1)
     with pytest.raises(ParameterError):
         split_entries((4, 4), folds=17)

@@ -83,6 +83,24 @@ def test_cosine_range_and_symmetry(seed, rows, cols):
     assert np.allclose(np.diag(sim), 1.0)
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_cosine_is_exactly_symmetric(layout):
+    # no averaging pass follows the product, so the result must come out
+    # symmetric bit for bit; a plain product of a strided input does not
+    # at these shapes
+    rng = np.random.default_rng(4)
+    for rows, cols in ((1, 3), (30, 7), (119, 38), (150, 40)):
+        profiles = rng.random((rows, cols)) * (rng.random((rows, cols)) < 0.5)
+        profiles[0] = 0.0
+        if layout == "F":
+            profiles = np.asfortranarray(profiles)
+        elif layout == "strided":
+            profiles = np.repeat(profiles, 2, axis=1)[:, ::2]
+        with pytest.warns(ZeroProfileWarning):
+            sim = cosine_similarity(profiles)
+        assert np.array_equal(sim, sim.T)
+
+
 # ---------------------------------------------------------------------------
 # sparsify_pnn
 

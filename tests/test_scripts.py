@@ -1,0 +1,60 @@
+"""The scripts under ``scripts/``, run as a user runs them, at tiny sizes."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from grdmf.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(*argv, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_make_synthetic_data_writes_a_bundle_the_cli_reads(tmp_path):
+    proc = _run(
+        "make_synthetic_data.py", "--out", "bundle", "--drugs", "10",
+        "--viruses", "6", "--rank", "2", "--seed", "3", cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("10 drugs x 6 viruses, rank 2")
+    names = {"association", "drug_sim", "virus_sim", "drug_profile", "virus_profile"}
+    assert {p.stem for p in (tmp_path / "bundle").iterdir()} == names
+    bundle = tmp_path / "bundle"
+    argv = [
+        "fit", "--association", str(bundle / "association.csv"),
+        "--drug-sim", str(bundle / "drug_sim.csv"),
+        "--virus-sim", str(bundle / "virus_sim.csv"),
+        "--dims", "3,2", "--iters", "2", "--out", str(tmp_path / "out"),
+    ]
+    assert main(argv) == 0
+
+
+def test_synthetic_recovery_prints_one_row_per_seed_and_the_means(tmp_path):
+    proc = _run(
+        "synthetic_recovery.py", "--seeds", "1", "--drugs", "12", "--viruses", "6",
+        "--rank", "2", "--p", "2", "--dims", "3,2", "--iters", "2", cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["seed", "AUC", "AUPR", "fit", "s"]
+    seed, auc, aupr, _ = lines[1].split()
+    assert seed == "0" and 0.0 <= float(auc) <= 1.0 and 0.0 <= float(aupr) <= 1.0
+    assert lines[-1].startswith("mean")
+
+
+def test_synthetic_recovery_rejects_a_hidden_fraction_leaving_one_fold(tmp_path):
+    # 0.7 hides one fold of round(1/0.7) = 1: there would be nothing to train on
+    proc = _run("synthetic_recovery.py", "--hide", "0.7", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "--hide must lie in (0, 2/3], got 0.7" in proc.stderr

@@ -15,6 +15,7 @@ import pytest
 
 import grdmf.linalg
 import grdmf.solver
+from grdmf.cli import DEFAULT_HYPERPARAMS
 from grdmf.exceptions import DimensionError, ParameterError, SolverError, SymmetryError
 from grdmf.graphs import build_laplacian
 from grdmf.linalg import sym_eigen, truncated_svd
@@ -354,15 +355,36 @@ def test_wrong_sized_graph_coefficient_is_a_dimension_error(block):
 # per-block descent along the real iteration
 
 
-@pytest.mark.parametrize("depth", [2, 3], ids=["depth2", "depth3"])
-def test_block_updates_never_increase_their_prox_objective(depth):
+def default_instance(key, seed):
+    """A paper-scale (86x23) instance under the tuned defaults of ``key``,
+    about a tenth of its cells hidden: returns (y, mask, l_d, l_v, hp)."""
+    prob = make_synthetic_problem(m=86, n=23, rank=3, seed=seed)
+    hp = HyperParams(**DEFAULT_HYPERPARAMS[key])
+    y = prob.dataset.y
+    mask = (np.random.default_rng(seed).random(y.shape) >= 0.1).astype(float)
+    l_d = build_laplacian(list(prob.similarities.drug.values()), hp.p)
+    l_v = build_laplacian(list(prob.similarities.virus.values()), hp.p)
+    return y * mask, mask, l_d, l_v, hp
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["depth2", "depth3", *(f"{scheme}-{depth}" for scheme, depth in DEFAULT_HYPERPARAMS)],
+)
+def test_block_updates_never_increase_their_prox_objective(case):
     # F(new) + ||Delta||^2 <= F(old): the defining inequality of a unit-weight
-    # proximal step, checked across whole runs of the actual iteration
+    # proximal step, checked across whole runs of the actual iteration, on the
+    # planted family (small mu) and under each tuned default, whose large
+    # mu/theta and wide dims floor the Gram eigenvalues of the middle update
     for seed in (0, 1, 2):
-        y, mask, l_d, l_v, hp = descent_instance(seed)
-        if depth == 3:
-            k1, k2 = hp.dims
-            hp = replace(hp, dims=(k1, k2, k2))
+        if case.startswith("depth"):
+            y, mask, l_d, l_v, hp = descent_instance(seed)
+            if case == "depth3":
+                k1, k2 = hp.dims
+                hp = replace(hp, dims=(k1, k2, k2))
+        else:
+            scheme, depth = case.split("-")
+            y, mask, l_d, l_v, hp = default_instance((scheme, int(depth)), seed)
         init = init_factors(y, hp.dims)
         for label, before, after, delta_sq in block_walk(y, mask, l_d, l_v, hp, init):
             assert after + delta_sq <= before + 1e-8, (seed, label)
@@ -506,6 +528,33 @@ def test_each_symmetric_operand_is_checked_once(monkeypatch):
     fit(y, np.ones_like(y), l_d, l_v, hp)
     assert counts["sym_eigen"] > 0
     assert counts["_require_symmetric"] == counts["sym_eigen"] + 2
+
+
+@pytest.mark.parametrize("dims", [(17, 15), (23, 10, 7)], ids=["depth2", "depth3"])
+def test_every_operand_fit_diagonalizes_is_exactly_symmetric(monkeypatch, dims):
+    # Grams are formed as A @ A.T or A.T @ A (numpy's syrk: one triangle,
+    # mirrored), the middle update's inverse by spd_inverse, and the graph
+    # side from the checked Laplacians, so no update re-symmetrizes its operand
+    operands = []
+    original = grdmf.linalg.sym_eigen
+
+    def recording(a):
+        operands.append(np.array(a))
+        return original(a)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "grdmf" and getattr(module, "sym_eigen", None) is original:
+            monkeypatch.setattr(module, "sym_eigen", recording)
+
+    prob = make_synthetic_problem(m=86, n=23, rank=5, seed=0)
+    l_d = build_laplacian(list(prob.similarities.drug.values()), 2)
+    l_v = build_laplacian(list(prob.similarities.virus.values()), 2)
+    hp = HyperParams(mu=100.0, theta=1.0, alpha=0.05, dims=dims, p=2, iters=10)
+    y = prob.dataset.y
+    fit(y, np.ones_like(y), l_d, l_v, hp)
+    assert len(operands) == 2 + hp.iters * (2 + 3 * (len(dims) - 1))
+    for a in operands:
+        assert np.array_equal(a, a.T)
 
 
 @pytest.mark.parametrize("dims", [(17, 15), (17, 15, 15)], ids=["depth2", "depth3"])
