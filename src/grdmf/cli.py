@@ -284,10 +284,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         )
 
     dims = pick("dims", "dims", convert=_int_tuple)
-    layers = pick("layers", "layers", 2, _int) if dims is None else len(dims)
+    layers = pick("layers", "layers", 2 if dims is None else len(dims), _int)
+    if dims is not None and layers != len(dims):
+        raise ConfigError(
+            f"layers {layers} disagrees with dims {dims}, which has {len(dims)} entries"
+        )
     default_key = ("entries" if scheme == "loo" else scheme, layers)
     if default_key not in DEFAULT_HYPERPARAMS:
-        raise ConfigError(f"no defaults for {layers} layers; supply --dims")
+        if dims is None:
+            raise ConfigError(f"no defaults for {layers} layers; supply --dims")
+        raise ConfigError(f"bad hyperparameters: dims must have 2 or 3 entries, got {dims}")
     hp_defaults = DEFAULT_HYPERPARAMS[default_key]
 
     try:

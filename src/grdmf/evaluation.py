@@ -190,16 +190,12 @@ def split_axis(
     perm = rng.permutation(length)
     out = []
     for f, group in enumerate(np.array_split(perm, folds)):
-        lines = np.sort(group)
+        hidden = np.zeros(shape, dtype=bool)
         if axis == "rows":
-            rows = np.repeat(lines, n)
-            cols = np.tile(np.arange(n), lines.size)
+            hidden[group, :] = True
         else:
-            rows = np.tile(np.arange(m), lines.size)
-            cols = np.repeat(lines, m)
-        cells = np.column_stack([rows, cols])
-        cells = cells[np.lexsort((cells[:, 1], cells[:, 0]))]
-        out.append(FoldSplit(fold_id=f, hidden_cells=cells))
+            hidden[:, group] = True
+        out.append(FoldSplit(fold_id=f, hidden_cells=np.argwhere(hidden)))
     return out
 
 
@@ -437,8 +433,12 @@ def run_ablation(
     by name from ``similarities``; results are keyed by a label of the form
     ``"s1_d+s2_d,s1_v"``. All combos share the same seed, so their fold
     assignments are identical and the comparison isolates the graphs.
+
+    Every combo is checked before the first fit: an empty side, an unknown
+    name, a name repeated within a side and a label given twice are each a
+    :class:`ConfigError`.
     """
-    reports: dict[str, EvalReport] = {}
+    subsets: dict[str, SimilaritySet] = {}
     for drug_names, virus_names in combos:
         drug_names = list(drug_names)
         virus_names = list(virus_names)
@@ -453,12 +453,19 @@ def run_ablation(
             raise ConfigError(
                 f"unknown similarity name(s) {unknown}; available: {known}"
             )
-        subset = SimilaritySet(
+        label = "+".join(drug_names) + "," + "+".join(virus_names)
+        repeated = sorted(
+            {nm for names in (drug_names, virus_names) for nm in names if names.count(nm) > 1}
+        )
+        if repeated:
+            raise ConfigError(f"combo {label!r} names {repeated} more than once on one side")
+        if label in subsets:
+            raise ConfigError(f"combo {label!r} is given twice")
+        subsets[label] = SimilaritySet(
             drug={nm: similarities.drug[nm] for nm in drug_names},
             virus={nm: similarities.virus[nm] for nm in virus_names},
         )
-        label = "+".join(drug_names) + "," + "+".join(virus_names)
-        reports[label] = run_cv(
-            dataset, subset, "entries", hp, seed=seed, folds=folds, fit_fn=fit_fn
-        )
-    return reports
+    return {
+        label: run_cv(dataset, subset, "entries", hp, seed=seed, folds=folds, fit_fn=fit_fn)
+        for label, subset in subsets.items()
+    }

@@ -136,18 +136,19 @@ def solve_sylvester_sym(eig_a: SymEigen, eig_b: SymEigen, c) -> np.ndarray:
     return eig_a.vectors @ (c_t / denom) @ eig_b.vectors.T
 
 
-def spd_inverse(a) -> tuple[np.ndarray, int]:
+def spd_inverse(a) -> tuple[SymEigen, int]:
     """Inverse of a symmetric positive (semi-)definite matrix, and a count.
 
     Eigenvalues below ``FLOOR_RATIO`` times the largest eigenvalue are raised
     to that floor before inverting, which keeps near-singular Gram matrices
-    usable. Returns ``(inverse, floored)``, where ``floored`` is the number of
-    eigenvalues that were raised. ``a`` is checked by :func:`sym_eigen`.
+    usable. Returns ``(inverse, floored)``: the inverse as a :class:`SymEigen`
+    (the eigenvectors of ``a``, the reciprocals of its floored eigenvalues),
+    and the number of eigenvalues that were raised. ``a`` is checked by
+    :func:`sym_eigen`.
     """
     eig = sym_eigen(a)
     lam_max = float(eig.values[-1])
     floor = FLOOR_RATIO * lam_max if lam_max > 0.0 else FLOOR_RATIO
     floored = int(np.count_nonzero(eig.values < floor))
     values = np.maximum(eig.values, floor)
-    inv = (eig.vectors / values) @ eig.vectors.T
-    return 0.5 * (inv + inv.T), floored
+    return SymEigen(vectors=eig.vectors[:, ::-1], values=1.0 / values[::-1]), floored

@@ -261,10 +261,11 @@ def update_middle(
     """Proximal update of one middle factor; returns ``(factor, floored)``.
 
     With G = (L.T @ L)^-1 for the fresh left product L and R the stale right
-    product, solves G @ F + F @ (theta*R@R.T) = theta*G@L.T@X@R.T + G@F_prev.
+    product, solves G @ F + F @ (theta*R@R.T) = G @ (theta*L.T@X@R.T + F_prev).
     Near-singular L.T @ L is handled by eigenvalue flooring inside
-    :func:`spd_inverse`; ``floored`` counts the floored eigenvalues. Only
-    shapes are checked here; the solves reject a non-finite input.
+    :func:`spd_inverse`, which returns G diagonalized, so the right-hand side
+    is formed in G's eigenbasis; ``floored`` counts the floored eigenvalues.
+    Only shapes are checked here; the solves reject a non-finite input.
     """
     left, right = left_product, right_product
     if left.shape != (x.shape[0], factor_prev.shape[0]):
@@ -277,8 +278,9 @@ def update_middle(
         )
     g, floored = spd_inverse(left.T @ left)
     b = theta * (right @ right.T)
-    c = theta * (g @ (left.T @ x) @ right.T) + g @ factor_prev
-    return solve_sylvester_sym(sym_eigen(g), sym_eigen(b), c), floored
+    r = theta * ((left.T @ x) @ right.T) + factor_prev
+    c = g.vectors @ (g.values[:, None] * (g.vectors.T @ r))
+    return solve_sylvester_sym(g, sym_eigen(b), c), floored
 
 
 def update_v(x, v_prev, head_product, coef_v: SymEigen, theta: float) -> np.ndarray:

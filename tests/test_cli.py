@@ -179,6 +179,39 @@ def test_predict_rejects_k_below_one_before_any_fit(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "dims, layers, message",
+    [
+        ("5,4,3,2", None, "bad hyperparameters: dims must have 2 or 3 entries, got (5, 4, 3, 2)"),
+        ("5", None, "bad hyperparameters: dims must have 2 or 3 entries, got (5,)"),
+        ("5,3", 3, "layers 3 disagrees with dims (5, 3), which has 2 entries"),
+        ("5,4,3", 2, "layers 2 disagrees with dims (5, 4, 3), which has 3 entries"),
+    ],
+    ids=["four-dims", "one-dim", "layers3-dims2", "layers2-dims3"],
+)
+def test_dims_and_layers_are_checked_before_any_fit(
+    bundle, tmp_path, monkeypatch, caplog, source, dims, layers, message
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("dims and layers are checked before any fit")
+
+    monkeypatch.setattr("grdmf.cli.fit", no_fit)
+    out = tmp_path / "dims"
+    args = _base_args(bundle, out)
+    del args[args.index("--dims"):args.index("--dims") + 2]
+    if source == "flag":
+        args += ["--dims", dims] + ([] if layers is None else ["--layers", str(layers)])
+    else:
+        cfg = {"dims": dims} if layers is None else {"dims": dims, "layers": layers}
+        cfg_path = tmp_path / "dims.json"
+        cfg_path.write_text(json.dumps(cfg))
+        args += ["--config", str(cfg_path)]
+    assert main(["fit", *args]) == 1
+    assert message in caplog.text
+    assert not out.exists()
+
+
 def test_predict_topk_unit_behaviour():
     x = np.array([[0.2, 0.9], [0.8, 0.1], [0.5, 0.5]])
     dataset_like = type(

@@ -43,10 +43,17 @@ def _assert_partition(splits, shape):
     assert np.all(seen == 1)
 
 
+def _assert_row_major(cells):
+    order = np.lexsort((cells[:, 1], cells[:, 0]))
+    assert np.array_equal(order, np.arange(len(cells)))
+
+
 def test_split_entries_partitions_all_cells():
     splits = split_entries((7, 5), folds=4, seed=0)
     assert len(splits) == 4
     _assert_partition(splits, (7, 5))
+    for split in splits:
+        _assert_row_major(split.hidden_cells)
     sizes = [s.hidden_cells.shape[0] for s in splits]
     assert max(sizes) - min(sizes) <= 1
 
@@ -89,6 +96,7 @@ def test_split_axis_hides_whole_lines():
             lines = np.unique(cells[:, 0] if axis == "rows" else cells[:, 1])
             expected = lines.size * (n if axis == "rows" else m)
             assert cells.shape[0] == expected
+            _assert_row_major(cells)
 
 
 def test_split_axis_validation():
@@ -404,6 +412,28 @@ def test_run_ablation_rejects_unknown_and_empty():
         run_ablation(dataset, sims, [(["nope"], ["s1_v"])], _HP)
     with pytest.raises(ConfigError):
         run_ablation(dataset, sims, [([], ["s1_v"])], _HP)
+
+
+def _no_fit(y_train, mask, l_d, l_v, hp):
+    raise AssertionError("a combo was fitted before every combo was checked")
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (([], ["s1_v"]), "at least one drug and one virus"),
+        ((["s1_d"], []), "at least one drug and one virus"),
+        ((["s1_d"], ["s9_v"]), r"unknown similarity name\(s\) \['s9_v'\]"),
+        ((["s1_d", "s1_d"], ["s1_v"]), r"'s1_d\+s1_d,s1_v' names \['s1_d'\] more than once"),
+        ((["s1_d"], ["s1_v"]), "combo 's1_d,s1_v' is given twice"),
+    ],
+    ids=["empty-drug-side", "empty-virus-side", "unknown", "repeated", "twice"],
+)
+def test_run_ablation_checks_every_combo_before_the_first_fit(bad, message):
+    dataset, sims = _two_source_problem()
+    combos = [(["s1_d"], ["s1_v"]), bad]
+    with pytest.raises(ConfigError, match=message):
+        run_ablation(dataset, sims, combos, _HP, folds=3, fit_fn=_no_fit)
 
 
 def test_report_serialization_keys_are_strings():

@@ -144,11 +144,17 @@ def test_sylvester_shape_check():
 # spd_inverse
 
 
+def _dense(e):
+    return (e.vectors * e.values) @ e.vectors.T
+
+
 def test_spd_inverse_matches_dense_inverse():
     rng = np.random.default_rng(3)
     for size in (1, 3, 6):
         a = random_spd(rng, size)
-        inv, _ = spd_inverse(a)
+        e, _ = spd_inverse(a)
+        assert np.all(np.diff(e.values) >= 0.0)
+        inv = _dense(e)
         assert np.allclose(inv, np.linalg.inv(a), atol=1e-9)
         assert np.allclose(inv, inv.T)
 
@@ -156,12 +162,16 @@ def test_spd_inverse_matches_dense_inverse():
 def test_spd_inverse_floors_singular_directions():
     v = np.array([1.0, 2.0, 0.5, 1.5])[:, None]
     a = v @ v.T  # rank one, three zero eigenvalues
-    inv, floored = spd_inverse(a)
+    e, floored = spd_inverse(a)
+    assert np.all(np.diff(e.values) >= 0.0)
+    inv = _dense(e)
     assert floored == 3
     assert np.all(np.isfinite(inv))
 
 
 def test_spd_inverse_zero_matrix():
-    inv, floored = spd_inverse(np.zeros((3, 3)))
+    e, floored = spd_inverse(np.zeros((3, 3)))
+    assert np.all(np.diff(e.values) >= 0.0)
+    inv = _dense(e)
     assert floored == 3
     assert np.all(np.isfinite(inv))

@@ -1,5 +1,6 @@
 """The scripts under ``scripts/``, run as a user runs them, at tiny sizes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -58,3 +59,21 @@ def test_synthetic_recovery_rejects_a_hidden_fraction_leaving_one_fold(tmp_path)
     proc = _run("synthetic_recovery.py", "--hide", "0.7", cwd=tmp_path)
     assert proc.returncode == 2
     assert "--hide must lie in (0, 2/3], got 0.7" in proc.stderr
+
+
+def test_golden_bundle_writes_every_artifact_with_relative_paths(tmp_path):
+    proc = _run("golden_bundle.py", "golden", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "golden"
+    written = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+    expected = {"predict/recommendations.csv", "ablation/ablation.json"}
+    expected |= {f"cv-{s}/metrics.json" for s in ("entries", "viruses", "drugs", "loo", "loo-3")}
+    for run, factors in (("fit-2", ["u1", "u2", "v"]), ("fit-3", ["u1", "u2", "u3", "v"])):
+        names = ["completed", "trace", *(f"factor_{f}" for f in factors)]
+        expected |= {f"{run}/{name}.csv" for name in names}
+    assert expected <= written
+    config = json.loads((out / "cv-loo-3" / "metrics.json").read_text())["config"]
+    assert config["association"] == "association.csv" and config["out"] == "cv-loo-3"
+    assert config["hyperparams"]["dims"] == [5, 4, 3]
+    ablation = json.loads((out / "ablation" / "ablation.json").read_text())
+    assert len(ablation["combos"]) == 5  # four single pairs, then everything combined

@@ -12,13 +12,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grdmf.linalg
 import grdmf.solver
 from grdmf.cli import DEFAULT_HYPERPARAMS
 from grdmf.exceptions import DimensionError, ParameterError, SolverError, SymmetryError
 from grdmf.graphs import build_laplacian
-from grdmf.linalg import sym_eigen, truncated_svd
+from grdmf.linalg import FLOOR_RATIO, sym_eigen, truncated_svd
 from grdmf.solver import (
     FactorSet,
     HyperParams,
@@ -31,7 +33,7 @@ from grdmf.solver import (
     update_x,
 )
 from grdmf.synthetic import make_synthetic_problem
-from helpers import block_walk, descent_instance
+from helpers import block_walk, descent_instance, kron_solve
 
 # ---------------------------------------------------------------------------
 # HyperParams
@@ -321,6 +323,27 @@ def test_update_middle_reports_flooring():
     assert np.all(np.isfinite(out))
 
 
+def test_update_middle_matches_the_floored_kronecker_solve():
+    # G F + F (theta R R.T) = G (theta L.T X R.T + F_prev), G the floored
+    # inverse of L.T @ L built here from its definition and solved densely
+    for seed in range(5):
+        rng = np.random.default_rng(40 + seed)
+        m, n, k1, k2 = 7, 5, 4, 3
+        left = np.zeros((m, k1))
+        left[:, : k1 - 1] = rng.standard_normal((m, k1 - 1))  # last column dead
+        right = rng.standard_normal((k2, n))
+        x = rng.random((m, n))
+        f_prev = rng.standard_normal((k1, k2))
+        theta = float(rng.uniform(0.5, 2.0))
+        values, vectors = np.linalg.eigh(left.T @ left)
+        g = (vectors / np.maximum(values, FLOOR_RATIO * values[-1])) @ vectors.T
+        c = g @ (theta * left.T @ x @ right.T + f_prev)
+        expected = kron_solve(g, theta * right @ right.T, c)
+        out, floored = update_middle(x, f_prev, left, right, theta)
+        assert floored == 1
+        assert np.allclose(out, expected, rtol=1e-9, atol=1e-9)
+
+
 def test_update_limits():
     rng = np.random.default_rng(20)
     m, n, k = 6, 5, 3
@@ -388,6 +411,36 @@ def test_block_updates_never_increase_their_prox_objective(case):
         init = init_factors(y, hp.dims)
         for label, before, after, delta_sq in block_walk(y, mask, l_d, l_v, hp, init):
             assert after + delta_sq <= before + 1e-8, (seed, label)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    m=st.integers(min_value=6, max_value=24),
+    n=st.integers(min_value=4, max_value=12),
+    rank=st.integers(min_value=1, max_value=3),
+    depth=st.sampled_from([2, 3]),
+    extra=st.integers(min_value=1, max_value=6),
+    mu=st.floats(min_value=1e-3, max_value=300.0),
+    theta=st.floats(min_value=1e-2, max_value=30.0),
+    alpha=st.floats(min_value=0.0, max_value=2.0, exclude_min=True, exclude_max=True),
+)
+def test_block_descent_holds_across_the_admissible_hyperparameters(
+    seed, m, n, rank, depth, extra, mu, theta, alpha
+):
+    # the same inequality over random shapes, both depths and the full
+    # admissible mu/theta/alpha ranges; interior dims above the planted rank
+    # make the middle update's Gram matrices near-singular
+    prob = make_synthetic_problem(m=m, n=n, rank=rank, seed=seed)
+    dims = (rank + extra,) * (depth - 1) + (rank,)
+    hp = HyperParams(mu=mu, theta=theta, alpha=alpha, dims=dims, p=3, iters=10)
+    mask = (np.random.default_rng(seed).random((m, n)) >= 0.1).astype(float)
+    y = prob.dataset.y * mask
+    l_d = build_laplacian(list(prob.similarities.drug.values()), hp.p)
+    l_v = build_laplacian(list(prob.similarities.virus.values()), hp.p)
+    init = init_factors(y, hp.dims)
+    for label, before, after, delta_sq in block_walk(y, mask, l_d, l_v, hp, init):
+        assert after + delta_sq <= before + 1e-8, label
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +586,9 @@ def test_each_symmetric_operand_is_checked_once(monkeypatch):
 @pytest.mark.parametrize("dims", [(17, 15), (23, 10, 7)], ids=["depth2", "depth3"])
 def test_every_operand_fit_diagonalizes_is_exactly_symmetric(monkeypatch, dims):
     # Grams are formed as A @ A.T or A.T @ A (numpy's syrk: one triangle,
-    # mirrored), the middle update's inverse by spd_inverse, and the graph
-    # side from the checked Laplacians, so no update re-symmetrizes its operand
+    # mirrored) and the graph side from the checked Laplacians, so no update
+    # re-symmetrizes its operand; the middle update's inverse is never formed,
+    # spd_inverse hands it over as an eigendecomposition of L.T @ L
     operands = []
     original = grdmf.linalg.sym_eigen
 
@@ -552,7 +606,7 @@ def test_every_operand_fit_diagonalizes_is_exactly_symmetric(monkeypatch, dims):
     hp = HyperParams(mu=100.0, theta=1.0, alpha=0.05, dims=dims, p=2, iters=10)
     y = prob.dataset.y
     fit(y, np.ones_like(y), l_d, l_v, hp)
-    assert len(operands) == 2 + hp.iters * (2 + 3 * (len(dims) - 1))
+    assert len(operands) == 2 + hp.iters * (2 + 2 * (len(dims) - 1))
     for a in operands:
         assert np.array_equal(a, a.T)
 
