@@ -9,6 +9,7 @@ the input files, so a result can be traced back to its inputs.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import logging
@@ -31,7 +32,7 @@ from .data import (
     load_similarity_csv,
     write_matrix_csv,
 )
-from .evaluation import EvalReport, run_ablation, run_cv, run_loocv
+from .evaluation import run_ablation, run_cv, run_loocv
 from .exceptions import (
     ConfigError,
     GrdmfError,
@@ -183,6 +184,13 @@ def _int_tuple(value) -> tuple[int, ...]:
     return tuple(_int(v) for v in value)
 
 
+def _combo_side(side) -> list[str]:
+    """Similarity names from a "s1_d+s2_d" string or from a list of names."""
+    if isinstance(side, str):
+        return [name.strip() for name in side.split("+")]
+    return [str(name) for name in side]
+
+
 def _parse_combos(spec) -> list[tuple[list[str], list[str]]]:
     """Accept "s1_d,s1_v;s1_d+s2_d,s1_v" strings or [[...],[...]] pairs."""
     if isinstance(spec, str):
@@ -196,10 +204,7 @@ def _parse_combos(spec) -> list[tuple[list[str], list[str]]]:
                 raise ConfigError(
                     f"combo {chunk!r} must be 'drugnames,virusnames' with '+' joining names"
                 )
-            combos.append(
-                ([p.strip() for p in parts[0].split("+")],
-                 [p.strip() for p in parts[1].split("+")])
-            )
+            combos.append((_combo_side(parts[0]), _combo_side(parts[1])))
         if not combos:
             raise ConfigError("no combos given")
         return combos
@@ -207,7 +212,7 @@ def _parse_combos(spec) -> list[tuple[list[str], list[str]]]:
     for pair in spec:
         if len(pair) != 2:
             raise ConfigError(f"combo {pair!r} must pair drug names with virus names")
-        combos.append(([str(s) for s in pair[0]], [str(s) for s in pair[1]]))
+        combos.append((_combo_side(pair[0]), _combo_side(pair[1])))
     return combos
 
 
@@ -284,15 +289,17 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         )
 
     dims = pick("dims", "dims", convert=_int_tuple)
-    layers = pick("layers", "layers", 2 if dims is None else len(dims), _int)
-    if dims is not None and layers != len(dims):
+    layers = pick("layers", "layers", convert=_int)
+    if layers not in (None, 2, 3):
+        raise ConfigError(f"layers must be 2 or 3, got {layers}")
+    if layers is None:
+        layers = 2 if dims is None else len(dims)
+    elif dims is not None and layers != len(dims):
         raise ConfigError(
             f"layers {layers} disagrees with dims {dims}, which has {len(dims)} entries"
         )
     default_key = ("entries" if scheme == "loo" else scheme, layers)
     if default_key not in DEFAULT_HYPERPARAMS:
-        if dims is None:
-            raise ConfigError(f"no defaults for {layers} layers; supply --dims")
         raise ConfigError(f"bad hyperparameters: dims must have 2 or 3 entries, got {dims}")
     hp_defaults = DEFAULT_HYPERPARAMS[default_key]
 
@@ -447,50 +454,35 @@ def cmd_predict(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySet
     out = cfg.out
     out.mkdir(parents=True, exist_ok=True)
     path = out / "recommendations.csv"
-    with path.open("w") as handle:
+    with path.open("w", newline="") as handle:
         handle.write(f"# {_config_comment(cfg)}\n")
-        handle.write("rank,drug,score,known\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["rank", "drug", "score", "known"])
         for entry in ranking.entries:
-            handle.write(
-                f"{entry.rank},{entry.drug},{entry.score!r},{int(entry.known)}\n"
-            )
+            writer.writerow([entry.rank, entry.drug, repr(entry.score), int(entry.known)])
     for entry in ranking.entries:
         marker = "*" if entry.known else " "
         print(f"{entry.rank:3d} {marker} {entry.drug}  {entry.score:.6f}")
     return 0
 
 
-def _merged_cv_payload(reports: list[EvalReport]) -> dict:
-    """Folds, notes and means of several runs, aggregated as one report."""
-    folds = [f for report in reports for f in report.per_fold]
-    notes = [note for report in reports for note in report.notes]
-    merged = EvalReport.from_folds(reports[0].scheme, None, folds, notes).to_dict()
-    mean = {key: merged[key] for key in ("auc", "aupr", "pre_at_k", "rec_at_k")}
-    return {"folds": merged["folds"], "mean": mean, "notes": merged["notes"]}
-
-
 def cmd_cv(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySet) -> int:
     hp = cfg.hyperparams
     if cfg.scheme == "loo":
-        reports = [run_loocv(dataset, sims, hp, ks=cfg.ks)]
-        seeds: list[int] = []
+        report = run_loocv(dataset, sims, hp, ks=cfg.ks)
     else:
-        seeds = [cfg.seed + i for i in range(cfg.repeats)]
-        reports = [
-            run_cv(dataset, sims, cfg.scheme, hp, seed=s, folds=cfg.folds)
-            for s in seeds
-        ]
+        seeds = range(cfg.seed, cfg.seed + cfg.repeats)
+        report = run_cv(dataset, sims, cfg.scheme, hp, seeds=seeds, folds=cfg.folds)
     payload = {
         "config": cfg.to_dict(),
         "scheme": cfg.scheme,
-        "seeds": seeds,
-        **_merged_cv_payload(reports),
+        "seeds": report.seeds,
+        **report.to_dict(),
     }
     cfg.out.mkdir(parents=True, exist_ok=True)
     path = cfg.out / "metrics.json"
     _write_json(path, payload)
-    mean = payload["mean"]
-    logger.info("cv %s: mean AUC %s, mean AUPR %s", cfg.scheme, mean["auc"], mean["aupr"])
+    logger.info("cv %s: mean AUC %s, mean AUPR %s", cfg.scheme, report.auc, report.aupr)
     print(path)
     return 0
 
@@ -509,26 +501,19 @@ def _default_combos(sims: SimilaritySet) -> list[tuple[list[str], list[str]]]:
 
 def cmd_ablation(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySet) -> int:
     combos = cfg.combos if cfg.combos is not None else _default_combos(sims)
-    seeds = [cfg.seed + i for i in range(cfg.repeats)]
-    merged: dict[str, list[EvalReport]] = {}
-    for seed in seeds:
-        reports = run_ablation(
-            dataset, sims, combos, cfg.hyperparams, seed=seed, folds=cfg.folds
-        )
-        for label, report in reports.items():
-            merged.setdefault(label, []).append(report)
-    combo_payload = {label: _merged_cv_payload(runs) for label, runs in merged.items()}
+    seeds = list(range(cfg.seed, cfg.seed + cfg.repeats))
+    reports = run_ablation(dataset, sims, combos, cfg.hyperparams, seeds=seeds, folds=cfg.folds)
     payload = {
         "config": cfg.to_dict(),
         "scheme": "entries",
         "seeds": seeds,
-        "combos": combo_payload,
+        "combos": {label: report.to_dict() for label, report in reports.items()},
     }
     cfg.out.mkdir(parents=True, exist_ok=True)
     path = cfg.out / "ablation.json"
     _write_json(path, payload)
-    for label, entry in combo_payload.items():
-        logger.info("ablation %s: mean AUC %s", label, entry["mean"]["auc"])
+    for label, report in reports.items():
+        logger.info("ablation %s: mean AUC %s", label, report.auc)
     print(path)
     return 0
 

@@ -2,8 +2,8 @@
 
 Three random schemes (hiding cells, virus columns or drug rows), a
 leave-one-virus-out protocol, and a similarity-source ablation. All fold
-assignments derive deterministically from an integer seed, and aggregation
-never depends on evaluation order, so identical inputs give identical
+assignments derive deterministically from integer seeds, and the folds of
+every seed are aggregated by one rule, so identical inputs give identical
 reports.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -47,10 +47,12 @@ FitFn = Callable[..., np.ndarray]
 
 @dataclass(frozen=True)
 class FoldSplit:
-    """One fold: the cells hidden from training, as an (k, 2) index array."""
+    """One fold: the cells hidden from training, as an (k, 2) index array,
+    and the seed that drew it (None for a deterministic split)."""
 
     fold_id: int
     hidden_cells: np.ndarray
+    seed: Optional[int] = None
 
 
 @dataclass
@@ -88,7 +90,7 @@ class EvalReport:
     """Aggregated evaluation results for one protocol run."""
 
     scheme: str
-    seed: Optional[int]
+    seeds: list[int]
     auc: Optional[float]
     aupr: Optional[float]
     pre_at_k: dict[int, float]
@@ -98,7 +100,7 @@ class EvalReport:
 
     @classmethod
     def from_folds(
-        cls, scheme: str, seed: Optional[int],
+        cls, scheme: str, seeds: Sequence[int],
         per_fold: Sequence[FoldMetrics], notes: Sequence[str],
     ) -> "EvalReport":
         """Aggregate folds: each metric is its mean over the non-skipped
@@ -115,7 +117,7 @@ class EvalReport:
 
         return cls(
             scheme=scheme,
-            seed=seed,
+            seeds=list(seeds),
             auc=mean([f.auc for f in kept if f.auc is not None]),
             aupr=mean([f.aupr for f in kept if f.aupr is not None]),
             pre_at_k=mean_at_k([f.pre_at_k for f in kept]),
@@ -125,14 +127,15 @@ class EvalReport:
         )
 
     def to_dict(self) -> dict:
+        """The folds, means and notes, as written for a report file."""
         return {
-            "scheme": self.scheme,
-            "seed": self.seed,
-            "auc": self.auc,
-            "aupr": self.aupr,
-            "pre_at_k": _str_keys(self.pre_at_k),
-            "rec_at_k": _str_keys(self.rec_at_k),
             "folds": [f.to_dict() for f in self.per_fold],
+            "mean": {
+                "auc": self.auc,
+                "aupr": self.aupr,
+                "pre_at_k": _str_keys(self.pre_at_k),
+                "rec_at_k": _str_keys(self.rec_at_k),
+            },
             "notes": list(self.notes),
         }
 
@@ -164,7 +167,7 @@ def split_entries(
     out = []
     for f, group in enumerate(np.array_split(perm, folds)):
         rows, cols = np.unravel_index(np.sort(group), (m, n))
-        out.append(FoldSplit(fold_id=f, hidden_cells=np.column_stack([rows, cols])))
+        out.append(FoldSplit(f, np.column_stack([rows, cols]), seed))
     return out
 
 
@@ -195,7 +198,7 @@ def split_axis(
             hidden[group, :] = True
         else:
             hidden[:, group] = True
-        out.append(FoldSplit(fold_id=f, hidden_cells=np.argwhere(hidden)))
+        out.append(FoldSplit(f, np.argwhere(hidden), seed))
     return out
 
 
@@ -295,7 +298,7 @@ def _run_folds(
     y: np.ndarray,
     similarities: SimilaritySet,
     hp: HyperParams,
-    splits: Sequence[FoldSplit],
+    splits: Iterable[FoldSplit],
     score: Callable[[FoldMetrics, np.ndarray, np.ndarray], list[str]],
     fit_fn: Optional[FitFn],
 ) -> tuple[list[FoldMetrics], list[str]]:
@@ -316,9 +319,7 @@ def _run_folds(
         y_train, mask = _hide(y, split.hidden_cells)
         scores = fit_fn(y_train, mask, l_d, l_v, hp)[rows, cols]
         labels = y[rows, cols]
-        record = FoldMetrics(
-            fold_id=split.fold_id, n_hidden=labels.size, n_positive=int(labels.sum())
-        )
+        record = FoldMetrics(split.fold_id, labels.size, int(labels.sum()), seed=split.seed)
         notes += score(record, scores, labels)
         per_fold.append(record)
     return per_fold, notes
@@ -329,35 +330,38 @@ def run_cv(
     similarities: SimilaritySet,
     scheme: str,
     hp: HyperParams,
-    seed: int = 0,
+    seeds: Iterable[int] = (0,),
     folds: int = 10,
     fit_fn: Optional[FitFn] = None,
 ) -> EvalReport:
-    """One repetition of k-fold cross-validation under the given scheme.
+    """Repeated k-fold cross-validation under the given scheme.
 
     scheme  -- "entries" (hide random cells), "viruses" (hide whole columns)
                or "drugs" (hide whole rows)
+    seeds   -- one repetition per seed, each a fresh k-fold split
 
     Hidden cells are zeroed in both the mask and the training copy of Y; the
-    completed matrix scores them against the true labels. Folds whose hidden
-    cells are single-class are skipped with a warning and excluded from the
-    means. Similarity matrices must already be aligned to the dataset
-    registries.
+    completed matrix scores them against the true labels. The folds of every
+    seed, in seed order, form one report. Folds whose hidden cells are
+    single-class are skipped with a warning and excluded from the means.
+    Similarity matrices must already be aligned to the dataset registries.
     """
     y = dataset.y
-    if scheme == "entries":
-        splits = split_entries(y.shape, folds=folds, seed=seed)
-    elif scheme == "viruses":
-        splits = split_axis(y.shape, "cols", folds=folds, seed=seed)
-    elif scheme == "drugs":
-        splits = split_axis(y.shape, "rows", folds=folds, seed=seed)
-    else:
+    if scheme not in ("entries", "viruses", "drugs"):
         raise ParameterError(
             f"scheme must be 'entries', 'viruses' or 'drugs', got {scheme!r}"
         )
+    seeds = list(seeds)
+    if not seeds:
+        raise ParameterError("run_cv needs at least one seed")
+
+    def split(seed: int) -> list[FoldSplit]:
+        if scheme == "entries":
+            return split_entries(y.shape, folds=folds, seed=seed)
+        axis = "cols" if scheme == "viruses" else "rows"
+        return split_axis(y.shape, axis, folds=folds, seed=seed)
 
     def score(record: FoldMetrics, scores: np.ndarray, labels: np.ndarray) -> list[str]:
-        record.seed = seed
         if record.n_positive in (0, labels.size):
             record.skipped = True
             note = (
@@ -371,8 +375,10 @@ def run_cv(
         record.aupr = aupr(scores, labels)
         return []
 
+    # drawn seed by seed, so only one seed's splits are held at a time
+    splits = (s for seed in seeds for s in split(seed))
     per_fold, notes = _run_folds(y, similarities, hp, splits, score, fit_fn)
-    return EvalReport.from_folds(scheme, seed, per_fold, notes)
+    return EvalReport.from_folds(scheme, seeds, per_fold, notes)
 
 
 def run_loocv(
@@ -387,7 +393,7 @@ def run_loocv(
     Reports Pre@k and Rec@k per virus plus their means. Viruses with no known
     positives keep their precision (necessarily 0) but are excluded from the
     recall means, with a note in the report. There is no randomness here, so
-    the report carries no seed.
+    the report carries no seeds.
     """
     ks = [int(k) for k in ks]
     if any(k < 1 for k in ks):
@@ -415,7 +421,7 @@ def run_loocv(
         return []
 
     per_virus, notes = _run_folds(y, similarities, hp, splits, score, fit_fn)
-    return EvalReport.from_folds("loo", None, per_virus, notes)
+    return EvalReport.from_folds("loo", [], per_virus, notes)
 
 
 def run_ablation(
@@ -423,7 +429,7 @@ def run_ablation(
     similarities: SimilaritySet,
     combos: Sequence[tuple[Sequence[str], Sequence[str]]],
     hp: HyperParams,
-    seed: int = 0,
+    seeds: Iterable[int] = (0,),
     folds: int = 10,
     fit_fn: Optional[FitFn] = None,
 ) -> dict[str, EvalReport]:
@@ -431,7 +437,7 @@ def run_ablation(
 
     Every combo selects at least one drug-side and one virus-side similarity
     by name from ``similarities``; results are keyed by a label of the form
-    ``"s1_d+s2_d,s1_v"``. All combos share the same seed, so their fold
+    ``"s1_d+s2_d,s1_v"``. All combos share the same seeds, so their fold
     assignments are identical and the comparison isolates the graphs.
 
     Every combo is checked before the first fit: an empty side, an unknown
@@ -465,7 +471,8 @@ def run_ablation(
             drug={nm: similarities.drug[nm] for nm in drug_names},
             virus={nm: similarities.virus[nm] for nm in virus_names},
         )
+    seeds = list(seeds)
     return {
-        label: run_cv(dataset, subset, "entries", hp, seed=seed, folds=folds, fit_fn=fit_fn)
+        label: run_cv(dataset, subset, "entries", hp, seeds=seeds, folds=folds, fit_fn=fit_fn)
         for label, subset in subsets.items()
     }

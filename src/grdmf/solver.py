@@ -18,7 +18,7 @@ weight. X stays feasible by cropping at zero.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Sequence
 
@@ -60,7 +60,6 @@ class HyperParams:
     dims   -- inner factor dimensions (k1, k2) or (k1, k2, k3)
     p      -- nearest-neighbour count used when sparsifying similarity graphs
     iters  -- number of outer iterations
-    sigma  -- proximal weight; fixed at 1 and kept visible for traceability
     """
 
     mu: float
@@ -69,7 +68,6 @@ class HyperParams:
     dims: tuple[int, ...]
     p: int = 2
     iters: int = 10
-    sigma: float = field(default=1.0, init=False)
 
     def __post_init__(self):
         for key, value in (("mu", self.mu), ("theta", self.theta)):

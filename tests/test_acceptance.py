@@ -261,7 +261,7 @@ def test_benchmark_cell_cv_bands():
         return res.x
 
     for seed in range(10):
-        report = run_cv(dataset, sims, "entries", hp, seed=seed, folds=10,
+        report = run_cv(dataset, sims, "entries", hp, seeds=[seed], folds=10,
                         fit_fn=timed_fit)
         aucs.append(report.auc)
         auprs.append(report.aupr)

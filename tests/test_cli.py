@@ -5,6 +5,7 @@ on exit codes and on the artifacts the commands leave behind.
 """
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from grdmf.exceptions import (
     UnknownNameError,
     ZeroProfileWarning,
 )
+from grdmf.graphs import build_laplacian
 from grdmf.solver import FactorSet, FitResult, HyperParams, SolveTrace
 from grdmf.synthetic import make_synthetic_problem, write_synthetic_csvs
 
@@ -65,9 +67,6 @@ def _library_inputs(bundle):
     sims = SimilaritySet(drug={"s1_d": drug_sim}, virus={"s1_v": virus_sim})
     hp = HyperParams(mu=0.1, theta=1.0, alpha=0.5, dims=(4, 2), p=2, iters=2)
     return dataset, sims, hp
-
-
-_MEAN_KEYS = ("auc", "aupr", "pre_at_k", "rec_at_k")
 
 
 def _read_rows(path):
@@ -145,6 +144,22 @@ def test_predict_ranks_and_flags_known(bundle, tmp_path):
         assert (r[1] in known) == bool(int(r[3]))
 
 
+def test_predict_quotes_a_drug_name_with_a_comma(tmp_path):
+    problem = make_synthetic_problem(m=12, n=6, rank=2, seed=0)
+    drugs = ("drug, zero", *problem.dataset.drugs[1:])
+    problem = dataclasses.replace(
+        problem, dataset=dataclasses.replace(problem.dataset, drugs=drugs)
+    )
+    paths = write_synthetic_csvs(problem, tmp_path / "bundle")
+    bundle = {name: str(path) for name, path in paths.items()}
+    out = tmp_path / "pred"
+    args = ["predict", *_base_args(bundle, out), "--virus", "virus003", "--k", "12"]
+    assert main(args) == 0
+    rows = _read_rows(out / "recommendations.csv")
+    assert all(len(row) == 4 for row in rows)
+    assert {row[1] for row in rows[1:]} == set(drugs)
+
+
 def test_predict_unknown_virus_fails_cleanly(bundle, tmp_path, monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("the virus name is checked before any fit")
@@ -209,6 +224,25 @@ def test_dims_and_layers_are_checked_before_any_fit(
         args += ["--config", str(cfg_path)]
     assert main(["fit", *args]) == 1
     assert message in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("layers", [4, 1])
+def test_layers_outside_two_or_three_is_a_config_error(
+    bundle, tmp_path, monkeypatch, caplog, layers
+):
+    # the --layers flag's choices, applied to the config key
+    def no_fit(*args, **kwargs):
+        raise AssertionError("layers is checked before any fit")
+
+    monkeypatch.setattr("grdmf.cli.fit", no_fit)
+    out = tmp_path / "layers"
+    args = _base_args(bundle, out)
+    del args[args.index("--dims"):args.index("--dims") + 2]
+    cfg_path = tmp_path / "layers.json"
+    cfg_path.write_text(json.dumps({"layers": layers}))
+    assert main(["fit", *args, "--config", str(cfg_path)]) == 1
+    assert f"layers must be 2 or 3, got {layers}" in caplog.text
     assert not out.exists()
 
 
@@ -283,8 +317,41 @@ def test_cv_means_are_the_library_report_means(bundle, tmp_path):
     payload = json.loads((out / "metrics.json").read_text())
     dataset, sims, hp = _library_inputs(bundle)
     with pytest.warns(FoldSkippedWarning):
-        report = run_cv(dataset, sims, "entries", hp, seed=1, folds=12).to_dict()
-    assert payload["mean"] == {key: report[key] for key in _MEAN_KEYS}
+        report = run_cv(dataset, sims, "entries", hp, seeds=[1], folds=12).to_dict()
+    assert payload["mean"] == report["mean"]
+
+
+def _count_laplacians(monkeypatch) -> list:
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build_laplacian(*args, **kwargs)
+
+    monkeypatch.setattr("grdmf.evaluation.build_laplacian", counting)
+    return calls
+
+
+def test_cv_builds_the_laplacians_once_for_all_repeats(bundle, tmp_path, monkeypatch):
+    calls = _count_laplacians(monkeypatch)
+    args = [
+        "cv", *_base_args(bundle, tmp_path / "cv"),
+        "--folds", "3", "--repeats", "3", "--seed", "0",
+    ]
+    assert main(args) == 0
+    assert len(calls) == 2  # one drug-side and one virus-side graph
+
+
+def test_ablation_builds_the_laplacians_once_per_combo(bundle, tmp_path, monkeypatch):
+    calls = _count_laplacians(monkeypatch)
+    args = [
+        "ablation", *_base_args(bundle, tmp_path / "ab"),
+        "--drug-sim", bundle["drug_sim"],  # auto-named s2_d
+        "--combos", "s1_d,s1_v;s1_d+s2_d,s1_v",
+        "--folds", "3", "--repeats", "2", "--seed", "0",
+    ]
+    assert main(args) == 0
+    assert len(calls) == 4  # two combos, one pair each
 
 
 def test_loo_means_are_the_library_report_means(bundle, tmp_path):
@@ -299,7 +366,7 @@ def test_loo_means_are_the_library_report_means(bundle, tmp_path):
     payload = json.loads((out / "metrics.json").read_text())
     with pytest.warns(TopKClampWarning):
         report = run_loocv(dataset, sims, hp, ks=(2, 20)).to_dict()
-    assert payload["mean"] == {key: report[key] for key in _MEAN_KEYS}
+    assert payload["mean"] == report["mean"]
     assert payload["notes"] == report["notes"]
 
 
@@ -336,6 +403,24 @@ def test_ablation_explicit_combos_and_naming(bundle, tmp_path):
     assert main(args) == 0
     payload = json.loads((out / "ablation.json").read_text())
     assert set(payload["combos"]) == {"chem,s1_v", "chem+s1_d,s1_v"}
+
+
+def test_config_combo_side_string_joins_names_with_plus(bundle, tmp_path):
+    # a string side of a list-form combo reads like a side of the string form
+    payloads = []
+    for name, combos in [("list", [["s1_d+s2_d", "s1_v"]]), ("string", "s1_d+s2_d,s1_v")]:
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps({"combos": combos}))
+        out = tmp_path / name
+        args = [
+            "ablation", *_base_args(bundle, out),
+            "--drug-sim", bundle["drug_sim"], "--config", str(cfg_path),
+            "--folds", "3", "--repeats", "1", "--seed", "0",
+        ]
+        assert main(args) == 0
+        payloads.append(json.loads((out / "ablation.json").read_text())["combos"])
+    assert set(payloads[0]) == {"s1_d+s2_d,s1_v"}
+    assert payloads[0] == payloads[1]
 
 
 def test_ablation_unknown_combo_name_fails(bundle, tmp_path):

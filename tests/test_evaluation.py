@@ -5,6 +5,8 @@ protocols are exercised with injected scoring backends so their bookkeeping
 (hiding, skipping, aggregation) is observable without running the solver.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from grdmf.data import AssociationDataset, SimilaritySet
 from grdmf.evaluation import (
+    EvalReport,
     auc,
     aupr,
     run_ablation,
@@ -211,7 +214,7 @@ def test_run_cv_perfect_scores_give_perfect_metrics():
     def oracle(y_train, mask, l_d, l_v, hp):
         return truth
 
-    report = run_cv(dataset, sims, "entries", _HP, seed=0, folds=3, fit_fn=oracle)
+    report = run_cv(dataset, sims, "entries", _HP, seeds=[0], folds=3, fit_fn=oracle)
     kept = [f for f in report.per_fold if not f.skipped]
     assert kept, "every fold was single-class; fixture too small"
     for fold in kept:
@@ -220,7 +223,7 @@ def test_run_cv_perfect_scores_give_perfect_metrics():
     assert report.auc == pytest.approx(1.0)
     assert report.aupr == pytest.approx(1.0)
     assert report.scheme == "entries"
-    assert report.seed == 0
+    assert report.seeds == [0]
 
 
 def test_run_cv_hides_cells_from_the_backend():
@@ -239,7 +242,7 @@ def test_run_cv_hides_cells_from_the_backend():
         calls.append(int(hidden.sum()))
         return np.zeros_like(y_train) + 0.5
 
-    run_cv(dataset, sims, "entries", _HP, seed=2, folds=3, fit_fn=checker)
+    run_cv(dataset, sims, "entries", _HP, seeds=[2], folds=3, fit_fn=checker)
     assert len(calls) == 3
     assert sum(calls) == truth.size  # folds partition the matrix
 
@@ -259,7 +262,7 @@ def test_run_cv_skips_single_class_folds():
         return rng.random(y.shape)
 
     with pytest.warns(FoldSkippedWarning):
-        report = run_cv(dataset, sims, "entries", _HP, seed=0, folds=4, fit_fn=oracle)
+        report = run_cv(dataset, sims, "entries", _HP, seeds=[0], folds=4, fit_fn=oracle)
     skipped = [f for f in report.per_fold if f.skipped]
     assert len(skipped) == 3  # the positive lands in exactly one fold
     assert len(report.notes) == 3
@@ -276,16 +279,55 @@ def test_run_cv_axis_schemes_hide_whole_lines():
         assert np.array_equal(hidden_cols, partially)  # no partial columns
         return np.full_like(y_train, 0.5)
 
-    run_cv(dataset, sims, "viruses", _HP, seed=0, folds=3, fit_fn=checker)
+    run_cv(dataset, sims, "viruses", _HP, seeds=[0], folds=3, fit_fn=checker)
     with pytest.raises(ParameterError):
-        run_cv(dataset, sims, "cells", _HP, seed=0, folds=3)
+        run_cv(dataset, sims, "cells", _HP, seeds=[0], folds=3)
+
+
+def test_run_cv_needs_a_seed():
+    dataset, sims = _tiny_problem()
+    with pytest.raises(ParameterError, match="at least one seed"):
+        run_cv(dataset, sims, "entries", _HP, seeds=[], folds=3)
 
 
 def test_run_cv_is_deterministic():
     dataset, sims = _tiny_problem(seed=4)
-    a = run_cv(dataset, sims, "entries", _HP, seed=5, folds=3)
-    b = run_cv(dataset, sims, "entries", _HP, seed=5, folds=3)
+    a = run_cv(dataset, sims, "entries", _HP, seeds=[5], folds=3)
+    b = run_cv(dataset, sims, "entries", _HP, seeds=[5], folds=3)
     assert a.to_dict() == b.to_dict()
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.integers(0, 2**16), b=st.integers(0, 2**16))
+def test_run_cv_seeds_concatenate_their_folds_under_one_aggregation(a, b):
+    # two positives among 16 cells in 4 folds of 4: at least two folds are
+    # all-negative and skipped, and at least one is mixed, for every seed
+    y = np.zeros((4, 4))
+    y[0, 1] = y[3, 2] = 1.0
+    dataset = AssociationDataset(
+        drugs=tuple(f"d{i}" for i in range(4)),
+        viruses=tuple(f"v{j}" for j in range(4)),
+        y=y,
+    )
+    sims = SimilaritySet(drug={"s": np.eye(4)}, virus={"s": np.eye(4)})
+    scores = np.random.default_rng(0).random(y.shape)
+
+    def oracle(y_train, mask, l_d, l_v, hp):
+        return scores
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FoldSkippedWarning)
+        both = run_cv(dataset, sims, "entries", _HP, seeds=[a, b], folds=4, fit_fn=oracle)
+        first = run_cv(dataset, sims, "entries", _HP, seeds=[a], folds=4, fit_fn=oracle)
+        second = run_cv(dataset, sims, "entries", _HP, seeds=[b], folds=4, fit_fn=oracle)
+    folds = first.per_fold + second.per_fold
+    notes = first.notes + second.notes
+    assert both.seeds == [a, b]
+    assert [f.seed for f in both.per_fold] == [a] * 4 + [b] * 4
+    assert [f.to_dict() for f in both.per_fold] == [f.to_dict() for f in folds]
+    assert any(f.skipped for f in folds) and not all(f.skipped for f in folds)
+    pooled = EvalReport.from_folds("entries", [a, b], folds, notes)
+    assert both.to_dict() == pooled.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +344,7 @@ def test_run_loocv_perfect_oracle_hits_the_combinatorial_bound():
     ks = (2, 3)
     report = run_loocv(dataset, sims, _HP, ks=ks, fit_fn=oracle)
     assert report.scheme == "loo"
-    assert report.seed is None
+    assert report.seeds == []
     assert len(report.per_fold) == len(dataset.viruses)
     m = truth.shape[0]
     for j, fold in enumerate(report.per_fold):
@@ -398,7 +440,7 @@ def test_run_ablation_labels_and_shared_folds():
 
     combos = [(["s1_d"], ["s1_v"]), (["s1_d", "s2_d"], ["s1_v"])]
     reports = run_ablation(
-        dataset, sims, combos, _HP, seed=9, folds=3, fit_fn=recorder
+        dataset, sims, combos, _HP, seeds=[9], folds=3, fit_fn=recorder
     )
     assert set(reports) == {"s1_d,s1_v", "s1_d+s2_d,s1_v"}
     # same seed -> both combos hide exactly the same cells, fold by fold
@@ -444,7 +486,7 @@ def test_report_serialization_keys_are_strings():
 
     report = run_loocv(dataset, sims, _HP, ks=(3,), fit_fn=oracle)
     payload = report.to_dict()
-    assert set(payload["pre_at_k"]) <= {"3"}
+    assert set(payload["mean"]["pre_at_k"]) <= {"3"}
     for fold in payload["folds"]:
         if fold["pre_at_k"]:
             assert all(isinstance(k, str) for k in fold["pre_at_k"])

@@ -72,11 +72,10 @@ def test_hyperparams_reject_nonfinite_weights(key, value):
         HyperParams(**{**good, key: value})
 
 
-def test_hyperparams_coercion_and_fixed_prox_weight():
+def test_hyperparams_coercion():
     hp = HyperParams(mu=1.0, theta=2.0, alpha=0.5, dims=[np.int64(4), np.int64(2)])
     assert hp.dims == (4, 2)
     assert all(isinstance(d, int) for d in hp.dims)
-    assert hp.sigma == 1.0
 
 
 # ---------------------------------------------------------------------------
