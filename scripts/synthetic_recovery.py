@@ -31,12 +31,10 @@ def run_seed(seed: int, args) -> tuple[float, float, float]:
     )
     l_d = build_laplacian(list(problem.similarities.drug.values()), hp.p)
     l_v = build_laplacian(list(problem.similarities.virus.values()), hp.p)
-    cells = split_entries(y.shape, folds=round(1 / args.hide), seed=seed)[0].hidden_cells
-    mask = np.ones_like(y)
-    mask[cells[:, 0], cells[:, 1]] = 0.0
+    hidden = split_entries(y.shape, folds=round(1 / args.hide), seed=seed)[0].hidden
+    mask = np.where(hidden, 0.0, 1.0)
     result = fit(y * mask, mask, l_d, l_v, hp)
-    scores = result.x[cells[:, 0], cells[:, 1]]
-    labels = y[cells[:, 0], cells[:, 1]]
+    scores, labels = result.x[hidden], y[hidden]
     return auc(scores, labels), aupr(scores, labels), result.trace.wall_time
 
 

@@ -205,8 +205,6 @@ def _parse_combos(spec) -> list[tuple[list[str], list[str]]]:
                     f"combo {chunk!r} must be 'drugnames,virusnames' with '+' joining names"
                 )
             combos.append((_combo_side(parts[0]), _combo_side(parts[1])))
-        if not combos:
-            raise ConfigError("no combos given")
         return combos
     combos = []
     for pair in spec:

@@ -24,7 +24,7 @@ from .exceptions import (
     UndefinedMetricError,
 )
 from .graphs import build_laplacian
-from .solver import HyperParams, fit
+from .solver import FitResult, HyperParams, fit
 
 __all__ = [
     "FoldSplit",
@@ -40,18 +40,18 @@ __all__ = [
     "run_ablation",
 ]
 
-#: signature of the pluggable scoring backend used by the protocols:
-#: (y_train, mask, l_d, l_v, hp) -> score matrix of y's shape
-FitFn = Callable[..., np.ndarray]
+#: signature of the pluggable backend used by the protocols, that of ``fit``:
+#: (y_train, mask, l_d, l_v, hp) -> FitResult, whose ``.x`` scores the cells
+FitFn = Callable[..., FitResult]
 
 
 @dataclass(frozen=True)
 class FoldSplit:
-    """One fold: the cells hidden from training, as an (k, 2) index array,
-    and the seed that drew it (None for a deterministic split)."""
+    """One fold: the cells hidden from training, as a boolean mask of y's
+    shape, and the seed that drew it (None for a deterministic split)."""
 
     fold_id: int
-    hidden_cells: np.ndarray
+    hidden: np.ndarray
     seed: Optional[int] = None
 
 
@@ -166,8 +166,9 @@ def split_entries(
     perm = rng.permutation(m * n)
     out = []
     for f, group in enumerate(np.array_split(perm, folds)):
-        rows, cols = np.unravel_index(np.sort(group), (m, n))
-        out.append(FoldSplit(f, np.column_stack([rows, cols]), seed))
+        hidden = np.zeros(shape, dtype=bool)
+        hidden.flat[group] = True
+        out.append(FoldSplit(f, hidden, seed))
     return out
 
 
@@ -198,7 +199,7 @@ def split_axis(
             hidden[group, :] = True
         else:
             hidden[:, group] = True
-        out.append(FoldSplit(f, np.argwhere(hidden), seed))
+        out.append(FoldSplit(f, hidden, seed))
     return out
 
 
@@ -284,16 +285,6 @@ def topk_metrics(scores, labels, k: int) -> tuple[float, float]:
     return hits / k, hits / total_pos
 
 
-def _default_fit_fn(y_train, mask, l_d, l_v, hp) -> np.ndarray:
-    return fit(y_train, mask, l_d, l_v, hp).x
-
-
-def _hide(y: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mask = np.ones_like(y)
-    mask[cells[:, 0], cells[:, 1]] = 0.0
-    return y * mask, mask
-
-
 def _run_folds(
     y: np.ndarray,
     similarities: SimilaritySet,
@@ -306,19 +297,20 @@ def _run_folds(
 
     The Laplacians are built once; each fold trains on ``y`` with its hidden
     cells zeroed, and ``score(record, scores, labels)`` fills in the fold's
-    metrics from the completed matrix at those cells and returns its notes.
+    metrics from the completed matrix at those cells, in row-major order, and
+    returns its notes.
     """
     if fit_fn is None:
-        fit_fn = _default_fit_fn
+        # looked up per call, so a rebinding of this module's ``fit`` is used
+        fit_fn = fit
     l_d = build_laplacian(list(similarities.drug.values()), hp.p)
     l_v = build_laplacian(list(similarities.virus.values()), hp.p)
     per_fold: list[FoldMetrics] = []
     notes: list[str] = []
     for split in splits:
-        rows, cols = split.hidden_cells[:, 0], split.hidden_cells[:, 1]
-        y_train, mask = _hide(y, split.hidden_cells)
-        scores = fit_fn(y_train, mask, l_d, l_v, hp)[rows, cols]
-        labels = y[rows, cols]
+        mask = np.where(split.hidden, 0.0, 1.0)
+        scores = fit_fn(y * mask, mask, l_d, l_v, hp).x[split.hidden]
+        labels = y[split.hidden]
         record = FoldMetrics(split.fold_id, labels.size, int(labels.sum()), seed=split.seed)
         notes += score(record, scores, labels)
         per_fold.append(record)
@@ -400,11 +392,7 @@ def run_loocv(
         raise ParameterError(f"cutoffs must be >= 1, got {ks}")
     y = dataset.y
     m, n = y.shape
-    # column j in row order, so the hidden cells' scores are the column X[:, j]
-    splits = [
-        FoldSplit(fold_id=j, hidden_cells=np.column_stack([np.arange(m), np.full(m, j)]))
-        for j in range(n)
-    ]
+    splits = (FoldSplit(j, np.broadcast_to(np.arange(n) == j, y.shape)) for j in range(n))
 
     def score(record: FoldMetrics, scores: np.ndarray, labels: np.ndarray) -> list[str]:
         record.name = virus = dataset.viruses[record.fold_id]
@@ -440,9 +428,9 @@ def run_ablation(
     ``"s1_d+s2_d,s1_v"``. All combos share the same seeds, so their fold
     assignments are identical and the comparison isolates the graphs.
 
-    Every combo is checked before the first fit: an empty side, an unknown
-    name, a name repeated within a side and a label given twice are each a
-    :class:`ConfigError`.
+    Every combo is checked before the first fit: no combos at all, an empty
+    side, an unknown name, a name repeated within a side and a label given
+    twice are each a :class:`ConfigError`.
     """
     subsets: dict[str, SimilaritySet] = {}
     for drug_names, virus_names in combos:
@@ -471,6 +459,8 @@ def run_ablation(
             drug={nm: similarities.drug[nm] for nm in drug_names},
             virus={nm: similarities.virus[nm] for nm in virus_names},
         )
+    if not subsets:
+        raise ConfigError("no combos given")
     seeds = list(seeds)
     return {
         label: run_cv(dataset, subset, "entries", hp, seeds=seeds, folds=folds, fit_fn=fit_fn)

@@ -199,13 +199,10 @@ def test_synthetic_recovery():
         y = prob.dataset.y
         l_d = build_laplacian(list(prob.similarities.drug.values()), hp.p)
         l_v = build_laplacian(list(prob.similarities.virus.values()), hp.p)
-        cells = split_entries(y.shape, folds=10, seed=seed)[0].hidden_cells
-        mask = np.ones_like(y)
-        mask[cells[:, 0], cells[:, 1]] = 0.0
+        hidden = split_entries(y.shape, folds=10, seed=seed)[0].hidden
+        mask = np.where(hidden, 0.0, 1.0)
         res = fit(y * mask, mask, l_d, l_v, hp)
-        scores = res.x[cells[:, 0], cells[:, 1]]
-        labels = y[cells[:, 0], cells[:, 1]]
-        aucs.append(auc(scores, labels))
+        aucs.append(auc(res.x[hidden], y[hidden]))
     elapsed = time.perf_counter() - start
     mean_auc = float(np.mean(aucs))
     _report(
@@ -258,7 +255,7 @@ def test_benchmark_cell_cv_bands():
         t0 = time.perf_counter()
         res = fit(y_train, mask, l_d, l_v, hp_)
         fit_times.append(time.perf_counter() - t0)
-        return res.x
+        return res
 
     for seed in range(10):
         report = run_cv(dataset, sims, "entries", hp, seeds=[seed], folds=10,

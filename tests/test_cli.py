@@ -433,6 +433,27 @@ def test_ablation_unknown_combo_name_fails(bundle, tmp_path):
     assert not (out / "ablation.json").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_ablation_without_combos_fails_before_any_fit(
+    bundle, tmp_path, monkeypatch, caplog, source
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("an empty combo list is rejected before any fit")
+
+    monkeypatch.setattr("grdmf.evaluation.fit", no_fit)
+    out = tmp_path / "ab-none"
+    args = ["ablation", *_base_args(bundle, out), "--folds", "3", "--repeats", "1"]
+    if source == "flag":
+        args += ["--combos", ";"]
+    else:
+        cfg_path = tmp_path / "combos.json"
+        cfg_path.write_text(json.dumps({"combos": []}))
+        args += ["--config", str(cfg_path)]
+    assert main(args) == 1
+    assert "no combos given" in caplog.text
+    assert not (out / "ablation.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # configuration resolution
 

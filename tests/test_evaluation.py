@@ -6,12 +6,14 @@ protocols are exercised with injected scoring backends so their bookkeeping
 """
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grdmf.evaluation
 from grdmf.data import AssociationDataset, SimilaritySet
 from grdmf.evaluation import (
     EvalReport,
@@ -39,32 +41,24 @@ from helpers import auc_oracle, aupr_oracle, random_scores_labels, topk_oracle
 
 
 def _assert_partition(splits, shape):
-    seen = np.zeros(shape, dtype=int)
     for split in splits:
-        cells = split.hidden_cells
-        seen[cells[:, 0], cells[:, 1]] += 1
-    assert np.all(seen == 1)
-
-
-def _assert_row_major(cells):
-    order = np.lexsort((cells[:, 1], cells[:, 0]))
-    assert np.array_equal(order, np.arange(len(cells)))
+        assert split.hidden.dtype == bool and split.hidden.shape == shape
+    # the masks are disjoint and together cover every cell
+    assert np.all(sum(split.hidden.astype(int) for split in splits) == 1)
 
 
 def test_split_entries_partitions_all_cells():
     splits = split_entries((7, 5), folds=4, seed=0)
     assert len(splits) == 4
     _assert_partition(splits, (7, 5))
-    for split in splits:
-        _assert_row_major(split.hidden_cells)
-    sizes = [s.hidden_cells.shape[0] for s in splits]
+    sizes = [int(s.hidden.sum()) for s in splits]
     assert max(sizes) - min(sizes) <= 1
 
 
 def test_split_entries_default_fraction_gives_ten_folds():
     splits = split_entries((86, 23), seed=1)
     assert len(splits) == 10
-    sizes = {s.hidden_cells.shape[0] for s in splits}
+    sizes = {int(s.hidden.sum()) for s in splits}
     assert sizes == {197, 198}  # 1978 cells over 10 folds
     _assert_partition(splits, (86, 23))
 
@@ -74,10 +68,8 @@ def test_split_entries_seeded_determinism():
     b = split_entries((6, 6), folds=3, seed=7)
     c = split_entries((6, 6), folds=3, seed=8)
     for x, y in zip(a, b):
-        assert np.array_equal(x.hidden_cells, y.hidden_cells)
-    assert any(
-        not np.array_equal(x.hidden_cells, y.hidden_cells) for x, y in zip(a, c)
-    )
+        assert np.array_equal(x.hidden, y.hidden)
+    assert any(not np.array_equal(x.hidden, y.hidden) for x, y in zip(a, c))
 
 
 def test_split_entries_validation():
@@ -95,11 +87,9 @@ def test_split_axis_hides_whole_lines():
         splits = split_axis((m, n), axis, folds=2, seed=3)
         _assert_partition(splits, (m, n))
         for split in splits:
-            cells = split.hidden_cells
-            lines = np.unique(cells[:, 0] if axis == "rows" else cells[:, 1])
-            expected = lines.size * (n if axis == "rows" else m)
-            assert cells.shape[0] == expected
-            _assert_row_major(cells)
+            lines = split.hidden.any(axis=1 if axis == "rows" else 0)
+            expected = lines.sum() * (n if axis == "rows" else m)
+            assert split.hidden.sum() == expected
 
 
 def test_split_axis_validation():
@@ -212,7 +202,7 @@ def test_run_cv_perfect_scores_give_perfect_metrics():
     truth = dataset.y
 
     def oracle(y_train, mask, l_d, l_v, hp):
-        return truth
+        return SimpleNamespace(x=truth)
 
     report = run_cv(dataset, sims, "entries", _HP, seeds=[0], folds=3, fit_fn=oracle)
     kept = [f for f in report.per_fold if not f.skipped]
@@ -240,7 +230,7 @@ def test_run_cv_hides_cells_from_the_backend():
         assert l_d.shape == (truth.shape[0],) * 2
         assert l_v.shape == (truth.shape[1],) * 2
         calls.append(int(hidden.sum()))
-        return np.zeros_like(y_train) + 0.5
+        return SimpleNamespace(x=np.zeros_like(y_train) + 0.5)
 
     run_cv(dataset, sims, "entries", _HP, seeds=[2], folds=3, fit_fn=checker)
     assert len(calls) == 3
@@ -259,7 +249,7 @@ def test_run_cv_skips_single_class_folds():
     sims = SimilaritySet(drug={"s": np.eye(4)}, virus={"s": np.eye(4)})
 
     def oracle(y_train, mask, l_d, l_v, hp):
-        return rng.random(y.shape)
+        return SimpleNamespace(x=rng.random(y.shape))
 
     with pytest.warns(FoldSkippedWarning):
         report = run_cv(dataset, sims, "entries", _HP, seeds=[0], folds=4, fit_fn=oracle)
@@ -277,7 +267,7 @@ def test_run_cv_axis_schemes_hide_whole_lines():
         hidden_cols = np.flatnonzero((mask == 0.0).all(axis=0))
         partially = np.flatnonzero((mask == 0.0).any(axis=0))
         assert np.array_equal(hidden_cols, partially)  # no partial columns
-        return np.full_like(y_train, 0.5)
+        return SimpleNamespace(x=np.full_like(y_train, 0.5))
 
     run_cv(dataset, sims, "viruses", _HP, seeds=[0], folds=3, fit_fn=checker)
     with pytest.raises(ParameterError):
@@ -313,7 +303,7 @@ def test_run_cv_seeds_concatenate_their_folds_under_one_aggregation(a, b):
     scores = np.random.default_rng(0).random(y.shape)
 
     def oracle(y_train, mask, l_d, l_v, hp):
-        return scores
+        return SimpleNamespace(x=scores)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FoldSkippedWarning)
@@ -339,7 +329,7 @@ def test_run_loocv_perfect_oracle_hits_the_combinatorial_bound():
     truth = dataset.y
 
     def oracle(y_train, mask, l_d, l_v, hp):
-        return truth
+        return SimpleNamespace(x=truth)
 
     ks = (2, 3)
     report = run_loocv(dataset, sims, _HP, ks=ks, fit_fn=oracle)
@@ -374,7 +364,7 @@ def test_run_loocv_zero_positive_virus_excluded_from_recall():
     sims = SimilaritySet(drug={"s": np.eye(5)}, virus={"s": np.eye(3)})
 
     def oracle(y_train, mask, l_d, l_v, hp):
-        return y
+        return SimpleNamespace(x=y)
 
     report = run_loocv(dataset, sims, _HP, ks=(2,), fit_fn=oracle)
     assert any("vb" in note for note in report.notes)
@@ -394,7 +384,7 @@ def test_run_loocv_all_positive_virus_skips_rank_metrics():
     sims = SimilaritySet(drug={"s": np.eye(4)}, virus={"s": np.eye(2)})
 
     def oracle(y_train, mask, l_d, l_v, hp):
-        return y
+        return SimpleNamespace(x=y)
 
     report = run_loocv(dataset, sims, _HP, ks=(2,), fit_fn=oracle)
     va = report.per_fold[0]
@@ -436,7 +426,7 @@ def test_run_ablation_labels_and_shared_folds():
 
     def recorder(y_train, mask, l_d, l_v, hp):
         seen.append(mask.copy())
-        return np.full_like(y_train, 0.5)
+        return SimpleNamespace(x=np.full_like(y_train, 0.5))
 
     combos = [(["s1_d"], ["s1_v"]), (["s1_d", "s2_d"], ["s1_v"])]
     reports = run_ablation(
@@ -454,6 +444,8 @@ def test_run_ablation_rejects_unknown_and_empty():
         run_ablation(dataset, sims, [(["nope"], ["s1_v"])], _HP)
     with pytest.raises(ConfigError):
         run_ablation(dataset, sims, [([], ["s1_v"])], _HP)
+    with pytest.raises(ConfigError, match="no combos given"):
+        run_ablation(dataset, sims, [], _HP, fit_fn=_no_fit)
 
 
 def _no_fit(y_train, mask, l_d, l_v, hp):
@@ -482,7 +474,7 @@ def test_report_serialization_keys_are_strings():
     dataset, sims = _tiny_problem(seed=9)
 
     def oracle(y_train, mask, l_d, l_v, hp):
-        return dataset.y
+        return SimpleNamespace(x=dataset.y)
 
     report = run_loocv(dataset, sims, _HP, ks=(3,), fit_fn=oracle)
     payload = report.to_dict()
@@ -490,3 +482,55 @@ def test_report_serialization_keys_are_strings():
     for fold in payload["folds"]:
         if fold["pre_at_k"]:
             assert all(isinstance(k, str) for k in fold["pre_at_k"])
+
+
+# ---------------------------------------------------------------------------
+# the fit seam
+
+
+def test_protocols_look_up_the_module_fit_once_per_fold(monkeypatch):
+    # the benchmark records every fold's fit by rebinding grdmf.evaluation.fit,
+    # so a protocol run without a fit_fn must find the rebound function
+    dataset, sims = _tiny_problem(seed=10)
+    real_fit = grdmf.evaluation.fit
+    calls = []
+
+    def counting_fit(*args, **kwargs):
+        calls.append(1)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(grdmf.evaluation, "fit", counting_fit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FoldSkippedWarning)
+        run_cv(dataset, sims, "entries", _HP, seeds=[0, 1], folds=3)
+    assert len(calls) == 6
+    calls.clear()
+    run_loocv(dataset, sims, _HP, ks=(2,))
+    assert len(calls) == len(dataset.viruses)
+
+
+@pytest.mark.parametrize("scheme", ["entries", "viruses", "drugs", "loo"])
+def test_folds_are_scored_in_row_major_order(scheme):
+    # three score levels, so most hidden cells tie and AUPR's stable
+    # tie-break makes it depend on the order the cells are scored in
+    dataset, sims = _tiny_problem(seed=11, m=12, n=8, positive=0.4)
+    x = np.random.default_rng(12).integers(0, 3, dataset.y.shape) / 2.0
+    hidden = []
+
+    def tied_fit(y_train, mask, l_d, l_v, hp):
+        hidden.append(mask == 0.0)
+        return SimpleNamespace(x=x)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FoldSkippedWarning)
+        if scheme == "loo":
+            report = run_loocv(dataset, sims, _HP, ks=(2,), fit_fn=tied_fit)
+        else:
+            report = run_cv(dataset, sims, scheme, _HP, seeds=[0, 1], folds=3, fit_fn=tied_fit)
+    y = dataset.y
+    assert len(hidden) == len(report.per_fold)
+    scored = [(f, h) for f, h in zip(report.per_fold, hidden) if f.aupr is not None]
+    assert scored
+    for fold, h in scored:
+        # a boolean gather reads the mask's cells in row-major order
+        assert fold.aupr == aupr(x[h], y[h])

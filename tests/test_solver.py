@@ -412,6 +412,24 @@ def test_block_updates_never_increase_their_prox_objective(case):
             assert after + delta_sq <= before + 1e-8, (seed, label)
 
 
+@pytest.mark.parametrize(
+    "key", list(DEFAULT_HYPERPARAMS), ids=[f"{s}-{d}" for s, d in DEFAULT_HYPERPARAMS]
+)
+def test_widths_init_leaves_zero_stay_exactly_zero_through_fit(key):
+    # init_factors zero-pads every width above the rank it is given; such a
+    # U1 column, or middle row, meets a zero right-hand side in each update,
+    # so the whole fit leaves it exactly zero
+    for seed in (0, 1, 2):
+        y, mask, l_d, l_v, hp = default_instance(key, seed)
+        init = init_factors(y, hp.dims)
+        factors = fit(y, mask, l_d, l_v, hp).factors
+        dead = ~init.u1.any(axis=0)
+        assert dead.any(), seed
+        assert not factors.u1[:, dead].any(), seed
+        for before, after in zip(init.middles, factors.middles):
+            assert not after[~before.any(axis=1)].any(), seed
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10**6),
