@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import sys
-import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -32,12 +31,11 @@ from .data import (
     load_similarity_csv,
     write_matrix_csv,
 )
-from .evaluation import run_ablation, run_cv, run_loocv
+from .evaluation import _top_k, run_ablation, run_cv, run_loocv
 from .exceptions import (
     ConfigError,
     GrdmfError,
     ParameterError,
-    TopKClampWarning,
     UnknownNameError,
 )
 from .graphs import build_laplacian, cosine_similarity
@@ -134,19 +132,9 @@ def predict_topk(
     count returns the full ranking with a warning.
     """
     j = _virus_column(dataset, virus_name)
-    if int(k) < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    k = int(k)
     scores = np.asarray(fit_result.x, dtype=float)[:, j]
-    if k > scores.size:
-        warnings.warn(
-            f"k={k} exceeds the {scores.size} drugs; returning the full ranking",
-            TopKClampWarning,
-            stacklevel=2,
-        )
-        k = scores.size
+    order = _top_k(scores, k)
     known = set(training_positives or ())
-    order = np.argsort(-scores, kind="stable")[:k]
     entries = tuple(
         Recommendation(
             rank=i + 1,
@@ -285,6 +273,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(
             f"scheme must be one of entries, viruses, drugs, loo; got {scheme!r}"
         )
+    if command == "ablation" and scheme != "entries":
+        raise ConfigError(f"ablation hides entries only; got scheme {scheme!r}")
 
     dims = pick("dims", "dims", convert=_int_tuple)
     layers = pick("layers", "layers", convert=_int)
@@ -503,7 +493,7 @@ def cmd_ablation(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySe
     reports = run_ablation(dataset, sims, combos, cfg.hyperparams, seeds=seeds, folds=cfg.folds)
     payload = {
         "config": cfg.to_dict(),
-        "scheme": "entries",
+        "scheme": cfg.scheme,
         "seeds": seeds,
         "combos": {label: report.to_dict() for label, report in reports.items()},
     }

@@ -259,6 +259,22 @@ def aupr(scores, labels) -> float:
     return float(np.mean(cum[at] / (at + 1)))
 
 
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` highest scores, highest first, ties in input order
+    (stable sort). A ``k`` beyond the number of scores is clamped with a
+    warning, attributed to the caller's caller."""
+    if int(k) < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
+    k = int(k)
+    if k > scores.size:
+        warnings.warn(
+            f"k={k} exceeds the {scores.size} candidates; clamping",
+            TopKClampWarning,
+            stacklevel=3,
+        )
+    return np.argsort(-scores, kind="stable")[:k]
+
+
 def topk_metrics(scores, labels, k: int) -> tuple[float, float]:
     """Precision and recall among the k highest-scoring candidates.
 
@@ -267,22 +283,12 @@ def topk_metrics(scores, labels, k: int) -> tuple[float, float]:
     has no denominator then.
     """
     scores, labels = _check_scores_labels(scores, labels)
-    if int(k) < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    k = int(k)
-    if k > scores.size:
-        warnings.warn(
-            f"k={k} exceeds the {scores.size} candidates; clamping",
-            TopKClampWarning,
-            stacklevel=2,
-        )
-        k = scores.size
+    order = _top_k(scores, k)
     total_pos = float(labels.sum())
     if total_pos == 0:
         raise UndefinedMetricError("recall undefined without positives")
-    order = np.argsort(-scores, kind="stable")[:k]
     hits = float(labels[order].sum())
-    return hits / k, hits / total_pos
+    return hits / order.size, hits / total_pos
 
 
 def _run_folds(

@@ -162,20 +162,11 @@ def objective(x, factors: FactorSet, y, mask, l_d, l_v, mu: float, theta: float)
 
 
 def _factor_pair(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split ``a`` (rows, cols) into (rows, k) @ (k, cols) via a truncated SVD.
-
-    When k exceeds min(rows, cols) the pair is zero-padded, which keeps the
-    product exactly equal to ``a``.
-    """
-    r = min(k, *a.shape)
-    svd = truncated_svd(a, r)
+    """Split ``a`` (rows, cols) into (rows, r) @ (r, cols) via a truncated SVD,
+    with r = min(k, rows, cols): the widest split ``a`` can carry."""
+    svd = truncated_svd(a, min(k, *a.shape))
     root = np.sqrt(svd.singular)
-    left = svd.left * root
-    rest = root[:, None] * svd.right.T
-    if r < k:
-        left = np.pad(left, ((0, 0), (0, k - r)))
-        rest = np.pad(rest, ((0, k - r), (0, 0)))
-    return left, rest
+    return svd.left * root, root[:, None] * svd.right.T
 
 
 def init_factors(y, dims: Sequence[int]) -> FactorSet:
@@ -184,8 +175,11 @@ def init_factors(y, dims: Sequence[int]) -> FactorSet:
     A rank-k_last truncated SVD of Y supplies the outermost split
     A = U @ sqrt(S), V0 = sqrt(S) @ Vt; the left block A is then split
     recursively, left to right, one truncated SVD per remaining dimension.
-    For non-increasing dims the telescoped product reproduces the rank-k_last
-    reconstruction of Y exactly.
+    Each width is capped at what its block can carry, never above m, k_last
+    or an earlier width, so no width is padded with zero columns: dims
+    (23, 10, 7) start, and stay, at widths (7, 7, 7). For non-increasing dims
+    the telescoped product reproduces the rank-k_last reconstruction of Y
+    exactly.
     """
     y = _as_matrix(y, "y")
     m, n = y.shape
@@ -199,10 +193,7 @@ def init_factors(y, dims: Sequence[int]) -> FactorSet:
         raise ParameterError(
             f"last factor dimension {k_last} exceeds min(m, n) = {min(m, n)}"
         )
-    svd = truncated_svd(y, k_last)
-    root = np.sqrt(svd.singular)
-    block = svd.left * root          # (m, k_last)
-    v = root[:, None] * svd.right.T  # (k_last, n)
+    block, v = _factor_pair(y, k_last)
     chain: list[np.ndarray] = []
     for k in dims[:-1]:
         head, block = _factor_pair(block, k)

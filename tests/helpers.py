@@ -62,6 +62,20 @@ def descent_instance(seed: int):
     return y * mask, mask, l_d, l_v, hp
 
 
+def pad_chain(factors, dims):
+    """``factors`` zero-padded to the configured widths ``dims``: U1 gains
+    zero columns, each middle zero rows and columns, V zero rows. A padded
+    chain has the same product, and its zero widths make the middle update's
+    Gram matrix singular, so its eigenvalues are floored."""
+    chain = [factors.u1, *factors.middles, factors.v]
+    shapes = zip((factors.u1.shape[0], *dims), (*dims, factors.v.shape[1]))
+    padded = [
+        np.pad(f, ((0, rows - f.shape[0]), (0, cols - f.shape[1])))
+        for f, (rows, cols) in zip(chain, shapes)
+    ]
+    return FactorSet(u1=padded[0], middles=padded[1:-1], v=padded[-1])
+
+
 def block_walk(y, mask, l_d, l_v, hp, init):
     """Re-run the block iteration by hand, recording every factor update.
 

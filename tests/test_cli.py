@@ -454,6 +454,27 @@ def test_ablation_without_combos_fails_before_any_fit(
     assert not (out / "ablation.json").exists()
 
 
+def test_ablation_with_another_scheme_fails_before_any_input_is_read(
+    bundle, tmp_path, monkeypatch, caplog
+):
+    # ablation always hides entries; a config scheme would only swap in that
+    # scheme's tuned hyperparameters and mislabel the report
+    def no_read(*args, **kwargs):
+        raise AssertionError("the scheme is rejected before any input is read")
+
+    monkeypatch.setattr("grdmf.cli.load_association_csv", no_read)
+    cfg_path = tmp_path / "viruses.json"
+    cfg_path.write_text(json.dumps({"scheme": "viruses"}))
+    out = tmp_path / "ab-viruses"
+    args = [
+        "ablation", *_base_args(bundle, out), "--folds", "3", "--repeats", "1",
+        "--config", str(cfg_path),
+    ]
+    assert main(args) == 1
+    assert "ablation hides entries only; got scheme 'viruses'" in caplog.text
+    assert not (out / "ablation.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # configuration resolution
 

@@ -1,5 +1,6 @@
 """The scripts under ``scripts/``, run as a user runs them, at tiny sizes."""
 
+import csv
 import json
 import os
 import subprocess
@@ -20,6 +21,13 @@ def _run(*argv, cwd):
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def _csv_shape(path):
+    """(data rows, data columns) of a matrix CSV, row names and header aside."""
+    with path.open(newline="") as handle:
+        rows = [row for row in csv.reader(handle) if row and not row[0].startswith("#")]
+    return len(rows) - 1, len(rows[0]) - 1
 
 
 def test_make_synthetic_data_writes_a_bundle_the_cli_reads(tmp_path):
@@ -77,3 +85,13 @@ def test_golden_bundle_writes_every_artifact_with_relative_paths(tmp_path):
     assert config["hyperparams"]["dims"] == [5, 4, 3]
     ablation = json.loads((out / "ablation" / "ablation.json").read_text())
     assert len(ablation["combos"]) == 5  # four single pairs, then everything combined
+
+    # the factor files chain: each file's columns are the next file's rows, at
+    # the live widths (dims capped at the rank k_last = 3 of the outer split)
+    for run, factors, widths in (
+        ("fit-2", ["u1", "u2", "v"], [3, 3]),
+        ("fit-3", ["u1", "u2", "u3", "v"], [3, 3, 3]),
+    ):
+        shapes = [_csv_shape(out / run / f"factor_{f}.csv") for f in factors]
+        assert [rows for rows, _ in shapes[1:]] == [cols for _, cols in shapes[:-1]]
+        assert [cols for _, cols in shapes[:-1]] == widths

@@ -33,7 +33,7 @@ from grdmf.solver import (
     update_x,
 )
 from grdmf.synthetic import make_synthetic_problem
-from helpers import block_walk, descent_instance, kron_solve
+from helpers import block_walk, descent_instance, kron_solve, pad_chain
 
 # ---------------------------------------------------------------------------
 # HyperParams
@@ -130,28 +130,27 @@ def test_objective_shape_checks():
 
 
 def test_init_product_equals_truncated_reconstruction():
+    # each width is capped at the rank k_last its block carries
     rng = np.random.default_rng(11)
     y = rng.random((9, 7))
-    for dims in ((5, 3), (6, 4, 3), (5, 5)):
+    for dims, widths in (((5, 3), (3, 3)), ((6, 4, 3), (3, 3, 3)), ((5, 5), (5, 5))):
         fs = init_factors(y, dims)
         svd = truncated_svd(y, dims[-1])
         recon = (svd.left * svd.singular) @ svd.right.T
         assert np.allclose(fs.product(), recon, atol=1e-10)
-        assert fs.u1.shape == (9, dims[0])
-        assert fs.v.shape == (dims[-1], 7)
-        for mid, (a, b) in zip(fs.middles, zip(dims[:-1], dims[1:])):
-            assert mid.shape == (a, b)
+        shapes = [f.shape for f in (fs.u1, *fs.middles, fs.v)]
+        assert shapes == list(zip((9, *widths), (*widths, 7)))
 
 
-def test_init_pads_oversized_interior_dims():
-    # an interior width above the rank budget is legal; padding keeps the
-    # product exact
+def test_init_caps_oversized_interior_dims():
+    # an interior width above the rank budget is legal; it is capped at that
+    # budget and the product stays exact
     rng = np.random.default_rng(12)
     y = rng.random((5, 4))
     fs = init_factors(y, (6, 3))
     svd = truncated_svd(y, 3)
     recon = (svd.left * svd.singular) @ svd.right.T
-    assert fs.u1.shape == (5, 6)
+    assert fs.u1.shape == (5, 3)
     assert np.allclose(fs.product(), recon, atol=1e-10)
 
 
@@ -389,15 +388,22 @@ def default_instance(key, seed):
     return y * mask, mask, l_d, l_v, hp
 
 
+DESCENT_CASES = ["depth2", "depth3", *(f"{s}-{d}" for s, d in DEFAULT_HYPERPARAMS)]
+
+
 @pytest.mark.parametrize(
-    "case",
-    ["depth2", "depth3", *(f"{scheme}-{depth}" for scheme, depth in DEFAULT_HYPERPARAMS)],
+    "case, padded",
+    [
+        *(pytest.param(case, False, id=case) for case in DESCENT_CASES),
+        *(pytest.param(case, True, id=f"{case}-padded") for case in DESCENT_CASES),
+    ],
 )
-def test_block_updates_never_increase_their_prox_objective(case):
+def test_block_updates_never_increase_their_prox_objective(case, padded):
     # F(new) + ||Delta||^2 <= F(old): the defining inequality of a unit-weight
     # proximal step, checked across whole runs of the actual iteration, on the
-    # planted family (small mu) and under each tuned default, whose large
-    # mu/theta and wide dims floor the Gram eigenvalues of the middle update
+    # planted family (small mu) and under each tuned default (large mu/theta),
+    # from the live init and from it zero-padded to the configured dims, whose
+    # zero widths floor the Gram eigenvalues of the middle update
     for seed in (0, 1, 2):
         if case.startswith("depth"):
             y, mask, l_d, l_v, hp = descent_instance(seed)
@@ -408,6 +414,8 @@ def test_block_updates_never_increase_their_prox_objective(case):
             scheme, depth = case.split("-")
             y, mask, l_d, l_v, hp = default_instance((scheme, int(depth)), seed)
         init = init_factors(y, hp.dims)
+        if padded:
+            init = pad_chain(init, hp.dims)
         for label, before, after, delta_sq in block_walk(y, mask, l_d, l_v, hp, init):
             assert after + delta_sq <= before + 1e-8, (seed, label)
 
@@ -416,18 +424,28 @@ def test_block_updates_never_increase_their_prox_objective(case):
     "key", list(DEFAULT_HYPERPARAMS), ids=[f"{s}-{d}" for s, d in DEFAULT_HYPERPARAMS]
 )
 def test_widths_init_leaves_zero_stay_exactly_zero_through_fit(key):
-    # init_factors zero-pads every width above the rank it is given; such a
-    # U1 column, or middle row, meets a zero right-hand side in each update,
-    # so the whole fit leaves it exactly zero
+    # the live init zero-padded to the configured dims has the same product;
+    # each padded U1 column, middle row or middle column meets a zero
+    # right-hand side in every update, so it stays exactly zero and the padded
+    # fit is the live one up to rounding. X and the loss are compared, not
+    # factor entries: SVD signs may differ between shapes
     for seed in (0, 1, 2):
         y, mask, l_d, l_v, hp = default_instance(key, seed)
-        init = init_factors(y, hp.dims)
-        factors = fit(y, mask, l_d, l_v, hp).factors
-        dead = ~init.u1.any(axis=0)
-        assert dead.any(), seed
-        assert not factors.u1[:, dead].any(), seed
-        for before, after in zip(init.middles, factors.middles):
-            assert not after[~before.any(axis=1)].any(), seed
+        live = init_factors(y, hp.dims)
+        init = pad_chain(live, hp.dims)
+        assert init.u1.shape[1] > live.u1.shape[1], seed
+        padded = fit(y, mask, l_d, l_v, hp, init=init)
+        chains = zip(
+            [live.u1, *live.middles, live.v],
+            [padded.factors.u1, *padded.factors.middles, padded.factors.v],
+        )
+        for small, after in chains:
+            rows, cols = small.shape
+            assert not after[rows:].any() and not after[:, cols:].any(), seed
+        res = fit(y, mask, l_d, l_v, hp)
+        scale = np.abs(padded.x).max()
+        assert np.abs(res.x - padded.x).max() <= 1e-7 * scale, seed
+        assert res.trace.loss == pytest.approx(padded.trace.loss, rel=1e-7), seed
 
 
 @settings(max_examples=50, deadline=None)
@@ -446,8 +464,9 @@ def test_block_descent_holds_across_the_admissible_hyperparameters(
     seed, m, n, rank, depth, extra, mu, theta, alpha
 ):
     # the same inequality over random shapes, both depths and the full
-    # admissible mu/theta/alpha ranges; interior dims above the planted rank
-    # make the middle update's Gram matrices near-singular
+    # admissible mu/theta/alpha ranges, from the live init and from it
+    # zero-padded to the interior dims above the planted rank, which makes the
+    # middle update's Gram matrices singular
     prob = make_synthetic_problem(m=m, n=n, rank=rank, seed=seed)
     dims = (rank + extra,) * (depth - 1) + (rank,)
     hp = HyperParams(mu=mu, theta=theta, alpha=alpha, dims=dims, p=3, iters=10)
@@ -455,9 +474,10 @@ def test_block_descent_holds_across_the_admissible_hyperparameters(
     y = prob.dataset.y * mask
     l_d = build_laplacian(list(prob.similarities.drug.values()), hp.p)
     l_v = build_laplacian(list(prob.similarities.virus.values()), hp.p)
-    init = init_factors(y, hp.dims)
-    for label, before, after, delta_sq in block_walk(y, mask, l_d, l_v, hp, init):
-        assert after + delta_sq <= before + 1e-8, label
+    live = init_factors(y, hp.dims)
+    for init in (live, pad_chain(live, hp.dims)):
+        for label, before, after, delta_sq in block_walk(y, mask, l_d, l_v, hp, init):
+            assert after + delta_sq <= before + 1e-8, (label, init.u1.shape)
 
 
 # ---------------------------------------------------------------------------
