@@ -43,9 +43,6 @@ from .solver import FitResult, HyperParams, fit
 
 __all__ = [
     "RunConfig",
-    "Recommendation",
-    "RecommendationList",
-    "predict_topk",
     "resolve_config",
     "main",
 ]
@@ -63,22 +60,6 @@ DEFAULT_HYPERPARAMS: dict[tuple[str, int], dict] = {
 }
 
 DEFAULT_ITERS = 10
-
-
-@dataclass(frozen=True)
-class Recommendation:
-    rank: int
-    drug: str
-    score: float
-    known: bool
-
-
-@dataclass(frozen=True)
-class RecommendationList:
-    """Ranked drug recommendations for one virus."""
-
-    virus: str
-    entries: tuple[Recommendation, ...]
 
 
 @dataclass
@@ -116,35 +97,6 @@ def _virus_column(dataset: AssociationDataset, virus_name: str) -> int:
             f"unknown virus {virus_name!r}; the dataset has {len(dataset.viruses)} viruses"
         )
     return dataset.viruses.index(virus_name)
-
-
-def predict_topk(
-    fit_result: FitResult,
-    dataset: AssociationDataset,
-    virus_name: str,
-    k: int,
-    training_positives: Optional[set] = None,
-) -> RecommendationList:
-    """Rank all drugs for one virus by completed score, highest first.
-
-    Drugs already known positive in training stay in the ranking and are
-    flagged via ``known``. Ties keep registry order; a ``k`` beyond the drug
-    count returns the full ranking with a warning.
-    """
-    j = _virus_column(dataset, virus_name)
-    scores = np.asarray(fit_result.x, dtype=float)[:, j]
-    order = _top_k(scores, k)
-    known = set(training_positives or ())
-    entries = tuple(
-        Recommendation(
-            rank=i + 1,
-            drug=dataset.drugs[idx],
-            score=float(scores[idx]),
-            known=dataset.drugs[idx] in known,
-        )
-        for i, idx in enumerate(order)
-    )
-    return RecommendationList(virus=virus_name, entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +162,25 @@ def _next_name(taken, suffix: str) -> str:
     return f"s{counter}_{suffix}"
 
 
+def _sim_name(name: str) -> str:
+    """A similarity name a combo label can carry: non-empty, and free of the
+    '+', ',' and ';' that join names, sides and combos."""
+    if not name or any(sep in name for sep in "+,;"):
+        raise ConfigError(
+            f"similarity name {name!r} must be non-empty and contain no '+', ',' or ';'"
+        )
+    return name
+
+
 def _named_paths(items, suffix: str) -> dict[str, Path]:
     """Assign default names s1_d, s2_d, ... to unnamed paths; a string is one path."""
     if isinstance(items, dict):
-        return {str(name): Path(p) for name, p in items.items()}
+        return {_sim_name(str(name)): Path(p) for name, p in items.items()}
     out: dict[str, Path] = {}
     for item in [items] if isinstance(items, str) else items or []:
         if "=" in str(item):
             name, _, path = str(item).partition("=")
-            name = name.strip()
+            name = _sim_name(name.strip())
         else:
             name, path = _next_name(out, suffix), str(item)
         if name in out:
@@ -436,9 +398,9 @@ def cmd_fit(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySet) ->
 
 def cmd_predict(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySet) -> int:
     j = _virus_column(dataset, cfg.virus)  # before the fit, which is the costly part
-    positives = {dataset.drugs[i] for i in np.flatnonzero(dataset.y[:, j] == 1.0)}
-    result = _full_fit(cfg, dataset, sims)
-    ranking = predict_topk(result, dataset, cfg.virus, cfg.k, positives)
+    known = dataset.y[:, j] == 1.0
+    scores = _full_fit(cfg, dataset, sims).x[:, j]
+    order = _top_k(scores, cfg.k)
     out = cfg.out
     out.mkdir(parents=True, exist_ok=True)
     path = out / "recommendations.csv"
@@ -446,11 +408,11 @@ def cmd_predict(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySet
         handle.write(f"# {_config_comment(cfg)}\n")
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["rank", "drug", "score", "known"])
-        for entry in ranking.entries:
-            writer.writerow([entry.rank, entry.drug, repr(entry.score), int(entry.known)])
-    for entry in ranking.entries:
-        marker = "*" if entry.known else " "
-        print(f"{entry.rank:3d} {marker} {entry.drug}  {entry.score:.6f}")
+        for rank, i in enumerate(order, 1):
+            writer.writerow([rank, dataset.drugs[i], repr(float(scores[i])), int(known[i])])
+    for rank, i in enumerate(order, 1):
+        marker = "*" if known[i] else " "
+        print(f"{rank:3d} {marker} {dataset.drugs[i]}  {scores[i]:.6f}")
     return 0
 
 

@@ -24,7 +24,7 @@ from .exceptions import (
     UndefinedMetricError,
 )
 from .graphs import build_laplacian
-from .solver import FitResult, HyperParams, fit
+from .solver import HyperParams, fit
 
 __all__ = [
     "FoldSplit",
@@ -39,11 +39,6 @@ __all__ = [
     "run_loocv",
     "run_ablation",
 ]
-
-#: signature of the pluggable backend used by the protocols, that of ``fit``:
-#: (y_train, mask, l_d, l_v, hp) -> FitResult, whose ``.x`` scores the cells
-FitFn = Callable[..., FitResult]
-
 
 @dataclass(frozen=True)
 class FoldSplit:
@@ -297,7 +292,6 @@ def _run_folds(
     hp: HyperParams,
     splits: Iterable[FoldSplit],
     score: Callable[[FoldMetrics, np.ndarray, np.ndarray], list[str]],
-    fit_fn: Optional[FitFn],
 ) -> tuple[list[FoldMetrics], list[str]]:
     """The hide -> fit -> score loop shared by every protocol.
 
@@ -306,16 +300,15 @@ def _run_folds(
     metrics from the completed matrix at those cells, in row-major order, and
     returns its notes.
     """
-    if fit_fn is None:
-        # looked up per call, so a rebinding of this module's ``fit`` is used
-        fit_fn = fit
     l_d = build_laplacian(list(similarities.drug.values()), hp.p)
     l_v = build_laplacian(list(similarities.virus.values()), hp.p)
     per_fold: list[FoldMetrics] = []
     notes: list[str] = []
     for split in splits:
         mask = np.where(split.hidden, 0.0, 1.0)
-        scores = fit_fn(y * mask, mask, l_d, l_v, hp).x[split.hidden]
+        # ``fit`` is this module's global, looked up per fold: tests and the
+        # benchmark substitute a fit by rebinding ``grdmf.evaluation.fit``
+        scores = fit(y * mask, mask, l_d, l_v, hp).x[split.hidden]
         labels = y[split.hidden]
         record = FoldMetrics(split.fold_id, labels.size, int(labels.sum()), seed=split.seed)
         notes += score(record, scores, labels)
@@ -330,7 +323,6 @@ def run_cv(
     hp: HyperParams,
     seeds: Iterable[int] = (0,),
     folds: int = 10,
-    fit_fn: Optional[FitFn] = None,
 ) -> EvalReport:
     """Repeated k-fold cross-validation under the given scheme.
 
@@ -375,7 +367,7 @@ def run_cv(
 
     # drawn seed by seed, so only one seed's splits are held at a time
     splits = (s for seed in seeds for s in split(seed))
-    per_fold, notes = _run_folds(y, similarities, hp, splits, score, fit_fn)
+    per_fold, notes = _run_folds(y, similarities, hp, splits, score)
     return EvalReport.from_folds(scheme, seeds, per_fold, notes)
 
 
@@ -384,7 +376,6 @@ def run_loocv(
     similarities: SimilaritySet,
     hp: HyperParams,
     ks: Sequence[int] = (3, 5, 7),
-    fit_fn: Optional[FitFn] = None,
 ) -> EvalReport:
     """Leave-one-virus-out: hide each virus column, rank all drugs for it.
 
@@ -414,7 +405,7 @@ def run_loocv(
         record.aupr = aupr(scores, labels)
         return []
 
-    per_virus, notes = _run_folds(y, similarities, hp, splits, score, fit_fn)
+    per_virus, notes = _run_folds(y, similarities, hp, splits, score)
     return EvalReport.from_folds("loo", [], per_virus, notes)
 
 
@@ -425,7 +416,6 @@ def run_ablation(
     hp: HyperParams,
     seeds: Iterable[int] = (0,),
     folds: int = 10,
-    fit_fn: Optional[FitFn] = None,
 ) -> dict[str, EvalReport]:
     """Cross-validate each named similarity combination.
 
@@ -469,6 +459,6 @@ def run_ablation(
         raise ConfigError("no combos given")
     seeds = list(seeds)
     return {
-        label: run_cv(dataset, subset, "entries", hp, seeds=seeds, folds=folds, fit_fn=fit_fn)
+        label: run_cv(dataset, subset, "entries", hp, seeds=seeds, folds=folds)
         for label, subset in subsets.items()
     }

@@ -79,18 +79,25 @@ class HyperParams:
             raise ParameterError(f"theta must be > 0, got {self.theta}")
         if not 0.0 < self.alpha < 2.0:
             raise ParameterError(f"alpha must lie in (0, 2), got {self.alpha}")
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_integer(d, "a factor dimension") for d in self.dims)
         if len(dims) not in (2, 3):
             raise ParameterError(f"dims must have 2 or 3 entries, got {self.dims}")
         if any(d < 1 for d in dims):
             raise ParameterError(f"factor dimensions must be >= 1, got {self.dims}")
         object.__setattr__(self, "dims", dims)
-        if int(self.p) < 1:
-            raise ParameterError(f"p must be >= 1, got {self.p}")
-        object.__setattr__(self, "p", int(self.p))
-        if int(self.iters) < 1:
-            raise ParameterError(f"iters must be >= 1, got {self.iters}")
-        object.__setattr__(self, "iters", int(self.iters))
+        for key in ("p", "iters"):
+            value = _integer(getattr(self, key), key)
+            if value < 1:
+                raise ParameterError(f"{key} must be >= 1, got {value}")
+            object.__setattr__(self, key, value)
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a bool or a non-integral number is a
+    :class:`ParameterError`, not truncated."""
+    if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass

@@ -18,6 +18,7 @@ from grdmf.linalg import sym_eigen
 from grdmf.solver import (
     FactorSet,
     HyperParams,
+    init_factors,
     objective,
     update_middle,
     update_u1,
@@ -256,6 +257,42 @@ def kron_solve(a, b, c) -> np.ndarray:
     k = b.shape[0]
     big = np.kron(np.eye(k), a) + np.kron(b.T, np.eye(n))
     return np.linalg.solve(big, c.flatten(order="F")).reshape((n, k), order="F")
+
+
+def reference_fit(y, mask, l_d, l_v, hp) -> np.ndarray:
+    """The completed X of ``fit``, re-derived from the block equations.
+
+    From ``init_factors``, each iteration takes the X step, then solves every
+    factor F of the chain U1, middles..., V in turn, with L the (fresh)
+    product to its left and R the (stale) product to its right, from
+
+        theta*L.T@L@F@R@R.T + F [+ 2*mu*L_d@F] [+ 2*mu*F@L_v]
+            = theta*L.T@X@R.T + F_prev
+
+    (the graph terms for U1 and V only) as one dense solve of the vectorized
+    system, vec(A@F@B) = kron(B.T, A) @ vec(F). No eigenvalue is floored.
+    """
+    m, n = y.shape
+    init = init_factors(y, hp.dims)
+    chain = [init.u1, *init.middles, init.v]
+    x = y.copy()
+    for _ in range(hp.iters):
+        product = reduce(np.matmul, chain)
+        b = x + hp.alpha * mask * (y - mask * x)
+        x = np.maximum((b + hp.theta * product) / (1.0 + hp.theta), 0.0)
+        for i, prev in enumerate(chain):
+            left = reduce(np.matmul, [np.eye(m), *chain[:i]])
+            right = reduce(np.matmul, [*chain[i + 1 :], np.eye(n)])
+            rows, cols = prev.shape
+            lhs = hp.theta * np.kron((right @ right.T).T, left.T @ left) + np.eye(rows * cols)
+            if i == 0:
+                lhs += 2.0 * hp.mu * np.kron(np.eye(cols), l_d)
+            if i == len(chain) - 1:
+                lhs += 2.0 * hp.mu * np.kron(l_v.T, np.eye(rows))
+            rhs = hp.theta * (left.T @ x @ right.T) + prev
+            vec = np.linalg.solve(lhs, rhs.flatten(order="F"))
+            chain[i] = vec.reshape((rows, cols), order="F")
+    return x
 
 
 def random_spd(rng, size: int, lo: float = 0.5, hi: float = 2.0) -> np.ndarray:

@@ -23,15 +23,21 @@ upticks. The family here was validated on 400 seeds of the same generator
 representative, not survivors.
 """
 
+import importlib
 import json
 import os
+import pkgutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from grdmf.cli import DEFAULT_HYPERPARAMS, main, predict_topk
+import grdmf
+import grdmf.evaluation
+from grdmf.cli import DEFAULT_HYPERPARAMS, main
 from grdmf.data import AssociationDataset, SimilaritySet, load_association_csv, load_similarity_csv, align_similarity
 from grdmf.evaluation import auc, aupr, run_cv, split_entries, topk_metrics
 from grdmf.graphs import build_laplacian, laplacian
@@ -238,7 +244,7 @@ def _load_benchmark():
     return dataset, SimilaritySet(drug=drug, virus=virus)
 
 
-def test_benchmark_cell_cv_bands():
+def test_benchmark_cell_cv_bands(monkeypatch):
     loaded = _load_benchmark()
     if loaded is None:
         print("SKIP: benchmark cell-holdout bands — set GRDMF_DVA_DIR to run")
@@ -257,9 +263,9 @@ def test_benchmark_cell_cv_bands():
         fit_times.append(time.perf_counter() - t0)
         return res
 
+    monkeypatch.setattr(grdmf.evaluation, "fit", timed_fit)
     for seed in range(10):
-        report = run_cv(dataset, sims, "entries", hp, seeds=[seed], folds=10,
-                        fit_fn=timed_fit)
+        report = run_cv(dataset, sims, "entries", hp, seeds=[seed], folds=10)
         aucs.append(report.auc)
         auprs.append(report.aupr)
     mean_auc = float(np.mean(aucs))
@@ -291,8 +297,8 @@ def test_benchmark_cold_start_ranking():
     l_d = build_laplacian(list(sims.drug.values()), hp.p)
     l_v = build_laplacian(list(sims.virus.values()), hp.p)
     res = fit(dataset.y, np.ones_like(dataset.y), l_d, l_v, hp)
-    ranking = predict_topk(res, dataset, target, 5)
-    got = {e.drug.lower() for e in ranking.entries}
+    j = dataset.viruses.index(target)
+    got = {dataset.drugs[i].lower() for i in grdmf.evaluation._top_k(res.x[:, j], 5)}
     reference = {"ribavirin", "chloroquine", "remdesivir", "umifenovir", "favipiravir"}
     overlap = len(got & reference)
     _report(
@@ -364,4 +370,73 @@ def test_cv_reports_are_byte_identical(tmp_path):
         "determinism: identical cv invocations produce byte-identical reports",
         first == second and payload["seeds"] == [11, 12],
         f"{len(first)} bytes, mean AUC {payload['mean']['auc']}",
+    )
+
+
+_THREADED_FIT = """\
+import sys
+
+import numpy as np
+
+from grdmf.cli import DEFAULT_HYPERPARAMS
+from grdmf.graphs import build_laplacian
+from grdmf.solver import HyperParams, fit
+from grdmf.synthetic import make_synthetic_problem
+
+problem = make_synthetic_problem(m=400, n=100, rank=5, seed=0)
+y = problem.dataset.y
+hp = HyperParams(**DEFAULT_HYPERPARAMS[("entries", 2)])
+l_d = build_laplacian(list(problem.similarities.drug.values()), hp.p)
+l_v = build_laplacian(list(problem.similarities.virus.values()), hp.p)
+np.save(sys.argv[1], fit(y, np.ones_like(y), l_d, l_v, hp).x)
+"""
+
+
+def test_fit_agrees_across_blas_thread_counts(tmp_path):
+    # byte-identical reports hold for one BLAS thread count; across counts,
+    # BLAS may sum in another order, so the completed matrix agrees to
+    # rounding only
+    script = tmp_path / "threaded_fit.py"
+    script.write_text(_THREADED_FIT)
+    src = str(Path(grdmf.__file__).parents[1])
+    xs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+        out = tmp_path / f"x{threads}.npy"
+        proc = subprocess.run(
+            [sys.executable, str(script), str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        xs.append(np.load(out))
+    rel = float(np.abs(xs[0] - xs[1]).max() / np.abs(xs[0]).max())
+    _report(
+        "BLAS threads: an entries-2 fit at 400x100 agrees within 1e-6 on 1 and 2 threads",
+        rel <= 1e-6,
+        f"max relative difference {rel:.2e}",
+    )
+
+
+# ---------------------------------------------------------------------------
+# 11. the public names resolve
+
+
+def test_every_public_name_resolves():
+    # a stale __all__ entry breaks a user's `import *`, so it fails here first
+    modules = [grdmf] + [
+        importlib.import_module(f"grdmf.{info.name}")
+        for info in pkgutil.iter_modules(grdmf.__path__)
+        if info.name != "__main__"  # importing it runs the CLI
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", [])
+        if not hasattr(module, name)
+    ]
+    _report(
+        "public names: every __all__ entry of every grdmf module resolves",
+        not missing,
+        f"{len(modules)} modules, missing {missing}",
     )

@@ -12,12 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grdmf.cli import (
-    DEFAULT_HYPERPARAMS,
-    build_parser,
-    main,
-    predict_topk,
-)
+from grdmf.cli import DEFAULT_HYPERPARAMS, build_parser, main
 from grdmf.data import (
     SimilaritySet,
     align_similarity,
@@ -28,11 +23,10 @@ from grdmf.evaluation import run_cv, run_loocv
 from grdmf.exceptions import (
     FoldSkippedWarning,
     TopKClampWarning,
-    UnknownNameError,
     ZeroProfileWarning,
 )
 from grdmf.graphs import build_laplacian
-from grdmf.solver import FactorSet, FitResult, HyperParams, SolveTrace
+from grdmf.solver import HyperParams
 from grdmf.synthetic import make_synthetic_problem, write_synthetic_csvs
 
 # ---------------------------------------------------------------------------
@@ -160,7 +154,17 @@ def test_predict_quotes_a_drug_name_with_a_comma(tmp_path):
     assert {row[1] for row in rows[1:]} == set(drugs)
 
 
-def test_predict_unknown_virus_fails_cleanly(bundle, tmp_path, monkeypatch):
+def test_predict_clamps_k_beyond_the_drug_count(bundle, tmp_path):
+    out = tmp_path / "predall"
+    args = ["predict", *_base_args(bundle, out), "--virus", "virus003", "--k", "20"]
+    with pytest.warns(TopKClampWarning, match="k=20 exceeds the 12 candidates"):
+        assert main(args) == 0
+    body = _read_rows(out / "recommendations.csv")[1:]
+    assert [int(r[0]) for r in body] == list(range(1, 13))
+    assert sorted(r[1] for r in body) == sorted(load_association_csv(bundle["association"]).drugs)
+
+
+def test_predict_unknown_virus_fails_cleanly(bundle, tmp_path, monkeypatch, caplog):
     def no_fit(*args, **kwargs):
         raise AssertionError("the virus name is checked before any fit")
 
@@ -168,6 +172,7 @@ def test_predict_unknown_virus_fails_cleanly(bundle, tmp_path, monkeypatch):
     out = tmp_path / "predbad"
     args = ["predict", *_base_args(bundle, out), "--virus", "no-such-virus"]
     assert main(args) == 1
+    assert "unknown virus 'no-such-virus'" in caplog.text
     assert not (out / "recommendations.csv").exists()
 
 
@@ -244,26 +249,6 @@ def test_layers_outside_two_or_three_is_a_config_error(
     assert main(["fit", *args, "--config", str(cfg_path)]) == 1
     assert f"layers must be 2 or 3, got {layers}" in caplog.text
     assert not out.exists()
-
-
-def test_predict_topk_unit_behaviour():
-    x = np.array([[0.2, 0.9], [0.8, 0.1], [0.5, 0.5]])
-    dataset_like = type(
-        "D", (), {"drugs": ("a", "b", "c"), "viruses": ("v1", "v2")}
-    )()
-    result = FitResult(
-        x=x,
-        factors=FactorSet(u1=np.zeros((3, 1)), middles=[], v=np.zeros((1, 2))),
-        trace=SolveTrace(loss=[0.0], floor_events=0, wall_time=0.0),
-    )
-    ranking = predict_topk(result, dataset_like, "v1", 2, training_positives={"b"})
-    assert [e.drug for e in ranking.entries] == ["b", "c"]
-    assert [e.known for e in ranking.entries] == [True, False]
-    with pytest.warns(TopKClampWarning):
-        full = predict_topk(result, dataset_like, "v1", 10)
-    assert len(full.entries) == 3
-    with pytest.raises(UnknownNameError):
-        predict_topk(result, dataset_like, "v9", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +458,40 @@ def test_ablation_with_another_scheme_fails_before_any_input_is_read(
     assert main(args) == 1
     assert "ablation hides entries only; got scheme 'viruses'" in caplog.text
     assert not (out / "ablation.json").exists()
+
+
+@pytest.mark.parametrize("form", ["flag", "list", "dict"])
+@pytest.mark.parametrize(
+    "name", ["", "a+b", "a,b", "a;b"], ids=["empty", "plus", "comma", "semicolon"]
+)
+def test_similarity_names_that_break_combo_labels_fail_before_any_input_is_read(
+    bundle, tmp_path, monkeypatch, caplog, form, name
+):
+    # beside a similarity 'c', 'a+b' would give the combo label 'a+b+c,s1_v',
+    # which reads as three names, and no --combos spec could select it
+    def no_read(*args, **kwargs):
+        raise AssertionError("similarity names are checked before any input is read")
+
+    monkeypatch.setattr("grdmf.cli._sha256", no_read)
+    monkeypatch.setattr("grdmf.cli.load_association_csv", no_read)
+    out = tmp_path / "ab-names"
+    args = [
+        "ablation", "--association", bundle["association"],
+        "--virus-sim", bundle["virus_sim"], "--out", str(out),
+        "--folds", "3", "--repeats", "1",
+    ]
+    named = {name: bundle["drug_sim"], "c": bundle["drug_sim"]}
+    items = [f"{key}={path}" for key, path in named.items()]
+    if form == "flag":
+        for item in items:
+            args += ["--drug-sim", item]
+    else:
+        cfg_path = tmp_path / "names.json"
+        cfg_path.write_text(json.dumps({"drug_sims": items if form == "list" else named}))
+        args += ["--config", str(cfg_path)]
+    assert main(args) == 1
+    assert f"similarity name {name!r} must be non-empty and contain no" in caplog.text
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

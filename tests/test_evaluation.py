@@ -1,8 +1,9 @@
 """Cross-validation and metric tests.
 
 Metrics are compared against pairwise / ranked-walk brute-force oracles; the
-protocols are exercised with injected scoring backends so their bookkeeping
-(hiding, skipping, aggregation) is observable without running the solver.
+protocols are exercised with ``grdmf.evaluation.fit`` rebound to scoring
+stand-ins, so their bookkeeping (hiding, skipping, aggregation) is observable
+without running the solver.
 """
 
 import warnings
@@ -197,14 +198,15 @@ def _tiny_problem(seed=0, m=9, n=6, positive=0.35):
 _HP = HyperParams(mu=0.1, theta=1.0, alpha=0.5, dims=(3, 2), p=1, iters=2)
 
 
-def test_run_cv_perfect_scores_give_perfect_metrics():
+def test_run_cv_perfect_scores_give_perfect_metrics(monkeypatch):
     dataset, sims = _tiny_problem()
     truth = dataset.y
 
     def oracle(y_train, mask, l_d, l_v, hp):
         return SimpleNamespace(x=truth)
 
-    report = run_cv(dataset, sims, "entries", _HP, seeds=[0], folds=3, fit_fn=oracle)
+    monkeypatch.setattr(grdmf.evaluation, "fit", oracle)
+    report = run_cv(dataset, sims, "entries", _HP, seeds=[0], folds=3)
     kept = [f for f in report.per_fold if not f.skipped]
     assert kept, "every fold was single-class; fixture too small"
     for fold in kept:
@@ -216,7 +218,7 @@ def test_run_cv_perfect_scores_give_perfect_metrics():
     assert report.seeds == [0]
 
 
-def test_run_cv_hides_cells_from_the_backend():
+def test_run_cv_hides_cells_from_the_backend(monkeypatch):
     dataset, sims = _tiny_problem(seed=1)
     truth = dataset.y
     calls = []
@@ -232,12 +234,13 @@ def test_run_cv_hides_cells_from_the_backend():
         calls.append(int(hidden.sum()))
         return SimpleNamespace(x=np.zeros_like(y_train) + 0.5)
 
-    run_cv(dataset, sims, "entries", _HP, seeds=[2], folds=3, fit_fn=checker)
+    monkeypatch.setattr(grdmf.evaluation, "fit", checker)
+    run_cv(dataset, sims, "entries", _HP, seeds=[2], folds=3)
     assert len(calls) == 3
     assert sum(calls) == truth.size  # folds partition the matrix
 
 
-def test_run_cv_skips_single_class_folds():
+def test_run_cv_skips_single_class_folds(monkeypatch):
     rng = np.random.default_rng(0)
     y = np.zeros((4, 4))
     y[2, 3] = 1.0  # exactly one positive
@@ -251,8 +254,9 @@ def test_run_cv_skips_single_class_folds():
     def oracle(y_train, mask, l_d, l_v, hp):
         return SimpleNamespace(x=rng.random(y.shape))
 
+    monkeypatch.setattr(grdmf.evaluation, "fit", oracle)
     with pytest.warns(FoldSkippedWarning):
-        report = run_cv(dataset, sims, "entries", _HP, seeds=[0], folds=4, fit_fn=oracle)
+        report = run_cv(dataset, sims, "entries", _HP, seeds=[0], folds=4)
     skipped = [f for f in report.per_fold if f.skipped]
     assert len(skipped) == 3  # the positive lands in exactly one fold
     assert len(report.notes) == 3
@@ -260,7 +264,7 @@ def test_run_cv_skips_single_class_folds():
     assert report.auc is not None  # the surviving fold still aggregates
 
 
-def test_run_cv_axis_schemes_hide_whole_lines():
+def test_run_cv_axis_schemes_hide_whole_lines(monkeypatch):
     dataset, sims = _tiny_problem(seed=3)
 
     def checker(y_train, mask, l_d, l_v, hp):
@@ -269,7 +273,8 @@ def test_run_cv_axis_schemes_hide_whole_lines():
         assert np.array_equal(hidden_cols, partially)  # no partial columns
         return SimpleNamespace(x=np.full_like(y_train, 0.5))
 
-    run_cv(dataset, sims, "viruses", _HP, seeds=[0], folds=3, fit_fn=checker)
+    monkeypatch.setattr(grdmf.evaluation, "fit", checker)
+    run_cv(dataset, sims, "viruses", _HP, seeds=[0], folds=3)
     with pytest.raises(ParameterError):
         run_cv(dataset, sims, "cells", _HP, seeds=[0], folds=3)
 
@@ -305,11 +310,14 @@ def test_run_cv_seeds_concatenate_their_folds_under_one_aggregation(a, b):
     def oracle(y_train, mask, l_d, l_v, hp):
         return SimpleNamespace(x=scores)
 
-    with warnings.catch_warnings():
+    # Hypothesis reruns the body per example, so the fixture's function
+    # scope would outlive it; a context undoes the rebinding each time
+    with pytest.MonkeyPatch.context() as monkeypatch, warnings.catch_warnings():
+        monkeypatch.setattr(grdmf.evaluation, "fit", oracle)
         warnings.simplefilter("ignore", FoldSkippedWarning)
-        both = run_cv(dataset, sims, "entries", _HP, seeds=[a, b], folds=4, fit_fn=oracle)
-        first = run_cv(dataset, sims, "entries", _HP, seeds=[a], folds=4, fit_fn=oracle)
-        second = run_cv(dataset, sims, "entries", _HP, seeds=[b], folds=4, fit_fn=oracle)
+        both = run_cv(dataset, sims, "entries", _HP, seeds=[a, b], folds=4)
+        first = run_cv(dataset, sims, "entries", _HP, seeds=[a], folds=4)
+        second = run_cv(dataset, sims, "entries", _HP, seeds=[b], folds=4)
     folds = first.per_fold + second.per_fold
     notes = first.notes + second.notes
     assert both.seeds == [a, b]
@@ -324,15 +332,16 @@ def test_run_cv_seeds_concatenate_their_folds_under_one_aggregation(a, b):
 # leave-one-virus-out
 
 
-def test_run_loocv_perfect_oracle_hits_the_combinatorial_bound():
+def test_run_loocv_perfect_oracle_hits_the_combinatorial_bound(monkeypatch):
     dataset, sims = _tiny_problem(seed=5)
     truth = dataset.y
 
     def oracle(y_train, mask, l_d, l_v, hp):
         return SimpleNamespace(x=truth)
 
+    monkeypatch.setattr(grdmf.evaluation, "fit", oracle)
     ks = (2, 3)
-    report = run_loocv(dataset, sims, _HP, ks=ks, fit_fn=oracle)
+    report = run_loocv(dataset, sims, _HP, ks=ks)
     assert report.scheme == "loo"
     assert report.seeds == []
     assert len(report.per_fold) == len(dataset.viruses)
@@ -351,7 +360,7 @@ def test_run_loocv_perfect_oracle_hits_the_combinatorial_bound():
                 assert fold.rec_at_k[k] == pytest.approx(min(t, k) / t)
 
 
-def test_run_loocv_zero_positive_virus_excluded_from_recall():
+def test_run_loocv_zero_positive_virus_excluded_from_recall(monkeypatch):
     y = np.zeros((5, 3))
     y[:, 0] = np.array([1.0, 0.0, 1.0, 0.0, 0.0])
     y[:, 2] = np.array([0.0, 1.0, 0.0, 0.0, 1.0])
@@ -366,7 +375,8 @@ def test_run_loocv_zero_positive_virus_excluded_from_recall():
     def oracle(y_train, mask, l_d, l_v, hp):
         return SimpleNamespace(x=y)
 
-    report = run_loocv(dataset, sims, _HP, ks=(2,), fit_fn=oracle)
+    monkeypatch.setattr(grdmf.evaluation, "fit", oracle)
+    report = run_loocv(dataset, sims, _HP, ks=(2,))
     assert any("vb" in note for note in report.notes)
     vb = report.per_fold[1]
     assert vb.pre_at_k[2] == 0.0
@@ -375,7 +385,7 @@ def test_run_loocv_zero_positive_virus_excluded_from_recall():
     assert report.rec_at_k[2] == pytest.approx(1.0)
 
 
-def test_run_loocv_all_positive_virus_skips_rank_metrics():
+def test_run_loocv_all_positive_virus_skips_rank_metrics(monkeypatch):
     y = np.ones((4, 2))
     y[2:, 1] = 0.0
     dataset = AssociationDataset(
@@ -386,7 +396,8 @@ def test_run_loocv_all_positive_virus_skips_rank_metrics():
     def oracle(y_train, mask, l_d, l_v, hp):
         return SimpleNamespace(x=y)
 
-    report = run_loocv(dataset, sims, _HP, ks=(2,), fit_fn=oracle)
+    monkeypatch.setattr(grdmf.evaluation, "fit", oracle)
+    report = run_loocv(dataset, sims, _HP, ks=(2,))
     va = report.per_fold[0]
     assert va.auc is None and va.aupr is None
     assert va.pre_at_k[2] == pytest.approx(1.0)
@@ -420,7 +431,7 @@ def _two_source_problem():
     return dataset, sims
 
 
-def test_run_ablation_labels_and_shared_folds():
+def test_run_ablation_labels_and_shared_folds(monkeypatch):
     dataset, sims = _two_source_problem()
     seen = []
 
@@ -429,23 +440,23 @@ def test_run_ablation_labels_and_shared_folds():
         return SimpleNamespace(x=np.full_like(y_train, 0.5))
 
     combos = [(["s1_d"], ["s1_v"]), (["s1_d", "s2_d"], ["s1_v"])]
-    reports = run_ablation(
-        dataset, sims, combos, _HP, seeds=[9], folds=3, fit_fn=recorder
-    )
+    monkeypatch.setattr(grdmf.evaluation, "fit", recorder)
+    reports = run_ablation(dataset, sims, combos, _HP, seeds=[9], folds=3)
     assert set(reports) == {"s1_d,s1_v", "s1_d+s2_d,s1_v"}
     # same seed -> both combos hide exactly the same cells, fold by fold
     for fold in range(3):
         assert np.array_equal(seen[fold], seen[3 + fold])
 
 
-def test_run_ablation_rejects_unknown_and_empty():
+def test_run_ablation_rejects_unknown_and_empty(monkeypatch):
     dataset, sims = _two_source_problem()
     with pytest.raises(ConfigError, match="unknown similarity"):
         run_ablation(dataset, sims, [(["nope"], ["s1_v"])], _HP)
     with pytest.raises(ConfigError):
         run_ablation(dataset, sims, [([], ["s1_v"])], _HP)
+    monkeypatch.setattr(grdmf.evaluation, "fit", _no_fit)
     with pytest.raises(ConfigError, match="no combos given"):
-        run_ablation(dataset, sims, [], _HP, fit_fn=_no_fit)
+        run_ablation(dataset, sims, [], _HP)
 
 
 def _no_fit(y_train, mask, l_d, l_v, hp):
@@ -463,20 +474,22 @@ def _no_fit(y_train, mask, l_d, l_v, hp):
     ],
     ids=["empty-drug-side", "empty-virus-side", "unknown", "repeated", "twice"],
 )
-def test_run_ablation_checks_every_combo_before_the_first_fit(bad, message):
+def test_run_ablation_checks_every_combo_before_the_first_fit(monkeypatch, bad, message):
     dataset, sims = _two_source_problem()
     combos = [(["s1_d"], ["s1_v"]), bad]
+    monkeypatch.setattr(grdmf.evaluation, "fit", _no_fit)
     with pytest.raises(ConfigError, match=message):
-        run_ablation(dataset, sims, combos, _HP, folds=3, fit_fn=_no_fit)
+        run_ablation(dataset, sims, combos, _HP, folds=3)
 
 
-def test_report_serialization_keys_are_strings():
+def test_report_serialization_keys_are_strings(monkeypatch):
     dataset, sims = _tiny_problem(seed=9)
 
     def oracle(y_train, mask, l_d, l_v, hp):
         return SimpleNamespace(x=dataset.y)
 
-    report = run_loocv(dataset, sims, _HP, ks=(3,), fit_fn=oracle)
+    monkeypatch.setattr(grdmf.evaluation, "fit", oracle)
+    report = run_loocv(dataset, sims, _HP, ks=(3,))
     payload = report.to_dict()
     assert set(payload["mean"]["pre_at_k"]) <= {"3"}
     for fold in payload["folds"]:
@@ -485,12 +498,12 @@ def test_report_serialization_keys_are_strings():
 
 
 # ---------------------------------------------------------------------------
-# the fit seam
+# the module-global fit
 
 
 def test_protocols_look_up_the_module_fit_once_per_fold(monkeypatch):
     # the benchmark records every fold's fit by rebinding grdmf.evaluation.fit,
-    # so a protocol run without a fit_fn must find the rebound function
+    # so a protocol run must find the rebound function
     dataset, sims = _tiny_problem(seed=10)
     real_fit = grdmf.evaluation.fit
     calls = []
@@ -510,7 +523,7 @@ def test_protocols_look_up_the_module_fit_once_per_fold(monkeypatch):
 
 
 @pytest.mark.parametrize("scheme", ["entries", "viruses", "drugs", "loo"])
-def test_folds_are_scored_in_row_major_order(scheme):
+def test_folds_are_scored_in_row_major_order(monkeypatch, scheme):
     # three score levels, so most hidden cells tie and AUPR's stable
     # tie-break makes it depend on the order the cells are scored in
     dataset, sims = _tiny_problem(seed=11, m=12, n=8, positive=0.4)
@@ -521,12 +534,13 @@ def test_folds_are_scored_in_row_major_order(scheme):
         hidden.append(mask == 0.0)
         return SimpleNamespace(x=x)
 
+    monkeypatch.setattr(grdmf.evaluation, "fit", tied_fit)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FoldSkippedWarning)
         if scheme == "loo":
-            report = run_loocv(dataset, sims, _HP, ks=(2,), fit_fn=tied_fit)
+            report = run_loocv(dataset, sims, _HP, ks=(2,))
         else:
-            report = run_cv(dataset, sims, scheme, _HP, seeds=[0, 1], folds=3, fit_fn=tied_fit)
+            report = run_cv(dataset, sims, scheme, _HP, seeds=[0, 1], folds=3)
     y = dataset.y
     assert len(hidden) == len(report.per_fold)
     scored = [(f, h) for f, h in zip(report.per_fold, hidden) if f.aupr is not None]

@@ -33,7 +33,7 @@ from grdmf.solver import (
     update_x,
 )
 from grdmf.synthetic import make_synthetic_problem
-from helpers import block_walk, descent_instance, kron_solve, pad_chain
+from helpers import block_walk, descent_instance, kron_solve, pad_chain, reference_fit
 
 # ---------------------------------------------------------------------------
 # HyperParams
@@ -60,6 +60,22 @@ def test_hyperparams_validation():
         HyperParams(**good, p=0)
     with pytest.raises(ParameterError):
         HyperParams(**good, iters=0)
+    # a bool or a non-integral count is rejected, not truncated
+    for bad in (
+        {"dims": (4.7, 2.9)},
+        {"dims": (4, True)},
+        {"p": 2.5},
+        {"p": True},
+        {"iters": True},
+        {"iters": np.bool_(True)},
+        {"iters": 1.5},
+        {"iters": np.nan},
+    ):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            HyperParams(**{**good, **bad})
+    hp = HyperParams(**{**good, "dims": (4.0, np.int32(2))}, p=np.int64(3), iters=2.0)
+    assert (hp.dims, hp.p, hp.iters) == ((4, 2), 3, 2)
+    assert all(type(v) is int for v in (*hp.dims, hp.p, hp.iters))
 
 
 @pytest.mark.parametrize("key", ["mu", "theta"])
@@ -517,6 +533,27 @@ def test_fit_is_deterministic():
     b = fit(y, mask, l_d, l_v, hp)
     assert np.array_equal(a.x, b.x)
     assert a.trace.loss == b.trace.loss
+
+
+@pytest.mark.parametrize(
+    "dims", [(4, 3), (5, 4, 3), (6, 6)], ids=lambda dims: "x".join(map(str, dims))
+)
+@pytest.mark.parametrize("seed", range(6))
+def test_fit_matches_the_whole_fit_reference(seed, dims):
+    prob = make_synthetic_problem(m=12, n=7, rank=3, seed=seed)
+    y = prob.dataset.y
+    mask = np.ones(y.shape)
+    mask.flat[np.random.default_rng(seed).permutation(y.size)[: y.size // 5]] = 0.0
+    l_d = build_laplacian(list(prob.similarities.drug.values()), 3)
+    l_v = build_laplacian(list(prob.similarities.virus.values()), 3)
+    hp = HyperParams(mu=0.5, theta=1.0, alpha=0.5, dims=dims, p=3)
+    result = fit(y * mask, mask, l_d, l_v, hp)
+    expected = reference_fit(y * mask, mask, l_d, l_v, hp)
+    assert np.abs(result.x - expected).max() <= 1e-10 * np.abs(expected).max()
+    if dims == (6, 6):
+        # the rank-6 middle Gram matrices are floored, and the floored solve
+        # still agrees with the exact one
+        assert result.trace.floor_events > 0
 
 
 def test_fit_respects_and_preserves_custom_init():
