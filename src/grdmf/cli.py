@@ -24,8 +24,6 @@ import numpy as np
 from .data import (
     AssociationDataset,
     SimilaritySet,
-    align_profile,
-    align_similarity,
     load_association_csv,
     load_profile_csv,
     load_similarity_csv,
@@ -323,19 +321,19 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_inputs(cfg: RunConfig) -> tuple[AssociationDataset, SimilaritySet]:
-    """Parse every referenced file and align it to the dataset registries."""
+    """Parse every referenced file in the dataset registries' order."""
     dataset = load_association_csv(cfg.association)
     drug: dict[str, np.ndarray] = {}
     for name, path in cfg.drug_sims.items():
-        drug[name] = align_similarity(load_similarity_csv(path), dataset.drugs)
+        drug[name] = load_similarity_csv(path, dataset.drugs)
     if cfg.drug_profile is not None:
-        indicator = align_profile(load_profile_csv(cfg.drug_profile), dataset.drugs)
+        indicator = load_profile_csv(cfg.drug_profile, dataset.drugs)
         drug[_next_name(drug, "d")] = cosine_similarity(indicator)
     virus: dict[str, np.ndarray] = {}
     for name, path in cfg.virus_sims.items():
-        virus[name] = align_similarity(load_similarity_csv(path), dataset.viruses)
+        virus[name] = load_similarity_csv(path, dataset.viruses)
     if cfg.virus_profile is not None:
-        indicator = align_profile(load_profile_csv(cfg.virus_profile), dataset.viruses)
+        indicator = load_profile_csv(cfg.virus_profile, dataset.viruses)
         virus[_next_name(virus, "v")] = cosine_similarity(indicator)
     logger.info(
         "inputs: %d drugs, %d viruses, %d drug-side and %d virus-side similarities",

@@ -34,15 +34,11 @@ from .exceptions import (
 
 __all__ = [
     "AssociationDataset",
-    "FeatureProfile",
-    "SimilarityMatrix",
     "SimilaritySet",
     "load_association_csv",
     "save_association_csv",
     "load_profile_csv",
     "load_similarity_csv",
-    "align_similarity",
-    "align_profile",
     "write_matrix_csv",
 ]
 
@@ -69,23 +65,6 @@ class AssociationDataset:
                 f"matrix shape {self.y.shape} does not match registries "
                 f"({len(self.drugs)} drugs, {len(self.viruses)} viruses)"
             )
-
-
-@dataclass(frozen=True)
-class FeatureProfile:
-    """Binary entity-by-feature indicator matrix."""
-
-    entities: tuple[str, ...]
-    features: tuple[str, ...]
-    indicator: np.ndarray
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Symmetric entity-by-entity similarity scores."""
-
-    entities: tuple[str, ...]
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -293,8 +272,22 @@ def save_association_csv(dataset: AssociationDataset, path, comments: Iterable[s
             writer.writerow([name, *(str(int(v)) for v in row)])
 
 
-def load_profile_csv(path) -> FeatureProfile:
-    """Load a binary feature profile; all-zero rows load with a warning."""
+def _registry_order(path, have: Sequence[str], registry: Sequence[str], what: str) -> np.ndarray:
+    """Indices that put the names ``have`` of ``path`` in registry order."""
+    if set(have) != set(registry):
+        missing = sorted(set(registry) - set(have))
+        extra = sorted(set(have) - set(registry))
+        raise RegistryError(
+            f"{path}: {what} names do not match the dataset registry; "
+            f"missing {missing}, unexpected {extra}"
+        )
+    index = {name: i for i, name in enumerate(have)}
+    return np.array([index[name] for name in registry])
+
+
+def load_profile_csv(path, registry: Sequence[str]) -> np.ndarray:
+    """Load a binary feature profile as its rows in ``registry`` order; all-zero
+    rows load with a warning, and the names must match the registry as sets."""
     entities, features, indicator = _parse_table(path, binary=True)
     zero = [entities[i] for i in np.flatnonzero(indicator.sum(axis=1) == 0)]
     if zero:
@@ -306,17 +299,18 @@ def load_profile_csv(path) -> FeatureProfile:
     logger.info(
         "loaded profile %s: %d entities x %d features", path, len(entities), len(features)
     )
-    return FeatureProfile(entities=entities, features=features, indicator=indicator)
+    return indicator[_registry_order(path, entities, registry, "profile")]
 
 
-def load_similarity_csv(path) -> SimilarityMatrix:
-    """Load a square similarity matrix, averaging away any asymmetry.
+def load_similarity_csv(path, registry: Sequence[str]) -> np.ndarray:
+    """Load a square similarity matrix in ``registry`` order, averaging away
+    any asymmetry.
 
-    Row and column names must agree in order, and every cell must be finite
-    and nonnegative (a negative weight would make the graph Laplacian
-    indefinite). Asymmetry beyond ``ASYMMETRY_TOL`` is repaired by
-    (S + S.T) / 2 with an :class:`AsymmetryWarning`; smaller round-off
-    asymmetry is repaired silently.
+    Row and column names must agree in order and match the registry as sets,
+    and every cell must be finite and nonnegative (a negative weight would
+    make the graph Laplacian indefinite). Asymmetry beyond ``ASYMMETRY_TOL``
+    is repaired by (S + S.T) / 2 with an :class:`AsymmetryWarning`; smaller
+    round-off asymmetry is repaired silently.
     """
     row_names, col_names, values = _parse_table(path, binary=False)
     if row_names != col_names:
@@ -334,31 +328,8 @@ def load_similarity_csv(path) -> SimilarityMatrix:
         )
     values = np.multiply(np.add(values, values.T, out=buf), 0.5, out=buf)
     logger.info("loaded similarity %s: %d entities", path, len(row_names))
-    return SimilarityMatrix(entities=row_names, values=values)
-
-
-def _registry_order(have: Sequence[str], want: Sequence[str], what: str) -> np.ndarray:
-    if set(have) != set(want):
-        missing = sorted(set(want) - set(have))
-        extra = sorted(set(have) - set(want))
-        raise RegistryError(
-            f"{what} names do not match the dataset registry; "
-            f"missing {missing}, unexpected {extra}"
-        )
-    index = {name: i for i, name in enumerate(have)}
-    return np.array([index[name] for name in want])
-
-
-def align_similarity(sim: SimilarityMatrix, registry: Sequence[str]) -> np.ndarray:
-    """Reorder a similarity matrix to the registry order; names must match as sets."""
-    order = _registry_order(sim.entities, registry, "similarity")
-    return sim.values[np.ix_(order, order)]
-
-
-def align_profile(profile: FeatureProfile, registry: Sequence[str]) -> np.ndarray:
-    """Reorder a profile's rows to the registry order; names must match as sets."""
-    order = _registry_order(profile.entities, registry, "profile")
-    return profile.indicator[order]
+    order = _registry_order(path, row_names, registry, "similarity")
+    return values[np.ix_(order, order)]
 
 
 def write_matrix_csv(path, row_names, col_names, values, comments: Iterable[str] = ()) -> None:

@@ -6,12 +6,11 @@ neighbour sparsification -> graph Laplacian -> entrywise sum over graphs.
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 import numpy as np
 
-from .exceptions import DimensionError, ParameterError, ZeroProfileWarning
+from .exceptions import DimensionError, ParameterError
 from .linalg import _as_matrix, _require_symmetric
 
 __all__ = [
@@ -26,23 +25,16 @@ __all__ = [
 def cosine_similarity(indicator) -> np.ndarray:
     """Pairwise cosine similarity of the rows of a finite nonnegative matrix.
 
-    Binary profiles are checked where they load; any nonnegative rows work.
-    Rows with no features get similarity 0 to everything else and 1 to
-    themselves, and a :class:`ZeroProfileWarning` is emitted for them. The
-    result is exactly symmetric by construction.
+    Binary profiles are checked where they load, and all-zero rows are
+    warned of there; any nonnegative rows work. Rows with no features get
+    similarity 0 to everything else and 1 to themselves. The result is
+    exactly symmetric by construction.
     """
     indicator = _as_matrix(indicator, "indicator")
     if (indicator < 0.0).any():
         raise ParameterError("indicator matrix must be nonnegative")
     norms = np.sqrt((indicator * indicator).sum(axis=1))
     zero_rows = np.flatnonzero(norms == 0.0)
-    if zero_rows.size:
-        warnings.warn(
-            f"{zero_rows.size} profile row(s) are all-zero (indices {zero_rows.tolist()}); "
-            "their off-diagonal similarities are set to 0",
-            ZeroProfileWarning,
-            stacklevel=2,
-        )
     safe = np.where(norms == 0.0, 1.0, norms)
     # on one contiguous operand numpy forms a @ a.T with syrk, which fills
     # one triangle and mirrors it, so the ratio is exactly symmetric

@@ -70,6 +70,8 @@ class HyperParams:
     iters: int = 10
 
     def __post_init__(self):
+        for key in ("mu", "theta", "alpha"):
+            object.__setattr__(self, key, _real(getattr(self, key), key))
         for key, value in (("mu", self.mu), ("theta", self.theta)):
             if not np.isfinite(value):
                 raise ParameterError(f"{key} must be finite, got {value}")
@@ -90,6 +92,17 @@ class HyperParams:
             if value < 1:
                 raise ParameterError(f"{key} must be >= 1, got {value}")
             object.__setattr__(self, key, value)
+
+
+def _real(value, key: str) -> float:
+    """``value`` as a float; a bool, or a value ``float()`` cannot read, is a
+    :class:`ParameterError` naming ``key``."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ParameterError(f"{key} must be a real number, got {value!r}")
 
 
 def _integer(value, what: str) -> int:

@@ -38,7 +38,7 @@ import pytest
 import grdmf
 import grdmf.evaluation
 from grdmf.cli import DEFAULT_HYPERPARAMS, main
-from grdmf.data import AssociationDataset, SimilaritySet, load_association_csv, load_similarity_csv, align_similarity
+from grdmf.data import AssociationDataset, SimilaritySet, load_association_csv, load_similarity_csv
 from grdmf.evaluation import auc, aupr, run_cv, split_entries, topk_metrics
 from grdmf.graphs import build_laplacian, laplacian
 from grdmf.linalg import solve_sylvester_sym, sym_eigen
@@ -230,11 +230,11 @@ def _load_benchmark():
     root = Path(root)
     dataset = load_association_csv(root / "association.csv")
     drug = {
-        p.stem: align_similarity(load_similarity_csv(p), dataset.drugs)
+        p.stem: load_similarity_csv(p, dataset.drugs)
         for p in sorted(root.glob("drug_sim*.csv"))
     }
     virus = {
-        p.stem: align_similarity(load_similarity_csv(p), dataset.viruses)
+        p.stem: load_similarity_csv(p, dataset.viruses)
         for p in sorted(root.glob("virus_sim*.csv"))
     }
     if not drug or not virus:

@@ -15,7 +15,6 @@ import pytest
 from grdmf.cli import DEFAULT_HYPERPARAMS, build_parser, main
 from grdmf.data import (
     SimilaritySet,
-    align_similarity,
     load_association_csv,
     load_similarity_csv,
 )
@@ -56,8 +55,8 @@ def _base_args(bundle, out, *, iters="2", dims="4,2"):
 def _library_inputs(bundle):
     """The dataset, similarities and hyperparameters `_base_args` resolves to."""
     dataset = load_association_csv(bundle["association"])
-    drug_sim = align_similarity(load_similarity_csv(bundle["drug_sim"]), dataset.drugs)
-    virus_sim = align_similarity(load_similarity_csv(bundle["virus_sim"]), dataset.viruses)
+    drug_sim = load_similarity_csv(bundle["drug_sim"], dataset.drugs)
+    virus_sim = load_similarity_csv(bundle["virus_sim"], dataset.viruses)
     sims = SimilaritySet(drug={"s1_d": drug_sim}, virus={"s1_v": virus_sim})
     hp = HyperParams(mu=0.1, theta=1.0, alpha=0.5, dims=(4, 2), p=2, iters=2)
     return dataset, sims, hp
@@ -111,9 +110,13 @@ def test_fit_accepts_profiles_instead_of_similarities(bundle, tmp_path):
         "--out", str(out),
     ]
     # the median-thresholded synthetic profiles contain all-zero rows; the
-    # pipeline must warn about them and still complete the fit
-    with pytest.warns(ZeroProfileWarning):
+    # pipeline warns once per profile, naming its file, and still completes
+    with pytest.warns(ZeroProfileWarning) as record:
         assert main(args) == 0
+    zero = [str(w.message) for w in record if issubclass(w.category, ZeroProfileWarning)]
+    assert len(zero) == 2
+    assert zero[0].startswith(f"{bundle['drug_profile']}: 3 entity profile(s)")
+    assert zero[1].startswith(f"{bundle['virus_profile']}: 2 entity profile(s)")
     assert (out / "completed.csv").exists()
 
 
@@ -648,6 +651,30 @@ def test_bad_similarity_cell_fails_cleanly(bundle, tmp_path, caplog):
     ]
     assert main(args) == 1  # a ParseError, not an escaping ValueError
     assert f"{bad}:3: column 4" in caplog.text
+    assert not out.exists()
+
+
+def test_registry_mismatch_names_its_file(bundle, tmp_path, caplog):
+    # the second of two drug similarities renames one drug: the error names
+    # that file, not just the mismatch
+    renamed = tmp_path / "sim2.csv"
+    text = Path(bundle["drug_sim"]).read_text()
+    renamed.write_text(text.replace("drug003", "drugXYZ"))
+    out = tmp_path / "mismatch"
+    args = [
+        "fit",
+        "--association", bundle["association"],
+        "--drug-sim", bundle["drug_sim"],
+        "--drug-sim", str(renamed),
+        "--virus-sim", bundle["virus_sim"],
+        "--dims", "4,2", "--iters", "2",
+        "--out", str(out),
+    ]
+    assert main(args) == 1
+    assert (
+        f"{renamed}: similarity names do not match the dataset registry; "
+        "missing ['drug003'], unexpected ['drugXYZ']"
+    ) in caplog.text
     assert not out.exists()
 
 

@@ -1,4 +1,4 @@
-"""CSV ingestion, validation and alignment tests."""
+"""CSV ingestion, validation and registry-order tests."""
 
 import csv
 import os
@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 from grdmf import data
 from grdmf.data import (
     AssociationDataset,
-    align_profile,
-    align_similarity,
     load_association_csv,
     load_profile_csv,
     load_similarity_csv,
@@ -120,31 +118,30 @@ def test_similarity_round_trip_exact(tmp_path):
     names = tuple(f"e{i}" for i in range(5))
     path = tmp_path / "sim.csv"
     write_matrix_csv(path, names, names, s, comments=["sim"])
-    back = load_similarity_csv(path)
-    assert back.entities == names
+    back = load_similarity_csv(path, names)
     # repr-formatted floats reload bit-exactly
-    assert np.array_equal(back.values, s)
+    assert np.array_equal(back, s)
 
 
 def test_similarity_requires_matching_names(tmp_path):
     path = _write(tmp_path / "s.csv", ",a,b\nb,1,0\na,0,1\n")
     with pytest.raises(ParseError, match="row names and column names differ"):
-        load_similarity_csv(path)
+        load_similarity_csv(path, ("a", "b"))
 
 
 def test_similarity_asymmetry_warning_and_repair(tmp_path):
     path = _write(tmp_path / "s.csv", ",a,b\na,1,0.9\nb,0.7,1\n")
     with pytest.warns(AsymmetryWarning):
-        sim = load_similarity_csv(path)
-    assert sim.values[0, 1] == pytest.approx(0.8)
-    assert np.allclose(sim.values, sim.values.T)
+        sim = load_similarity_csv(path, ("a", "b"))
+    assert sim[0, 1] == pytest.approx(0.8)
+    assert np.allclose(sim, sim.T)
 
 
 def test_similarity_tiny_asymmetry_repaired_silently(tmp_path, recwarn):
     path = _write(tmp_path / "s.csv", ",a,b\na,1,0.50000000000001\nb,0.5,1\n")
-    sim = load_similarity_csv(path)
+    sim = load_similarity_csv(path, ("a", "b"))
     assert not any(isinstance(w.message, AsymmetryWarning) for w in recwarn.list)
-    assert np.allclose(sim.values, sim.values.T)
+    assert np.allclose(sim, sim.T)
 
 
 @pytest.mark.parametrize(
@@ -160,18 +157,18 @@ def test_similarity_rejects_nonfinite_and_negative_cells(tmp_path, body, locatio
     # the first offending cell is named by file, line (comments counted) and column
     path = _write(tmp_path / "s.csv", "# comment\n" + body)
     with pytest.raises(ParseError, match=location):
-        load_similarity_csv(path)
+        load_similarity_csv(path, ("a", "b"))
 
 
 def test_similarity_first_bad_cell_in_file_order_is_named(tmp_path):
     # a negative cell on line 2 comes before an unparsable cell on line 3
     path = _write(tmp_path / "s.csv", ",a,b\na,1,-1\nb,oops,1\n")
     with pytest.raises(ParseError, match=r"s\.csv:2: column 3: .*'-1'"):
-        load_similarity_csv(path)
+        load_similarity_csv(path, ("a", "b"))
     # within a row, too: the negative cell precedes the unparsable one
     path = _write(tmp_path / "t.csv", ",a,b\na,-1,oops\nb,0,1\n")
     with pytest.raises(ParseError, match=r"t\.csv:2: column 2: .*'-1'"):
-        load_similarity_csv(path)
+        load_similarity_csv(path, ("a", "b"))
 
 
 def test_similarity_load_memory_is_bounded(tmp_path):
@@ -185,11 +182,11 @@ def test_similarity_load_memory_is_bounded(tmp_path):
     write_matrix_csv(path, names, names, s)
     tracemalloc.start()
     try:
-        sim = load_similarity_csv(path)
+        sim = load_similarity_csv(path, names)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * sim.values.nbytes
+    assert peak <= 2.5 * sim.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -199,49 +196,51 @@ def test_similarity_load_memory_is_bounded(tmp_path):
 def test_profile_zero_row_warns(tmp_path):
     path = _write(tmp_path / "p.csv", "entity,f1,f2\ne1,1,0\ne2,0,0\n")
     with pytest.warns(ZeroProfileWarning, match="e2"):
-        profile = load_profile_csv(path)
-    assert profile.entities == ("e1", "e2")
-    assert profile.features == ("f1", "f2")
-    assert np.array_equal(profile.indicator, [[1.0, 0.0], [0.0, 0.0]])
+        rows = load_profile_csv(path, ("e1", "e2"))
+    assert np.array_equal(rows, [[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_profile_rejects_nonbinary(tmp_path):
     path = _write(tmp_path / "p.csv", "entity,f1\ne1,2\n")
     with pytest.raises(ParseError):
-        load_profile_csv(path)
+        load_profile_csv(path, ("e1",))
 
 
 # ---------------------------------------------------------------------------
-# registry alignment
+# registry order
 
 
-def test_align_similarity_permutes_consistently(tmp_path):
+def test_similarity_loads_in_registry_order(tmp_path):
     rng = np.random.default_rng(42)
     s = rng.random((4, 4))
     s = 0.5 * (s + s.T)
     names = ("c", "a", "d", "b")
     path = tmp_path / "s.csv"
     write_matrix_csv(path, names, names, s)
-    sim = load_similarity_csv(path)
     registry = ("a", "b", "c", "d")
-    aligned = align_similarity(sim, registry)
+    aligned = load_similarity_csv(path, registry)
     for i, ri in enumerate(registry):
         for j, rj in enumerate(registry):
             assert aligned[i, j] == s[names.index(ri), names.index(rj)]
 
 
-def test_align_profile_rows(tmp_path):
+def test_profile_rows_load_in_registry_order(tmp_path):
     path = _write(tmp_path / "p.csv", "entity,f1,f2\nb,1,0\na,0,1\n")
-    profile = load_profile_csv(path)
-    aligned = align_profile(profile, ("a", "b"))
+    aligned = load_profile_csv(path, ("a", "b"))
     assert np.array_equal(aligned, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_align_reports_missing_and_extra(tmp_path):
     path = _write(tmp_path / "p.csv", "entity,f1\na,1\nzz,1\n")
-    profile = load_profile_csv(path)
-    with pytest.raises(RegistryError, match=r"missing \['b'\].*unexpected \['zz'\]"):
-        align_profile(profile, ("a", "b"))
+    with pytest.raises(RegistryError) as info:
+        load_profile_csv(path, ("a", "b"))
+    assert str(info.value).startswith(f"{path}: profile names do not match")
+    assert "missing ['b'], unexpected ['zz']" in str(info.value)
+    path = _write(tmp_path / "s.csv", ",a,zz\na,1,0\nzz,0,1\n")
+    with pytest.raises(RegistryError) as info:
+        load_similarity_csv(path, ("a", "b"))
+    assert str(info.value).startswith(f"{path}: similarity names do not match")
+    assert "missing ['b'], unexpected ['zz']" in str(info.value)
 
 
 def test_comments_anywhere_are_skipped(tmp_path):
@@ -389,10 +388,10 @@ def test_plain_bodies_skip_the_row_walker(tmp_path, monkeypatch):
 
     monkeypatch.setattr(data, "_walk_rows", recording)
     plain = _write(tmp_path / "p.csv", "# c\r\n,a,b\r\na, 1 ,0.5\r\n\r\nb,0.5,1e0\n")
-    assert load_similarity_csv(plain).values.tolist() == [[1.0, 0.5], [0.5, 1.0]]
+    assert load_similarity_csv(plain, ("a", "b")).tolist() == [[1.0, 0.5], [0.5, 1.0]]
     assert walked == []
     quoted = _write(tmp_path / "q.csv", ',a,b\n"a",1,0.5\nb,0.5,1\n')
-    assert load_similarity_csv(quoted).entities == ("a", "b")
+    assert load_similarity_csv(quoted, ("a", "b")).tolist() == [[1.0, 0.5], [0.5, 1.0]]
     assert walked == [quoted]
 
 

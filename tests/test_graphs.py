@@ -5,6 +5,8 @@ the Laplacian against the textbook quadratic-form identity
 tr(U.T @ L @ U) == 0.5 * sum_ij S_ij ||u_i - u_j||^2.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from grdmf.exceptions import (
     DimensionError,
     ParameterError,
     SymmetryError,
-    ZeroProfileWarning,
 )
 from grdmf.graphs import (
     build_laplacian,
@@ -46,9 +47,11 @@ def test_cosine_hand_values():
     assert np.allclose(sim, sim.T)
 
 
-def test_cosine_zero_profile_warns_and_isolates():
+def test_cosine_zero_profile_isolates_without_warning():
+    # all-zero rows are warned of where a profile loads, naming its file
     profiles = np.array([[1.0, 1.0], [0.0, 0.0]])
-    with pytest.warns(ZeroProfileWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         sim = cosine_similarity(profiles)
     assert sim[0, 1] == 0.0
     assert sim[1, 0] == 0.0
@@ -75,7 +78,7 @@ def test_cosine_rejects_negative_and_nonfinite_rows():
 def test_cosine_range_and_symmetry(seed, rows, cols):
     rng = np.random.default_rng(seed)
     profiles = (rng.random((rows, cols)) < 0.5).astype(float)
-    # avoid the zero-row warning path here; it has its own test
+    # avoid the zero-row path here; it has its own test
     profiles[profiles.sum(axis=1) == 0, 0] = 1.0
     sim = cosine_similarity(profiles)
     assert np.all(sim >= 0.0) and np.all(sim <= 1.0)
@@ -96,9 +99,11 @@ def test_cosine_is_exactly_symmetric(layout):
             profiles = np.asfortranarray(profiles)
         elif layout == "strided":
             profiles = np.repeat(profiles, 2, axis=1)[:, ::2]
-        with pytest.warns(ZeroProfileWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             sim = cosine_similarity(profiles)
         assert np.array_equal(sim, sim.T)
+        assert sim[0, 0] == 1.0 and not sim[0, 1:].any() and not sim[1:, 0].any()
 
 
 # ---------------------------------------------------------------------------

@@ -95,3 +95,22 @@ def test_golden_bundle_writes_every_artifact_with_relative_paths(tmp_path):
         shapes = [_csv_shape(out / run / f"factor_{f}.csv") for f in factors]
         assert [rows for rows, _ in shapes[1:]] == [cols for _, cols in shapes[:-1]]
         assert [cols for _, cols in shapes[:-1]] == widths
+
+
+def test_iteration_sweep_prints_both_tables_for_the_six_defaults(tmp_path):
+    proc = _run(
+        "iteration_sweep.py", "--drugs", "24", "--viruses", "16", "--seeds", "1",
+        "--folds", "2", "--iters", "1,2", cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split("|")[1:-1] for line in proc.stdout.splitlines() if line.startswith("| ")]
+    defaults = ["entries-2", "viruses-2", "drugs-2", "entries-3", "viruses-3", "drugs-3"]
+    auc_rows, change_rows = rows[1:7], rows[8:]
+    assert [cell.strip() for cell in rows[0]] == ["default", "1", "2"]
+    assert [row[0].strip() for row in auc_rows] == defaults
+    assert all(0.0 <= float(cell) <= 1.0 for row in auc_rows for cell in row[1:])
+    assert [cell.strip() for cell in rows[7]][1:] == [
+        "‖X10 − X9‖ / ‖X10‖", "‖X101 − X100‖ / ‖X101‖", "‖X10 − X100‖ / ‖X100‖"
+    ]
+    assert [row[0].strip() for row in change_rows] == defaults
+    assert all(float(cell) > 0.0 for row in change_rows for cell in row[1:])

@@ -76,6 +76,15 @@ def test_hyperparams_validation():
     hp = HyperParams(**{**good, "dims": (4.0, np.int32(2))}, p=np.int64(3), iters=2.0)
     assert (hp.dims, hp.p, hp.iters) == ((4, 2), 3, 2)
     assert all(type(v) is int for v in (*hp.dims, hp.p, hp.iters))
+    # a bool or a value float() cannot read is rejected, naming its key; the
+    # weights are stored as floats
+    for key in ("mu", "theta", "alpha"):
+        for bad in (True, np.bool_(True), "high", None, [1.0, 2.0]):
+            with pytest.raises(ParameterError, match=f"^{key} must be a real number"):
+                HyperParams(**{**good, key: bad})
+    hp = HyperParams(mu="1", theta=np.float32(2), alpha=1, dims=(4, 2))
+    assert (hp.mu, hp.theta, hp.alpha) == (1.0, 2.0, 1.0)
+    assert all(type(v) is float for v in (hp.mu, hp.theta, hp.alpha))
 
 
 @pytest.mark.parametrize("key", ["mu", "theta"])
