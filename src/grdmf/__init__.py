@@ -35,7 +35,6 @@ from .linalg import (
     truncated_svd,
 )
 from .solver import (
-    FactorSet,
     FitResult,
     HyperParams,
     SolveTrace,
@@ -75,7 +74,6 @@ __all__ = [
     "spd_inverse",
     "sym_eigen",
     "truncated_svd",
-    "FactorSet",
     "FitResult",
     "HyperParams",
     "SolveTrace",

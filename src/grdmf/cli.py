@@ -374,9 +374,8 @@ def cmd_fit(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySet) ->
     write_matrix_csv(
         out / "completed.csv", dataset.drugs, dataset.viruses, result.x, comment
     )
-    chain = [result.factors.u1, *result.factors.middles, result.factors.v]
-    names = ["u1"] + [f"u{i + 2}" for i in range(len(result.factors.middles))] + ["v"]
-    for name, factor in zip(names, chain):
+    names = ["u1", *(f"u{i}" for i in range(2, len(result.factors))), "v"]
+    for name, factor in zip(names, result.factors):
         rows = dataset.drugs if name == "u1" else _latent_names(factor.shape[0], "k")
         cols = dataset.viruses if name == "v" else _latent_names(factor.shape[1], "k")
         write_matrix_csv(out / f"factor_{name}.csv", rows, cols, factor, comment)

@@ -24,7 +24,7 @@ from .exceptions import (
     UndefinedMetricError,
 )
 from .graphs import build_laplacian
-from .solver import HyperParams, fit
+from .solver import HyperParams, _integer, fit
 
 __all__ = [
     "FoldSplit",
@@ -154,7 +154,7 @@ def split_entries(
     m, n = shape
     if m < 1 or n < 1:
         raise ParameterError(f"degenerate shape {shape}")
-    folds = int(folds)
+    folds = _integer(folds, "folds")
     if not 2 <= folds <= m * n:
         raise ParameterError(f"folds={folds} out of range [2, {m * n}]")
     rng = np.random.default_rng(seed)
@@ -182,7 +182,7 @@ def split_axis(
     if axis not in ("rows", "cols"):
         raise ParameterError(f"axis must be 'rows' or 'cols', got {axis!r}")
     length = m if axis == "rows" else n
-    folds = int(folds)
+    folds = _integer(folds, "folds")
     if not 2 <= folds <= length:
         raise ParameterError(f"folds={folds} out of range [2, {length}]")
     rng = np.random.default_rng(seed)
@@ -258,9 +258,9 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` highest scores, highest first, ties in input order
     (stable sort). A ``k`` beyond the number of scores is clamped with a
     warning, attributed to the caller's caller."""
-    if int(k) < 1:
+    k = _integer(k, "k")
+    if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    k = int(k)
     if k > scores.size:
         warnings.warn(
             f"k={k} exceeds the {scores.size} candidates; clamping",
@@ -384,7 +384,7 @@ def run_loocv(
     recall means, with a note in the report. There is no randomness here, so
     the report carries no seeds.
     """
-    ks = [int(k) for k in ks]
+    ks = [_integer(k, "a cutoff") for k in ks]
     if any(k < 1 for k in ks):
         raise ParameterError(f"cutoffs must be >= 1, got {ks}")
     y = dataset.y

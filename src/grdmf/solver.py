@@ -37,7 +37,6 @@ from .linalg import (
 
 __all__ = [
     "HyperParams",
-    "FactorSet",
     "SolveTrace",
     "FitResult",
     "objective",
@@ -106,31 +105,15 @@ def _real(value, key: str) -> float:
 
 
 def _integer(value, what: str) -> int:
-    """``value`` as an int; a bool or a non-integral number is a
-    :class:`ParameterError`, not truncated."""
-    if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
-        raise ParameterError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-@dataclass
-class FactorSet:
-    """The factor matrices U1 (m, k1), middles [(k1, k2), ...], V (k_last, n)."""
-
-    u1: np.ndarray
-    middles: list[np.ndarray]
-    v: np.ndarray
-
-    def product(self) -> np.ndarray:
-        """Full product U1 @ middles... @ V."""
-        return reduce(np.matmul, [self.u1, *self.middles, self.v])
-
-    def copy(self) -> "FactorSet":
-        return FactorSet(
-            u1=self.u1.copy(),
-            middles=[m.copy() for m in self.middles],
-            v=self.v.copy(),
-        )
+    """``value`` as an int: an integer, an integral float or a digit string
+    such as ``"3"``. Anything else, a bool, ``2.5`` or ``"2.0"`` included, is
+    a :class:`ParameterError` naming ``what``, not truncated."""
+    try:
+        if not isinstance(value, (bool, np.bool_)) and float(value).is_integer():
+            return int(value)
+    except (TypeError, ValueError):
+        pass
+    raise ParameterError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -145,19 +128,22 @@ class SolveTrace:
 @dataclass
 class FitResult:
     x: np.ndarray
-    factors: FactorSet
+    factors: list[np.ndarray]  # the chain [U1, middles..., V]
     trace: SolveTrace
 
 
-def objective(x, factors: FactorSet, y, mask, l_d, l_v, mu: float, theta: float) -> float:
-    """Evaluate F at the given point; see the module docstring for the formula.
+def objective(
+    x, factors: Sequence[np.ndarray], y, mask, l_d, l_v, mu: float, theta: float
+) -> float:
+    """Evaluate F at the given point, ``factors`` being the chain
+    [U1, middles..., V]; see the module docstring for the formula.
 
     Only shapes are checked; a non-finite F is a ``ValueError`` giving each term."""
     if x.shape != y.shape or mask.shape != y.shape:
         raise DimensionError(
             f"x {x.shape}, y {y.shape} and mask {mask.shape} must share one shape"
         )
-    prod = factors.product()
+    prod = reduce(np.matmul, factors)
     if prod.shape != y.shape:
         raise DimensionError(
             f"factor product has shape {prod.shape}, expected {y.shape}"
@@ -169,8 +155,8 @@ def objective(x, factors: FactorSet, y, mask, l_d, l_v, mu: float, theta: float)
     data = float(np.sum((y - mask * x) ** 2))
     couple = theta * float(np.sum((x - prod) ** 2))
     reg = 2.0 * mu * (
-        float(np.vdot(factors.u1, l_d @ factors.u1))
-        + float(np.vdot(factors.v, factors.v @ l_v))
+        float(np.vdot(factors[0], l_d @ factors[0]))
+        + float(np.vdot(factors[-1], factors[-1] @ l_v))
     )
     total = data + couple + reg
     if not np.isfinite(total):
@@ -189,8 +175,8 @@ def _factor_pair(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return svd.left * root, root[:, None] * svd.right.T
 
 
-def init_factors(y, dims: Sequence[int]) -> FactorSet:
-    """SVD-based initialization of the factor chain.
+def init_factors(y, dims: Sequence[int]) -> list[np.ndarray]:
+    """SVD-based initialization of the factor chain [U1, middles..., V].
 
     A rank-k_last truncated SVD of Y supplies the outermost split
     A = U @ sqrt(S), V0 = sqrt(S) @ Vt; the left block A is then split
@@ -203,7 +189,7 @@ def init_factors(y, dims: Sequence[int]) -> FactorSet:
     """
     y = _as_matrix(y, "y")
     m, n = y.shape
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_integer(d, "a factor dimension") for d in dims)
     if len(dims) < 2:
         raise ParameterError(f"need at least two factor dimensions, got {dims}")
     if any(d < 1 for d in dims):
@@ -218,8 +204,7 @@ def init_factors(y, dims: Sequence[int]) -> FactorSet:
     for k in dims[:-1]:
         head, block = _factor_pair(block, k)
         chain.append(head)
-    chain.append(block)
-    return FactorSet(u1=chain[0], middles=chain[1:], v=v)
+    return [*chain, block, v]
 
 
 def update_x(x, product, y, mask, alpha: float, theta: float) -> np.ndarray:
@@ -317,7 +302,9 @@ def update_v(x, v_prev, head_product, coef_v: SymEigen, theta: float) -> np.ndar
     return solve_sylvester_sym(sym_eigen(a), coef_v, c)
 
 
-def fit(y, mask, l_d, l_v, hp: HyperParams, init: Optional[FactorSet] = None) -> FitResult:
+def fit(
+    y, mask, l_d, l_v, hp: HyperParams, init: Optional[Sequence[np.ndarray]] = None
+) -> FitResult:
     """Run the block-coordinate solver for ``hp.iters`` outer iterations.
 
     y     -- (m, n) observed association matrix, hidden cells zeroed
@@ -325,7 +312,8 @@ def fit(y, mask, l_d, l_v, hp: HyperParams, init: Optional[FactorSet] = None) ->
     l_d   -- (m, m) summed drug-side graph Laplacian
     l_v   -- (n, n) summed virus-side graph Laplacian
     hp    -- hyperparameters; ``hp.dims`` sets the factor chain depth
-    init  -- optional starting factors; defaults to the SVD initialization
+    init  -- optional starting chain [U1, middles..., V], copied; defaults to
+             the SVD initialization
 
     X starts at Y; each iteration updates X, then U1, then the middle factors
     left to right, then V, every block consuming the freshest values of the
@@ -333,8 +321,9 @@ def fit(y, mask, l_d, l_v, hp: HyperParams, init: Optional[FactorSet] = None) ->
     initial point included), the count of eigenvalue-flooring events and the
     wall-clock time.
 
-    ``fit`` is the boundary: y, mask (binary), l_d and l_v (symmetric) and the
-    shape of a custom init are checked here, once. A later failure, a
+    ``fit`` is the boundary: y, mask (binary), l_d and l_v (symmetric) and a
+    custom init (two or more finite factors whose widths chain from m to n)
+    are checked here, once. A later failure, a
     non-finite objective included, is a :class:`SolverError` naming the
     iteration (0 for the starting point).
 
@@ -360,13 +349,18 @@ def fit(y, mask, l_d, l_v, hp: HyperParams, init: Optional[FactorSet] = None) ->
     _require_symmetric(l_v, "l_v")
 
     if init is None:
-        factors = init_factors(y, hp.dims)
+        chain = init_factors(y, hp.dims)
     else:
-        factors = init.copy()
-        shape = factors.product().shape
-        if shape != y.shape:
-            raise DimensionError(f"init factor product has shape {shape}, expected {y.shape}")
-    u1, middles, v = factors.u1, factors.middles, factors.v
+        chain = [_as_matrix(f, f"init factor {i}").copy() for i, f in enumerate(init)]
+        if len(chain) < 2:
+            raise DimensionError(f"init must hold at least two factors, got {len(chain)}")
+        rows = m
+        for i, f in enumerate(chain):
+            if f.shape[0] != rows:
+                raise DimensionError(f"init factor {i} has {f.shape[0]} rows, expected {rows}")
+            rows = f.shape[1]
+        if rows != n:
+            raise DimensionError(f"init factor {len(chain) - 1} has {rows} columns, expected {n}")
     x = y.copy()
 
     loss: list[float] = []
@@ -377,19 +371,17 @@ def fit(y, mask, l_d, l_v, hp: HyperParams, init: Optional[FactorSet] = None) ->
                 coef_d = sym_eigen(2.0 * hp.mu * l_d + np.eye(m))
                 coef_v = sym_eigen(2.0 * hp.mu * l_v + np.eye(n))
             else:
-                product = reduce(np.matmul, [u1, *middles, v])
-                x = update_x(x, product, y, mask, hp.alpha, hp.theta)
-                tail = reduce(np.matmul, [*middles, v])
-                u1 = update_u1(x, u1, tail, coef_d, hp.theta)
-                for i in range(len(middles)):
-                    left = reduce(np.matmul, [u1, *middles[:i]])
-                    right = reduce(np.matmul, [*middles[i + 1 :], v])
-                    middles[i], floored = update_middle(x, middles[i], left, right, hp.theta)
+                x = update_x(x, reduce(np.matmul, chain), y, mask, hp.alpha, hp.theta)
+                tail = reduce(np.matmul, chain[1:])
+                chain[0] = update_u1(x, chain[0], tail, coef_d, hp.theta)
+                for i in range(1, len(chain) - 1):
+                    left = reduce(np.matmul, chain[:i])
+                    right = reduce(np.matmul, chain[i + 1 :])
+                    chain[i], floored = update_middle(x, chain[i], left, right, hp.theta)
                     floor_events += floored
-                head = reduce(np.matmul, [u1, *middles])
-                v = update_v(x, v, head, coef_v, hp.theta)
-                factors = FactorSet(u1=u1, middles=middles, v=v)
-            loss.append(objective(x, factors, y, mask, l_d, l_v, hp.mu, hp.theta))
+                head = reduce(np.matmul, chain[:-1])
+                chain[-1] = update_v(x, chain[-1], head, coef_v, hp.theta)
+            loss.append(objective(x, chain, y, mask, l_d, l_v, hp.mu, hp.theta))
         except Exception as exc:
             raise SolverError(f"iteration {it} failed: {exc}") from exc
 
@@ -398,4 +390,4 @@ def fit(y, mask, l_d, l_v, hp: HyperParams, init: Optional[FactorSet] = None) ->
         floor_events=floor_events,
         wall_time=time.perf_counter() - start,
     )
-    return FitResult(x=x, factors=FactorSet(u1=u1, middles=middles, v=v), trace=trace)
+    return FitResult(x=x, factors=chain, trace=trace)

@@ -16,7 +16,6 @@ from grdmf.exceptions import ParseError, RegistryError
 from grdmf.graphs import build_laplacian
 from grdmf.linalg import sym_eigen
 from grdmf.solver import (
-    FactorSet,
     HyperParams,
     init_factors,
     objective,
@@ -63,18 +62,16 @@ def descent_instance(seed: int):
     return y * mask, mask, l_d, l_v, hp
 
 
-def pad_chain(factors, dims):
-    """``factors`` zero-padded to the configured widths ``dims``: U1 gains
-    zero columns, each middle zero rows and columns, V zero rows. A padded
-    chain has the same product, and its zero widths make the middle update's
-    Gram matrix singular, so its eigenvalues are floored."""
-    chain = [factors.u1, *factors.middles, factors.v]
-    shapes = zip((factors.u1.shape[0], *dims), (*dims, factors.v.shape[1]))
-    padded = [
+def pad_chain(chain, dims):
+    """The factor list ``chain`` zero-padded to the configured widths
+    ``dims``: U1 gains zero columns, each middle zero rows and columns, V zero
+    rows. A padded chain has the same product, and its zero widths make the
+    middle update's Gram matrix singular, so its eigenvalues are floored."""
+    shapes = zip((chain[0].shape[0], *dims), (*dims, chain[-1].shape[1]))
+    return [
         np.pad(f, ((0, rows - f.shape[0]), (0, cols - f.shape[1])))
         for f, (rows, cols) in zip(chain, shapes)
     ]
-    return FactorSet(u1=padded[0], middles=padded[1:-1], v=padded[-1])
 
 
 def block_walk(y, mask, l_d, l_v, hp, init):
@@ -89,14 +86,11 @@ def block_walk(y, mask, l_d, l_v, hp, init):
     """
     coef_d = sym_eigen(2.0 * hp.mu * l_d + np.eye(l_d.shape[0]))
     coef_v = sym_eigen(2.0 * hp.mu * l_v + np.eye(l_v.shape[0]))
-    u1 = init.u1.copy()
-    middles = [m.copy() for m in init.middles]
-    v = init.v.copy()
+    u1, *middles, v = (f.copy() for f in init)
     x = y.copy()
 
     def f(x_, u1_, middles_, v_):
-        fs = FactorSet(u1=u1_, middles=list(middles_), v=v_)
-        return objective(x_, fs, y, mask, l_d, l_v, hp.mu, hp.theta)
+        return objective(x_, [u1_, *middles_, v_], y, mask, l_d, l_v, hp.mu, hp.theta)
 
     for _ in range(hp.iters):
         product = reduce(np.matmul, [u1, *middles, v])
@@ -273,8 +267,7 @@ def reference_fit(y, mask, l_d, l_v, hp) -> np.ndarray:
     system, vec(A@F@B) = kron(B.T, A) @ vec(F). No eigenvalue is floored.
     """
     m, n = y.shape
-    init = init_factors(y, hp.dims)
-    chain = [init.u1, *init.middles, init.v]
+    chain = init_factors(y, hp.dims)
     x = y.copy()
     for _ in range(hp.iters):
         product = reduce(np.matmul, chain)

@@ -42,7 +42,7 @@ from grdmf.data import AssociationDataset, SimilaritySet, load_association_csv, 
 from grdmf.evaluation import auc, aupr, run_cv, split_entries, topk_metrics
 from grdmf.graphs import build_laplacian, laplacian
 from grdmf.linalg import solve_sylvester_sym, sym_eigen
-from grdmf.solver import FactorSet, HyperParams, fit, init_factors, objective
+from grdmf.solver import HyperParams, fit, init_factors, objective
 from grdmf.synthetic import make_synthetic_problem, write_synthetic_csvs
 from helpers import (
     auc_oracle,
@@ -321,11 +321,7 @@ def test_three_layer_consistency():
     mu, theta, alpha = 1.0, 1.0, 0.5
 
     two = init_factors(y, (5, 3))
-    three = FactorSet(
-        u1=two.u1.copy(),
-        middles=[two.middles[0].copy(), np.eye(3)],
-        v=two.v.copy(),
-    )
+    three = [*two[:-1], np.eye(3), two[-1]]
     f2 = objective(y, two, y, mask, l_d, l_v, mu, theta)
     f3 = objective(y, three, y, mask, l_d, l_v, mu, theta)
     gap = abs(f3 - f2) / (1.0 + abs(f2))

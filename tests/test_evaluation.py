@@ -412,6 +412,22 @@ def test_run_loocv_validates_cutoffs():
         run_loocv(dataset, sims, _HP, ks=(0,))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: split_axis((6, 4), "rows", folds=3.9), "folds must be an integer, got 3.9"),
+        (lambda: split_entries((4, 4), folds=2.5), "folds must be an integer, got 2.5"),
+        (lambda: topk_metrics([0.3, 0.2, 0.1], [1, 0, 1], k=2.5), "k must be an integer"),
+        (lambda: run_loocv(*_tiny_problem(seed=6), _HP, ks=[2.5]), "a cutoff must be an integer"),
+    ],
+    ids=["split_axis", "split_entries", "topk_metrics", "run_loocv"],
+)
+def test_library_counts_are_not_truncated(call, message):
+    # a non-integral count is refused, as the CLI refuses it, not rounded down
+    with pytest.raises(ParameterError, match=f"^{message}"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # ablation
 

@@ -22,7 +22,6 @@ from grdmf.exceptions import DimensionError, ParameterError, SolverError, Symmet
 from grdmf.graphs import build_laplacian
 from grdmf.linalg import FLOOR_RATIO, sym_eigen, truncated_svd
 from grdmf.solver import (
-    FactorSet,
     HyperParams,
     fit,
     init_factors,
@@ -73,9 +72,21 @@ def test_hyperparams_validation():
     ):
         with pytest.raises(ParameterError, match="must be an integer"):
             HyperParams(**{**good, **bad})
+    # a value int() cannot read exactly is refused the same way, naming its
+    # key: "2.0" as the CLI refuses it, not a bare ValueError or TypeError
+    for field, bad, message in (
+        ("p", "2.0", "p must be an integer, got '2.0'"),
+        ("iters", "3.0", "iters must be an integer, got '3.0'"),
+        ("dims", ("4.0", 2), "a factor dimension must be an integer, got '4.0'"),
+        ("p", None, "p must be an integer, got None"),
+        ("p", "x", "p must be an integer, got 'x'"),
+    ):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            HyperParams(**{**good, field: bad})
     hp = HyperParams(**{**good, "dims": (4.0, np.int32(2))}, p=np.int64(3), iters=2.0)
     assert (hp.dims, hp.p, hp.iters) == ((4, 2), 3, 2)
     assert all(type(v) is int for v in (*hp.dims, hp.p, hp.iters))
+    assert HyperParams(**good, p="3").p == 3
     # a bool or a value float() cannot read is rejected, naming its key; the
     # weights are stored as floats
     for key in ("mu", "theta", "alpha"):
@@ -108,14 +119,15 @@ def test_hyperparams_coercion():
 
 
 def _objective_oracle(x, fs, y, mask, l_d, l_v, mu, theta):
-    prod = fs.u1
-    for mid in fs.middles:
+    u1, *middles, v = fs
+    prod = u1
+    for mid in middles:
         prod = prod @ mid
-    prod = prod @ fs.v
+    prod = prod @ v
     val = float(np.sum((y - mask * x) ** 2))
     val += theta * float(np.sum((x - prod) ** 2))
-    val += 2.0 * mu * float(np.trace(fs.u1.T @ l_d @ fs.u1))
-    val += 2.0 * mu * float(np.trace(fs.v @ l_v @ fs.v.T))
+    val += 2.0 * mu * float(np.trace(u1.T @ l_d @ u1))
+    val += 2.0 * mu * float(np.trace(v @ l_v @ v.T))
     return val
 
 
@@ -126,11 +138,11 @@ def test_objective_matches_termwise_oracle():
         y = (rng.random((m, n)) < 0.4).astype(float)
         mask = (rng.random((m, n)) < 0.8).astype(float)
         x = rng.random((m, n))
-        fs = FactorSet(
-            u1=rng.standard_normal((m, k1)),
-            middles=[rng.standard_normal((k1, k2))],
-            v=rng.standard_normal((k2, n)),
-        )
+        fs = [
+            rng.standard_normal((m, k1)),
+            rng.standard_normal((k1, k2)),
+            rng.standard_normal((k2, n)),
+        ]
         l_d = rng.random((m, m))
         l_d = 0.5 * (l_d + l_d.T)
         l_v = rng.random((n, n))
@@ -142,7 +154,7 @@ def test_objective_matches_termwise_oracle():
 
 
 def test_objective_shape_checks():
-    fs = FactorSet(u1=np.ones((3, 2)), middles=[np.ones((2, 2))], v=np.ones((2, 4)))
+    fs = [np.ones((3, 2)), np.ones((2, 2)), np.ones((2, 4))]
     y = np.zeros((3, 4))
     with pytest.raises(DimensionError):
         objective(np.zeros((3, 3)), fs, y, np.ones_like(y), np.eye(3), np.eye(4), 1, 1)
@@ -162,8 +174,8 @@ def test_init_product_equals_truncated_reconstruction():
         fs = init_factors(y, dims)
         svd = truncated_svd(y, dims[-1])
         recon = (svd.left * svd.singular) @ svd.right.T
-        assert np.allclose(fs.product(), recon, atol=1e-10)
-        shapes = [f.shape for f in (fs.u1, *fs.middles, fs.v)]
+        assert np.allclose(reduce(np.matmul, fs), recon, atol=1e-10)
+        shapes = [f.shape for f in fs]
         assert shapes == list(zip((9, *widths), (*widths, 7)))
 
 
@@ -175,8 +187,8 @@ def test_init_caps_oversized_interior_dims():
     fs = init_factors(y, (6, 3))
     svd = truncated_svd(y, 3)
     recon = (svd.left * svd.singular) @ svd.right.T
-    assert fs.u1.shape == (5, 3)
-    assert np.allclose(fs.product(), recon, atol=1e-10)
+    assert fs[0].shape == (5, 3)
+    assert np.allclose(reduce(np.matmul, fs), recon, atol=1e-10)
 
 
 def test_init_rejects_oversized_last_dim():
@@ -184,13 +196,19 @@ def test_init_rejects_oversized_last_dim():
         init_factors(np.ones((5, 4)), (3, 5))
 
 
+def test_init_rejects_non_integral_dims():
+    # HyperParams refuses these dims, so init_factors must not run them as (4, 2)
+    with pytest.raises(ParameterError, match="^a factor dimension must be an integer, got 4.7$"):
+        init_factors(np.ones((5, 4)), (4.7, 2.9))
+
+
 def test_init_is_deterministic():
     rng = np.random.default_rng(13)
     y = rng.random((8, 6))
     a = init_factors(y, (4, 2))
     b = init_factors(y, (4, 2))
-    assert np.array_equal(a.u1, b.u1)
-    assert np.array_equal(a.v, b.v)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[-1], b[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +476,9 @@ def test_widths_init_leaves_zero_stay_exactly_zero_through_fit(key):
         y, mask, l_d, l_v, hp = default_instance(key, seed)
         live = init_factors(y, hp.dims)
         init = pad_chain(live, hp.dims)
-        assert init.u1.shape[1] > live.u1.shape[1], seed
+        assert init[0].shape[1] > live[0].shape[1], seed
         padded = fit(y, mask, l_d, l_v, hp, init=init)
-        chains = zip(
-            [live.u1, *live.middles, live.v],
-            [padded.factors.u1, *padded.factors.middles, padded.factors.v],
-        )
-        for small, after in chains:
+        for small, after in zip(live, padded.factors):
             rows, cols = small.shape
             assert not after[rows:].any() and not after[:, cols:].any(), seed
         res = fit(y, mask, l_d, l_v, hp)
@@ -502,7 +516,7 @@ def test_block_descent_holds_across_the_admissible_hyperparameters(
     live = init_factors(y, hp.dims)
     for init in (live, pad_chain(live, hp.dims)):
         for label, before, after, delta_sq in block_walk(y, mask, l_d, l_v, hp, init):
-            assert after + delta_sq <= before + 1e-8, (label, init.u1.shape)
+            assert after + delta_sq <= before + 1e-8, (label, init[0].shape)
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +582,10 @@ def test_fit_matches_the_whole_fit_reference(seed, dims):
 def test_fit_respects_and_preserves_custom_init():
     y, mask, l_d, l_v, hp = descent_instance(9)
     init = init_factors(y, hp.dims)
-    u1_before = init.u1.copy()
+    before = [f.copy() for f in init]
     fit(y, mask, l_d, l_v, hp, init=init)
-    assert np.array_equal(init.u1, u1_before)  # caller's factors not mutated
+    for f, f_before in zip(init, before):  # caller's factors not mutated
+        assert np.array_equal(f, f_before)
 
 
 def test_fit_validates_inputs():
@@ -605,12 +620,19 @@ def test_fit_rejects_asymmetric_laplacian_at_entry(side):
 
 
 def test_fit_rejects_mismatched_init_at_entry():
-    # a custom init is an input too: a wrong shape is a DimensionError, not a
-    # SolverError from the starting point's objective
+    # a custom init is an input too: a wrong shape is a DimensionError naming
+    # the factor, not a SolverError from the starting point's objective or
+    # numpy's bare matmul error
     y, mask, l_d, l_v, hp = descent_instance(14)
+    m, n = y.shape
     init = init_factors(y[:, :-1], hp.dims)
-    with pytest.raises(DimensionError, match="^init factor product"):
+    with pytest.raises(DimensionError, match=f"^init factor 2 has {n - 1} columns, expected {n}$"):
         fit(y, mask, l_d, l_v, hp, init=init)
+    unchained = [np.ones((m, 4)), np.ones((3, 2)), np.ones((2, n))]
+    with pytest.raises(DimensionError, match="^init factor 1 has 3 rows, expected 4$"):
+        fit(y, mask, l_d, l_v, hp, init=unchained)
+    with pytest.raises(DimensionError, match="^init must hold at least two factors, got 1$"):
+        fit(y, mask, l_d, l_v, hp, init=[np.ones((m, n))])
 
 
 def test_fit_wraps_a_nonfinite_graph_coefficient():
@@ -727,11 +749,7 @@ def test_three_layer_extension_preserves_objective():
     y, mask, l_d, l_v, hp = descent_instance(10)
     k1, k2 = hp.dims
     two = init_factors(y, (k1, k2))
-    three = FactorSet(
-        u1=two.u1.copy(),
-        middles=[two.middles[0].copy(), np.eye(k2)],
-        v=two.v.copy(),
-    )
+    three = [*two[:-1], np.eye(k2), two[-1]]
     f2 = objective(y, two, y, mask, l_d, l_v, hp.mu, hp.theta)
     f3 = objective(y, three, y, mask, l_d, l_v, hp.mu, hp.theta)
     assert abs(f3 - f2) <= 1e-6 * (1.0 + abs(f2))
@@ -750,17 +768,4 @@ def test_three_layer_fit_runs_and_descends():
     rel = np.diff(loss[1:]) / np.maximum(loss[1:-1], 1e-30)
     assert rel.max() <= 1e-9
     assert res.x.min() >= 0.0
-    assert len(res.factors.middles) == 2
-
-
-def test_factorset_product_chains_left_to_right():
-    rng = np.random.default_rng(21)
-    u1 = rng.standard_normal((5, 4))
-    m1 = rng.standard_normal((4, 3))
-    m2 = rng.standard_normal((3, 3))
-    v = rng.standard_normal((3, 6))
-    fs = FactorSet(u1=u1, middles=[m1, m2], v=v)
-    assert np.allclose(fs.product(), reduce(np.matmul, [u1, m1, m2, v]))
-    cp = fs.copy()
-    cp.u1[0, 0] += 1.0
-    assert fs.u1[0, 0] != cp.u1[0, 0]
+    assert len(res.factors) == 4
