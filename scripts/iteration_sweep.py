@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from grdmf.cli import DEFAULT_HYPERPARAMS
-from grdmf.evaluation import run_cv, split_entries
+from grdmf.evaluation import run_cv, split_folds
 from grdmf.graphs import build_laplacian
 from grdmf.solver import HyperParams, fit
 from grdmf.synthetic import make_synthetic_problem
@@ -65,7 +65,7 @@ def main() -> None:
         print(f"| {name} | " + " | ".join(cells) + " |")
 
     y = dataset.y
-    hidden = split_entries(y.shape, folds=args.folds, seed=0)[0].hidden
+    hidden = split_folds(y.shape, "entries", args.folds, 0)[0]
     mask = np.where(hidden, 0.0, 1.0)
     print("\nRelative change of X, fold 0 of the seed-0 entries split:\n")
     print("| default | ‖X10 − X9‖ / ‖X10‖ | ‖X101 − X100‖ / ‖X101‖ | ‖X10 − X100‖ / ‖X100‖ |")

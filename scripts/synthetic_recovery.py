@@ -12,7 +12,7 @@ import argparse
 
 import numpy as np
 
-from grdmf.evaluation import auc, aupr, split_entries
+from grdmf.evaluation import auc, aupr, split_folds
 from grdmf.graphs import build_laplacian
 from grdmf.solver import HyperParams, fit
 from grdmf.synthetic import make_synthetic_problem
@@ -31,7 +31,7 @@ def run_seed(seed: int, args) -> tuple[float, float, float]:
     )
     l_d = build_laplacian(list(problem.similarities.drug.values()), hp.p)
     l_v = build_laplacian(list(problem.similarities.virus.values()), hp.p)
-    hidden = split_entries(y.shape, folds=round(1 / args.hide), seed=seed)[0].hidden
+    hidden = split_folds(y.shape, "entries", round(1 / args.hide), seed)[0]
     mask = np.where(hidden, 0.0, 1.0)
     result = fit(y * mask, mask, l_d, l_v, hp)
     scores, labels = result.x[hidden], y[hidden]

@@ -9,14 +9,12 @@ from .data import (
 )
 from .evaluation import (
     EvalReport,
-    FoldSplit,
     auc,
     aupr,
     run_ablation,
     run_cv,
     run_loocv,
-    split_axis,
-    split_entries,
+    split_folds,
     topk_metrics,
 )
 from .graphs import (
@@ -54,14 +52,12 @@ __all__ = [
     "load_profile_csv",
     "load_similarity_csv",
     "EvalReport",
-    "FoldSplit",
     "auc",
     "aupr",
     "run_ablation",
     "run_cv",
     "run_loocv",
-    "split_axis",
-    "split_entries",
+    "split_folds",
     "topk_metrics",
     "build_laplacian",
     "combine_laplacians",

@@ -37,6 +37,7 @@ from .exceptions import (
     UnknownNameError,
 )
 from .graphs import build_laplacian, cosine_similarity
+from .linalg import _integer, _real
 from .solver import FitResult, HyperParams, fit
 
 __all__ = [
@@ -101,25 +102,11 @@ def _virus_column(dataset: AssociationDataset, virus_name: str) -> int:
 # configuration resolution
 
 
-def _int(value) -> int:
-    """An integer; a bool or a non-integral number is rejected, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
-def _float(value) -> float:
-    """A real number; a bool is rejected, not read as 0.0 or 1.0."""
-    if isinstance(value, bool):
-        raise ValueError(f"{value!r} is not a number")
-    return float(value)
-
-
 def _int_tuple(value) -> tuple[int, ...]:
     """Integers from a "17,15" string or a list."""
     if isinstance(value, str):
         value = [part for part in value.split(",") if part.strip()]
-    return tuple(_int(v) for v in value)
+    return tuple(_integer(v) for v in value)
 
 
 def _combo_side(side) -> list[str]:
@@ -222,7 +209,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             return None
         try:
             return convert(value)
-        except GrdmfError:
+        except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"cannot parse {key} {value!r}: {exc}") from exc
@@ -237,7 +224,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"ablation hides entries only; got scheme {scheme!r}")
 
     dims = pick("dims", "dims", convert=_int_tuple)
-    layers = pick("layers", "layers", convert=_int)
+    layers = pick("layers", "layers", convert=_integer)
     if layers not in (None, 2, 3):
         raise ConfigError(f"layers must be 2 or 3, got {layers}")
     if layers is None:
@@ -253,12 +240,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     try:
         hyperparams = HyperParams(
-            mu=pick("mu", "mu", hp_defaults["mu"], _float),
-            theta=pick("theta", "theta", hp_defaults["theta"], _float),
-            alpha=pick("alpha", "alpha", hp_defaults["alpha"], _float),
+            mu=pick("mu", "mu", hp_defaults["mu"], _real),
+            theta=pick("theta", "theta", hp_defaults["theta"], _real),
+            alpha=pick("alpha", "alpha", hp_defaults["alpha"], _real),
             dims=dims if dims is not None else hp_defaults["dims"],
-            p=pick("p", "p", hp_defaults["p"], _int),
-            iters=pick("iters", "iters", DEFAULT_ITERS, _int),
+            p=pick("p", "p", hp_defaults["p"], _integer),
+            iters=pick("iters", "iters", DEFAULT_ITERS, _integer),
         )
     except ParameterError as exc:
         raise ConfigError(f"bad hyperparameters: {exc}") from exc
@@ -282,13 +269,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if command == "predict" and not virus:
         raise ConfigError("predict needs a virus name (--virus)")
 
-    repeats = pick("repeats", "repeats", 10, _int)
+    repeats = pick("repeats", "repeats", 10, _integer)
     if repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {repeats}")
-    seed = pick("seed", "seed", 0, _int)
+    seed = pick("seed", "seed", 0, _integer)
     if seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
-    k = pick("k", "k", 10, _int)
+    k = pick("k", "k", 10, _integer)
     if k < 1:
         raise ConfigError(f"--k must be >= 1, got {k}")
 
@@ -301,7 +288,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         virus_profile=virus_profile,
         hyperparams=hyperparams,
         scheme=scheme,
-        folds=pick("folds", "folds", 10, _int),
+        folds=pick("folds", "folds", 10, _integer),
         repeats=repeats,
         seed=seed,
         ks=pick("ks", "ks", (3, 5, 7), _int_tuple),

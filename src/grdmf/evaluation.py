@@ -24,14 +24,13 @@ from .exceptions import (
     UndefinedMetricError,
 )
 from .graphs import build_laplacian
-from .solver import HyperParams, _integer, fit
+from .linalg import _integer
+from .solver import HyperParams, fit
 
 __all__ = [
-    "FoldSplit",
     "FoldMetrics",
     "EvalReport",
-    "split_entries",
-    "split_axis",
+    "split_folds",
     "auc",
     "aupr",
     "topk_metrics",
@@ -39,16 +38,6 @@ __all__ = [
     "run_loocv",
     "run_ablation",
 ]
-
-@dataclass(frozen=True)
-class FoldSplit:
-    """One fold: the cells hidden from training, as a boolean mask of y's
-    shape, and the seed that drew it (None for a deterministic split)."""
-
-    fold_id: int
-    hidden: np.ndarray
-    seed: Optional[int] = None
-
 
 @dataclass
 class FoldMetrics:
@@ -141,60 +130,37 @@ def _str_keys(d: Optional[Mapping[int, float]]) -> Optional[dict[str, float]]:
     return {str(k): v for k, v in sorted(d.items())}
 
 
-def split_entries(
-    shape: tuple[int, int],
-    folds: int = 10,
-    seed: int = 0,
-) -> list[FoldSplit]:
-    """Partition all m*n cells into near-equal random folds.
+def split_folds(
+    shape: tuple[int, int], scheme: str, folds: int = 10, seed: int = 0
+) -> list[np.ndarray]:
+    """Partition Y's cells into near-equal random folds, one boolean mask of
+    ``shape`` per fold.
 
-    Fold sizes differ by at most one, so each fold hides about 1/folds of
-    the cells: 10% by default.
+    scheme -- "entries" hides random cells, "viruses" whole columns and
+              "drugs" whole rows
+
+    The cells, columns or rows are permuted by ``default_rng(seed)`` and split
+    into ``folds`` groups whose sizes differ by at most one, so each fold
+    hides about 1/folds of them: 10% by default.
     """
     m, n = shape
     if m < 1 or n < 1:
         raise ParameterError(f"degenerate shape {shape}")
-    folds = _integer(folds, "folds")
-    if not 2 <= folds <= m * n:
-        raise ParameterError(f"folds={folds} out of range [2, {m * n}]")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(m * n)
-    out = []
-    for f, group in enumerate(np.array_split(perm, folds)):
-        hidden = np.zeros(shape, dtype=bool)
-        hidden.flat[group] = True
-        out.append(FoldSplit(f, hidden, seed))
-    return out
-
-
-def split_axis(
-    shape: tuple[int, int],
-    axis: str,
-    folds: int = 10,
-    seed: int = 0,
-) -> list[FoldSplit]:
-    """Partition one axis into random folds; each fold hides whole lines.
-
-    ``axis="rows"`` hides every cell of the selected drug rows, and
-    ``axis="cols"`` hides whole virus columns.
-    """
-    m, n = shape
-    if axis not in ("rows", "cols"):
-        raise ParameterError(f"axis must be 'rows' or 'cols', got {axis!r}")
-    length = m if axis == "rows" else n
+    lines = {"entries": (m, n), "viruses": (1, n), "drugs": (m, 1)}
+    if scheme not in lines:
+        raise ParameterError(
+            f"scheme must be 'entries', 'viruses' or 'drugs', got {scheme!r}"
+        )
+    length = int(np.prod(lines[scheme]))
     folds = _integer(folds, "folds")
     if not 2 <= folds <= length:
         raise ParameterError(f"folds={folds} out of range [2, {length}]")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(length)
+    perm = np.random.default_rng(seed).permutation(length)
     out = []
-    for f, group in enumerate(np.array_split(perm, folds)):
-        hidden = np.zeros(shape, dtype=bool)
-        if axis == "rows":
-            hidden[group, :] = True
-        else:
-            hidden[:, group] = True
-        out.append(FoldSplit(f, hidden, seed))
+    for group in np.array_split(perm, folds):
+        hidden = np.zeros(length, dtype=bool)
+        hidden[group] = True
+        out.append(np.broadcast_to(hidden.reshape(lines[scheme]), shape).copy())
     return out
 
 
@@ -290,27 +256,29 @@ def _run_folds(
     y: np.ndarray,
     similarities: SimilaritySet,
     hp: HyperParams,
-    splits: Iterable[FoldSplit],
+    splits: Iterable[tuple[int, Optional[int], np.ndarray]],
     score: Callable[[FoldMetrics, np.ndarray, np.ndarray], list[str]],
 ) -> tuple[list[FoldMetrics], list[str]]:
     """The hide -> fit -> score loop shared by every protocol.
 
-    The Laplacians are built once; each fold trains on ``y`` with its hidden
-    cells zeroed, and ``score(record, scores, labels)`` fills in the fold's
-    metrics from the completed matrix at those cells, in row-major order, and
-    returns its notes.
+    The Laplacians are built once. Each split is a ``(fold_id, seed, hidden)``
+    triple, ``hidden`` a boolean mask of y's shape (seed None for a
+    deterministic split). Each fold trains on ``y`` with its hidden cells
+    zeroed, and ``score(record, scores, labels)`` fills in the fold's metrics
+    from the completed matrix at those cells, in row-major order, and returns
+    its notes.
     """
     l_d = build_laplacian(list(similarities.drug.values()), hp.p)
     l_v = build_laplacian(list(similarities.virus.values()), hp.p)
     per_fold: list[FoldMetrics] = []
     notes: list[str] = []
-    for split in splits:
-        mask = np.where(split.hidden, 0.0, 1.0)
+    for fold_id, seed, hidden in splits:
+        mask = np.where(hidden, 0.0, 1.0)
         # ``fit`` is this module's global, looked up per fold: tests and the
         # benchmark substitute a fit by rebinding ``grdmf.evaluation.fit``
-        scores = fit(y * mask, mask, l_d, l_v, hp).x[split.hidden]
-        labels = y[split.hidden]
-        record = FoldMetrics(split.fold_id, labels.size, int(labels.sum()), seed=split.seed)
+        scores = fit(y * mask, mask, l_d, l_v, hp).x[hidden]
+        labels = y[hidden]
+        record = FoldMetrics(fold_id, labels.size, int(labels.sum()), seed=seed)
         notes += score(record, scores, labels)
         per_fold.append(record)
     return per_fold, notes
@@ -328,7 +296,7 @@ def run_cv(
 
     scheme  -- "entries" (hide random cells), "viruses" (hide whole columns)
                or "drugs" (hide whole rows)
-    seeds   -- one repetition per seed, each a fresh k-fold split
+    seeds   -- one repetition per seed, each a fresh :func:`split_folds`
 
     Hidden cells are zeroed in both the mask and the training copy of Y; the
     completed matrix scores them against the true labels. The folds of every
@@ -337,19 +305,9 @@ def run_cv(
     Similarity matrices must already be aligned to the dataset registries.
     """
     y = dataset.y
-    if scheme not in ("entries", "viruses", "drugs"):
-        raise ParameterError(
-            f"scheme must be 'entries', 'viruses' or 'drugs', got {scheme!r}"
-        )
     seeds = list(seeds)
     if not seeds:
         raise ParameterError("run_cv needs at least one seed")
-
-    def split(seed: int) -> list[FoldSplit]:
-        if scheme == "entries":
-            return split_entries(y.shape, folds=folds, seed=seed)
-        axis = "cols" if scheme == "viruses" else "rows"
-        return split_axis(y.shape, axis, folds=folds, seed=seed)
 
     def score(record: FoldMetrics, scores: np.ndarray, labels: np.ndarray) -> list[str]:
         if record.n_positive in (0, labels.size):
@@ -366,7 +324,11 @@ def run_cv(
         return []
 
     # drawn seed by seed, so only one seed's splits are held at a time
-    splits = (s for seed in seeds for s in split(seed))
+    splits = (
+        (f, seed, hidden)
+        for seed in seeds
+        for f, hidden in enumerate(split_folds(y.shape, scheme, folds, seed))
+    )
     per_fold, notes = _run_folds(y, similarities, hp, splits, score)
     return EvalReport.from_folds(scheme, seeds, per_fold, notes)
 
@@ -389,7 +351,7 @@ def run_loocv(
         raise ParameterError(f"cutoffs must be >= 1, got {ks}")
     y = dataset.y
     m, n = y.shape
-    splits = (FoldSplit(j, np.broadcast_to(np.arange(n) == j, y.shape)) for j in range(n))
+    splits = ((j, None, np.broadcast_to(np.arange(n) == j, y.shape)) for j in range(n))
 
     def score(record: FoldMetrics, scores: np.ndarray, labels: np.ndarray) -> list[str]:
         record.name = virus = dataset.viruses[record.fold_id]

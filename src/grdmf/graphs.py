@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import DimensionError, ParameterError
-from .linalg import _as_matrix, _require_symmetric
+from .linalg import _as_matrix, _integer, _require_symmetric
 
 __all__ = [
     "cosine_similarity",
@@ -57,8 +57,7 @@ def sparsify_pnn(s, p: int) -> np.ndarray:
     s = _as_matrix(s, "similarity")
     _require_symmetric(s, "similarity")
     n = s.shape[0]
-    if not isinstance(p, (int, np.integer)):
-        raise ParameterError(f"p must be an integer, got {p!r}")
+    p = _integer(p, "p")
     if not 1 <= p <= n - 1:
         raise ParameterError(f"p={p} out of range [1, {n - 1}] for {n} entities")
     sym = 0.5 * (s + s.T)

@@ -73,6 +73,29 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _integer(value, what: str = "value") -> int:
+    """``value`` as an int: an integer, an integral float or a digit string
+    such as ``"3"``. Anything else, a bool, ``2.5`` or ``"2.0"`` included, is
+    a :class:`ParameterError` naming ``what``, not truncated."""
+    try:
+        if not isinstance(value, (bool, np.bool_)) and float(value).is_integer():
+            return int(value)
+    except (TypeError, ValueError):
+        pass
+    raise ParameterError(f"{what} must be an integer, got {value!r}")
+
+
+def _real(value, what: str = "value") -> float:
+    """``value`` as a float; a bool, or a value ``float()`` cannot read, is a
+    :class:`ParameterError` naming ``what``."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ParameterError(f"{what} must be a real number, got {value!r}")
+
+
 def _require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
@@ -102,8 +125,7 @@ def truncated_svd(a, r: int) -> TruncatedSvd:
     """
     a = _as_matrix(a, "a")
     m, n = a.shape
-    if not isinstance(r, (int, np.integer)):
-        raise ParameterError(f"rank must be an integer, got {r!r}")
+    r = _integer(r, "rank")
     if not 1 <= r <= min(m, n):
         raise ParameterError(f"rank {r} out of range [1, {min(m, n)}] for shape {a.shape}")
     u, s, vh = np.linalg.svd(a, full_matrices=False)

@@ -28,6 +28,8 @@ from .exceptions import DimensionError, ParameterError, SolverError
 from .linalg import (
     SymEigen,
     _as_matrix,
+    _integer,
+    _real,
     _require_symmetric,
     solve_sylvester_sym,
     spd_inverse,
@@ -93,29 +95,6 @@ class HyperParams:
             object.__setattr__(self, key, value)
 
 
-def _real(value, key: str) -> float:
-    """``value`` as a float; a bool, or a value ``float()`` cannot read, is a
-    :class:`ParameterError` naming ``key``."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ParameterError(f"{key} must be a real number, got {value!r}")
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an int: an integer, an integral float or a digit string
-    such as ``"3"``. Anything else, a bool, ``2.5`` or ``"2.0"`` included, is
-    a :class:`ParameterError` naming ``what``, not truncated."""
-    try:
-        if not isinstance(value, (bool, np.bool_)) and float(value).is_integer():
-            return int(value)
-    except (TypeError, ValueError):
-        pass
-    raise ParameterError(f"{what} must be an integer, got {value!r}")
-
-
 @dataclass
 class SolveTrace:
     """Per-fit diagnostics: objective values, flooring count, wall time."""
@@ -143,11 +122,8 @@ def objective(
         raise DimensionError(
             f"x {x.shape}, y {y.shape} and mask {mask.shape} must share one shape"
         )
+    _check_chain(factors, y.shape, "chain")
     prod = reduce(np.matmul, factors)
-    if prod.shape != y.shape:
-        raise DimensionError(
-            f"factor product has shape {prod.shape}, expected {y.shape}"
-        )
     if l_d.shape != (y.shape[0], y.shape[0]):
         raise DimensionError(f"l_d must be {y.shape[0]}x{y.shape[0]}, got {l_d.shape}")
     if l_v.shape != (y.shape[1], y.shape[1]):
@@ -165,6 +141,23 @@ def objective(
             f"coupling term {couple!r}, graph term {reg!r}"
         )
     return total
+
+
+def _check_chain(chain: Sequence[np.ndarray], shape: tuple[int, int], name: str) -> None:
+    """Check that ``chain`` holds two or more factors whose widths chain from
+    m to n; a break is a :class:`DimensionError` naming ``name`` and the
+    factor's index."""
+    if len(chain) < 2:
+        raise DimensionError(f"{name} must hold at least two factors, got {len(chain)}")
+    rows = shape[0]
+    for i, f in enumerate(chain):
+        if f.shape[0] != rows:
+            raise DimensionError(f"{name} factor {i} has {f.shape[0]} rows, expected {rows}")
+        rows = f.shape[1]
+    if rows != shape[1]:
+        raise DimensionError(
+            f"{name} factor {len(chain) - 1} has {rows} columns, expected {shape[1]}"
+        )
 
 
 def _factor_pair(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -352,15 +345,7 @@ def fit(
         chain = init_factors(y, hp.dims)
     else:
         chain = [_as_matrix(f, f"init factor {i}").copy() for i, f in enumerate(init)]
-        if len(chain) < 2:
-            raise DimensionError(f"init must hold at least two factors, got {len(chain)}")
-        rows = m
-        for i, f in enumerate(chain):
-            if f.shape[0] != rows:
-                raise DimensionError(f"init factor {i} has {f.shape[0]} rows, expected {rows}")
-            rows = f.shape[1]
-        if rows != n:
-            raise DimensionError(f"init factor {len(chain) - 1} has {rows} columns, expected {n}")
+        _check_chain(chain, y.shape, "init")
     x = y.copy()
 
     loss: list[float] = []

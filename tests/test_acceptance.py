@@ -27,6 +27,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import time
@@ -39,7 +40,7 @@ import grdmf
 import grdmf.evaluation
 from grdmf.cli import DEFAULT_HYPERPARAMS, main
 from grdmf.data import AssociationDataset, SimilaritySet, load_association_csv, load_similarity_csv
-from grdmf.evaluation import auc, aupr, run_cv, split_entries, topk_metrics
+from grdmf.evaluation import auc, aupr, run_cv, split_folds, topk_metrics
 from grdmf.graphs import build_laplacian, laplacian
 from grdmf.linalg import solve_sylvester_sym, sym_eigen
 from grdmf.solver import HyperParams, fit, init_factors, objective
@@ -205,7 +206,7 @@ def test_synthetic_recovery():
         y = prob.dataset.y
         l_d = build_laplacian(list(prob.similarities.drug.values()), hp.p)
         l_v = build_laplacian(list(prob.similarities.virus.values()), hp.p)
-        hidden = split_entries(y.shape, folds=10, seed=seed)[0].hidden
+        hidden = split_folds(y.shape, "entries", 10, seed)[0]
         mask = np.where(hidden, 0.0, 1.0)
         res = fit(y * mask, mask, l_d, l_v, hp)
         aucs.append(auc(res.x[hidden], y[hidden]))
@@ -435,4 +436,25 @@ def test_every_public_name_resolves():
         "public names: every __all__ entry of every grdmf module resolves",
         not missing,
         f"{len(modules)} modules, missing {missing}",
+    )
+
+
+def test_readme_python_examples_run(tmp_path):
+    # a deleted or renamed public name fails here instead of leaving the
+    # README's examples stale; each fenced python block runs on its own
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+    env = dict(os.environ, PYTHONPATH=str(Path(grdmf.__file__).parents[1]))
+    failed = []
+    for i, code in enumerate(blocks):
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        if proc.returncode != 0:
+            failed.append(f"block {i}: {proc.stderr.strip().splitlines()[-1]}")
+    _report(
+        "README: every python example runs",
+        bool(blocks) and not failed,
+        f"{len(blocks)} blocks, failed {failed}",
     )

@@ -23,8 +23,7 @@ from grdmf.evaluation import (
     run_ablation,
     run_cv,
     run_loocv,
-    split_axis,
-    split_entries,
+    split_folds,
     topk_metrics,
 )
 from grdmf.exceptions import (
@@ -41,63 +40,85 @@ from helpers import auc_oracle, aupr_oracle, random_scores_labels, topk_oracle
 # fold construction
 
 
-def _assert_partition(splits, shape):
-    for split in splits:
-        assert split.hidden.dtype == bool and split.hidden.shape == shape
+SCHEMES = ["entries", "viruses", "drugs"]
+
+
+def _lines(shape, scheme):
+    """The number of cells, columns or rows a scheme permutes."""
+    m, n = shape
+    return {"entries": m * n, "viruses": n, "drugs": m}[scheme]
+
+
+def _hidden_lines(hidden, scheme):
+    """The number of cells, columns or rows one mask hides."""
+    if scheme == "entries":
+        return int(hidden.sum())
+    return int(hidden.any(axis=0 if scheme == "viruses" else 1).sum())
+
+
+def _assert_partition(masks, shape):
+    for hidden in masks:
+        assert hidden.dtype == bool and hidden.shape == shape
     # the masks are disjoint and together cover every cell
-    assert np.all(sum(split.hidden.astype(int) for split in splits) == 1)
+    assert np.all(sum(hidden.astype(int) for hidden in masks) == 1)
 
 
-def test_split_entries_partitions_all_cells():
-    splits = split_entries((7, 5), folds=4, seed=0)
-    assert len(splits) == 4
-    _assert_partition(splits, (7, 5))
-    sizes = [int(s.hidden.sum()) for s in splits]
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_split_folds_partition_the_cells(scheme):
+    masks = split_folds((7, 5), scheme, folds=4, seed=0)
+    assert len(masks) == 4
+    _assert_partition(masks, (7, 5))
+    sizes = [_hidden_lines(hidden, scheme) for hidden in masks]
+    assert sum(sizes) == _lines((7, 5), scheme)
     assert max(sizes) - min(sizes) <= 1
 
 
-def test_split_entries_default_fraction_gives_ten_folds():
-    splits = split_entries((86, 23), seed=1)
-    assert len(splits) == 10
-    sizes = {int(s.hidden.sum()) for s in splits}
-    assert sizes == {197, 198}  # 1978 cells over 10 folds
-    _assert_partition(splits, (86, 23))
+@pytest.mark.parametrize(
+    "scheme, sizes",
+    # 1978 cells, 23 viruses or 86 drugs over 10 folds
+    [("entries", {197, 198}), ("viruses", {2, 3}), ("drugs", {8, 9})],
+    ids=SCHEMES,
+)
+def test_split_folds_default_gives_ten_near_equal_folds(scheme, sizes):
+    masks = split_folds((86, 23), scheme, seed=1)
+    assert len(masks) == 10
+    assert {_hidden_lines(hidden, scheme) for hidden in masks} == sizes
+    _assert_partition(masks, (86, 23))
 
 
-def test_split_entries_seeded_determinism():
-    a = split_entries((6, 6), folds=3, seed=7)
-    b = split_entries((6, 6), folds=3, seed=7)
-    c = split_entries((6, 6), folds=3, seed=8)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_split_folds_seeded_determinism(scheme):
+    a = split_folds((6, 6), scheme, folds=3, seed=7)
+    b = split_folds((6, 6), scheme, folds=3, seed=7)
+    c = split_folds((6, 6), scheme, folds=3, seed=8)
     for x, y in zip(a, b):
-        assert np.array_equal(x.hidden, y.hidden)
-    assert any(not np.array_equal(x.hidden, y.hidden) for x, y in zip(a, c))
+        assert np.array_equal(x, y)
+    assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
 
-def test_split_entries_validation():
-    with pytest.raises(ParameterError):
-        split_entries((4, 4), folds=1)
-    with pytest.raises(ParameterError):
-        split_entries((4, 4), folds=17)
-    with pytest.raises(ParameterError):
-        split_entries((0, 4))
+@pytest.mark.parametrize("scheme", ["viruses", "drugs"])
+def test_split_folds_hides_whole_lines(scheme):
+    axis = 0 if scheme == "viruses" else 1
+    masks = split_folds((8, 5), scheme, folds=2, seed=3)
+    _assert_partition(masks, (8, 5))
+    for hidden in masks:
+        # a line is hidden in every cell or in none
+        assert np.array_equal(hidden.any(axis=axis), hidden.all(axis=axis))
 
 
-def test_split_axis_hides_whole_lines():
-    m, n = 8, 5
-    for axis, count in (("rows", m), ("cols", n)):
-        splits = split_axis((m, n), axis, folds=2, seed=3)
-        _assert_partition(splits, (m, n))
-        for split in splits:
-            lines = split.hidden.any(axis=1 if axis == "rows" else 0)
-            expected = lines.sum() * (n if axis == "rows" else m)
-            assert split.hidden.sum() == expected
-
-
-def test_split_axis_validation():
-    with pytest.raises(ParameterError):
-        split_axis((4, 4), "diagonal")
-    with pytest.raises(ParameterError):
-        split_axis((4, 4), "rows", folds=5)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_split_folds_validation(scheme):
+    shape = (4, 3)
+    length = _lines(shape, scheme)
+    assert len(split_folds(shape, scheme, folds=length)) == length
+    with pytest.raises(ParameterError, match=r"^folds=1 out of range \[2, "):
+        split_folds(shape, scheme, folds=1)
+    with pytest.raises(ParameterError, match=rf"^folds={length + 1} out of range \[2, {length}\]$"):
+        split_folds(shape, scheme, folds=length + 1)
+    with pytest.raises(ParameterError, match=r"^degenerate shape \(0, 4\)$"):
+        split_folds((0, 4), scheme)
+    with pytest.raises(ParameterError, match=r"^degenerate shape \(4, 0\)$"):
+        split_folds((4, 0), scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +427,20 @@ def test_run_loocv_all_positive_virus_skips_rank_metrics(monkeypatch):
     assert report.auc == pytest.approx(1.0)
 
 
+def test_run_cv_refuses_an_unknown_scheme_before_any_fit(monkeypatch):
+    def no_fit(*args):
+        raise AssertionError("a fold was fitted under an unknown scheme")
+
+    monkeypatch.setattr(grdmf.evaluation, "fit", no_fit)
+    dataset, sims = _tiny_problem(seed=1)
+    for scheme in ("rows", "cols", "loo"):
+        message = f"^scheme must be 'entries', 'viruses' or 'drugs', got '{scheme}'$"
+        with pytest.raises(ParameterError, match=message):
+            split_folds(dataset.y.shape, scheme, folds=2)
+        with pytest.raises(ParameterError, match=message):
+            run_cv(dataset, sims, scheme, _HP, folds=2)
+
+
 def test_run_loocv_validates_cutoffs():
     dataset, sims = _tiny_problem(seed=6)
     with pytest.raises(ParameterError):
@@ -415,12 +450,12 @@ def test_run_loocv_validates_cutoffs():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: split_axis((6, 4), "rows", folds=3.9), "folds must be an integer, got 3.9"),
-        (lambda: split_entries((4, 4), folds=2.5), "folds must be an integer, got 2.5"),
+        (lambda: split_folds((6, 4), "drugs", folds=3.9), "folds must be an integer, got 3.9"),
+        (lambda: split_folds((4, 4), "entries", folds=2.5), "folds must be an integer, got 2.5"),
         (lambda: topk_metrics([0.3, 0.2, 0.1], [1, 0, 1], k=2.5), "k must be an integer"),
         (lambda: run_loocv(*_tiny_problem(seed=6), _HP, ks=[2.5]), "a cutoff must be an integer"),
     ],
-    ids=["split_axis", "split_entries", "topk_metrics", "run_loocv"],
+    ids=["split_folds-drugs", "split_folds-entries", "topk_metrics", "run_loocv"],
 )
 def test_library_counts_are_not_truncated(call, message):
     # a non-integral count is refused, as the CLI refuses it, not rounded down

@@ -165,6 +165,15 @@ def test_sparsify_p_bounds():
         sparsify_pnn(s, 4)
     with pytest.raises(ParameterError):
         sparsify_pnn(s, 1.5)
+    # a bool is not a count, though int(True) == 1; an integral float is one
+    for flag in (True, np.True_):
+        with pytest.raises(ParameterError, match="^p must be an integer, got "):
+            sparsify_pnn(s, flag)
+        with pytest.raises(ParameterError, match="^p must be an integer, got "):
+            build_laplacian([s], flag)
+    s = np.random.default_rng(3).random((4, 4))
+    s = s + s.T
+    assert np.array_equal(sparsify_pnn(s, 2.0), sparsify_pnn(s, 2))
 
 
 def test_sparsify_rejects_asymmetric():

@@ -91,6 +91,9 @@ def test_svd_rank_bounds():
         truncated_svd(a, 4)
     with pytest.raises(ParameterError):
         truncated_svd(a, 1.5)
+    for flag in (True, np.True_):  # not rank 1
+        with pytest.raises(ParameterError, match="^rank must be an integer, got "):
+            truncated_svd(a, flag)
 
 
 # ---------------------------------------------------------------------------

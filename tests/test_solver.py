@@ -160,6 +160,16 @@ def test_objective_shape_checks():
         objective(np.zeros((3, 3)), fs, y, np.ones_like(y), np.eye(3), np.eye(4), 1, 1)
     with pytest.raises(DimensionError):
         objective(y, fs, y, np.ones_like(y), np.eye(4), np.eye(4), 1, 1)
+    # a chain whose widths break, or a single factor, is named by index, not
+    # left to numpy's bare matmul error or scored as both U1 and V
+    x = np.zeros((12, 7))
+    args = (x, x, np.eye(12), np.eye(7), 1, 1)
+    with pytest.raises(DimensionError, match="^chain factor 1 has 3 rows, expected 4$"):
+        objective(x, [np.ones((12, 4)), np.ones((3, 2)), np.ones((2, 7))], *args)
+    with pytest.raises(DimensionError, match="^chain must hold at least two factors, got 1$"):
+        objective(x, [np.ones((12, 7))], *args)
+    with pytest.raises(DimensionError, match="^chain factor 1 has 6 columns, expected 7$"):
+        objective(x, [np.ones((12, 4)), np.ones((4, 6))], *args)
 
 
 # ---------------------------------------------------------------------------
