@@ -17,13 +17,7 @@ from .evaluation import (
     split_folds,
     topk_metrics,
 )
-from .graphs import (
-    build_laplacian,
-    combine_laplacians,
-    cosine_similarity,
-    laplacian,
-    sparsify_pnn,
-)
+from .graphs import build_laplacian, cosine_similarity, sparsify_pnn
 from .linalg import (
     SymEigen,
     TruncatedSvd,
@@ -60,9 +54,7 @@ __all__ = [
     "split_folds",
     "topk_metrics",
     "build_laplacian",
-    "combine_laplacians",
     "cosine_similarity",
-    "laplacian",
     "sparsify_pnn",
     "SymEigen",
     "TruncatedSvd",

@@ -30,12 +30,7 @@ from .data import (
     write_matrix_csv,
 )
 from .evaluation import _top_k, run_ablation, run_cv, run_loocv
-from .exceptions import (
-    ConfigError,
-    GrdmfError,
-    ParameterError,
-    UnknownNameError,
-)
+from .exceptions import ConfigError, GrdmfError, ParameterError
 from .graphs import build_laplacian, cosine_similarity
 from .linalg import _integer, _real
 from .solver import FitResult, HyperParams, fit
@@ -92,7 +87,7 @@ class RunConfig:
 
 def _virus_column(dataset: AssociationDataset, virus_name: str) -> int:
     if virus_name not in dataset.viruses:
-        raise UnknownNameError(
+        raise ConfigError(
             f"unknown virus {virus_name!r}; the dataset has {len(dataset.viruses)} viruses"
         )
     return dataset.viruses.index(virus_name)
@@ -491,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dims", help="factor dimensions, e.g. 17,15 or 23,10,7")
         p.add_argument("--layers", type=int, choices=(2, 3), help="factor depth for defaults")
         p.add_argument("--iters", type=int, help="outer iterations")
-        p.add_argument("--seed", type=int, help="base RNG seed")
         p.add_argument("--out", help="output directory")
 
     p_fit = sub.add_parser("fit", help="fit on all observed data, emit the completed matrix")
@@ -510,6 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cv.add_argument("--folds", type=int, help="fold count (default 10)")
     p_cv.add_argument("--repeats", type=int, help="repetitions with derived seeds (default 10)")
+    p_cv.add_argument("--seed", type=int, help="seed of the first repeat's folds (default 0)")
     p_cv.add_argument("--ks", help="cutoffs for loo Pre@k/Rec@k, e.g. 3,5,7")
 
     p_ab = sub.add_parser("ablation", help="compare similarity-source combinations")
@@ -521,6 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ab.add_argument("--folds", type=int, help="fold count (default 10)")
     p_ab.add_argument("--repeats", type=int, help="repetitions with derived seeds (default 10)")
+    p_ab.add_argument("--seed", type=int, help="seed of the first repeat's folds (default 0)")
 
     return parser
 

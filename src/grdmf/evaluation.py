@@ -73,7 +73,6 @@ class FoldMetrics:
 class EvalReport:
     """Aggregated evaluation results for one protocol run."""
 
-    scheme: str
     seeds: list[int]
     auc: Optional[float]
     aupr: Optional[float]
@@ -84,8 +83,7 @@ class EvalReport:
 
     @classmethod
     def from_folds(
-        cls, scheme: str, seeds: Sequence[int],
-        per_fold: Sequence[FoldMetrics], notes: Sequence[str],
+        cls, seeds: Sequence[int], per_fold: Sequence[FoldMetrics], notes: Sequence[str]
     ) -> "EvalReport":
         """Aggregate folds: each metric is its mean over the non-skipped
         folds that carry it, or absent (None for AUC/AUPR) if none does."""
@@ -100,7 +98,6 @@ class EvalReport:
             return {k: mean([t[k] for t in tables if k in t]) for k in keys}
 
         return cls(
-            scheme=scheme,
             seeds=list(seeds),
             auc=mean([f.auc for f in kept if f.auc is not None]),
             aupr=mean([f.aupr for f in kept if f.aupr is not None]),
@@ -330,7 +327,7 @@ def run_cv(
         for f, hidden in enumerate(split_folds(y.shape, scheme, folds, seed))
     )
     per_fold, notes = _run_folds(y, similarities, hp, splits, score)
-    return EvalReport.from_folds(scheme, seeds, per_fold, notes)
+    return EvalReport.from_folds(seeds, per_fold, notes)
 
 
 def run_loocv(
@@ -368,7 +365,7 @@ def run_loocv(
         return []
 
     per_virus, notes = _run_folds(y, similarities, hp, splits, score)
-    return EvalReport.from_folds("loo", [], per_virus, notes)
+    return EvalReport.from_folds([], per_virus, notes)
 
 
 def run_ablation(

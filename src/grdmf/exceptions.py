@@ -33,10 +33,6 @@ class RegistryError(GrdmfError, ValueError):
     """Entity name registries are inconsistent (duplicates, mismatched sets)."""
 
 
-class UnknownNameError(GrdmfError, KeyError):
-    """A requested entity or similarity name is not in the registry."""
-
-
 class ConfigError(GrdmfError, ValueError):
     """A run configuration is incomplete or inconsistent."""
 

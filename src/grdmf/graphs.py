@@ -1,7 +1,8 @@
 """Similarity graphs and the Laplacians that regularize the factor matrices.
 
 The pipeline is: binary feature profiles -> cosine similarity -> p-nearest
-neighbour sparsification -> graph Laplacian -> entrywise sum over graphs.
+neighbour sparsification -> one graph Laplacian per similarity, summed
+entrywise. :func:`build_laplacian` runs it from the similarities on.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from .linalg import _as_matrix, _integer, _require_symmetric
 __all__ = [
     "cosine_similarity",
     "sparsify_pnn",
-    "laplacian",
-    "combine_laplacians",
     "build_laplacian",
 ]
 
@@ -34,14 +33,12 @@ def cosine_similarity(indicator) -> np.ndarray:
     if (indicator < 0.0).any():
         raise ParameterError("indicator matrix must be nonnegative")
     norms = np.sqrt((indicator * indicator).sum(axis=1))
-    zero_rows = np.flatnonzero(norms == 0.0)
     safe = np.where(norms == 0.0, 1.0, norms)
     # on one contiguous operand numpy forms a @ a.T with syrk, which fills
-    # one triangle and mirrors it, so the ratio is exactly symmetric
+    # one triangle and mirrors it, so the ratio is exactly symmetric; a zero
+    # row's products are exactly 0, so it is 0 to every other row
     indicator = np.ascontiguousarray(indicator)
     sim = (indicator @ indicator.T) / np.outer(safe, safe)
-    sim[zero_rows, :] = 0.0
-    sim[:, zero_rows] = 0.0
     np.clip(sim, 0.0, 1.0, out=sim)
     np.fill_diagonal(sim, 1.0)
     return sim
@@ -73,42 +70,22 @@ def sparsify_pnn(s, p: int) -> np.ndarray:
     return out
 
 
-def laplacian(s) -> np.ndarray:
-    """Graph Laplacian ``L = D - S`` with degrees ``D_ii = sum_j S_ij``.
-
-    The degree sum runs over every column including the diagonal, so row sums
-    of ``L`` vanish and ``x.T @ L @ x == 0.5 * sum_ij S_ij (x_i - x_j)^2``.
-    ``s`` is trusted to be symmetric, as :func:`sparsify_pnn` returns it.
-    """
-    s = np.asarray(s, dtype=float)
-    return np.diag(s.sum(axis=1)) - s
-
-
-def combine_laplacians(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """Entrywise sum of Laplacians over several graphs on the same entities.
-
-    A single Laplacian is returned as it is, not copied.
-    """
-    if len(parts) == 0:
-        raise ParameterError("need at least one Laplacian to combine")
-    mats = [np.asarray(p, dtype=float) for p in parts]
-    shape = mats[0].shape
-    for i, m in enumerate(mats):
-        if m.shape != shape:
-            raise DimensionError(
-                f"laplacian {i} has shape {m.shape}, expected {shape}"
-            )
-    return sum(mats[1:], mats[0])
-
-
 def build_laplacian(similarities: Sequence[np.ndarray], p: int) -> np.ndarray:
-    """Sparsify each similarity with ``p`` neighbours, then sum the Laplacians.
+    """Sum of the graph Laplacians of the similarities, each kept to ``p`` neighbours.
+
+    Each similarity is sparsified by :func:`sparsify_pnn`, and its Laplacian is
+    ``L = D - S`` with degrees ``D_ii = sum_j S_ij`` over every column, the
+    diagonal included. So the rows of each ``L`` sum to 0 and
+    ``x.T @ L @ x == 0.5 * sum_ij S_ij (x_i - x_j)^2``. The sum runs left to
+    right, starting from the first Laplacian itself; one similarity gives its
+    Laplacian as it is.
 
     Every weight must be nonnegative: a negative one makes the Laplacian
     indefinite, and the solver would fail on it only inside an iteration.
     :func:`sparsify_pnn` is the one check of the rest: 2-D, finite, symmetric.
+    There must be at least one similarity, and all must have one size.
     """
-    parts = []
+    total = None
     for i, s in enumerate(similarities):
         s = np.asarray(s, dtype=float)
         if (s < 0.0).any():
@@ -116,5 +93,16 @@ def build_laplacian(similarities: Sequence[np.ndarray], p: int) -> np.ndarray:
                 f"similarity {i} has a negative weight ({np.nanmin(s):g}); "
                 "graph weights must be nonnegative"
             )
-        parts.append(laplacian(sparsify_pnn(s, p)))
-    return combine_laplacians(parts)
+        s = sparsify_pnn(s, p)
+        lap = np.diag(s.sum(axis=1)) - s
+        if total is None:
+            total = lap
+        elif lap.shape != total.shape:
+            raise DimensionError(
+                f"similarity {i} has shape {s.shape}, expected {total.shape}"
+            )
+        else:
+            total += lap
+    if total is None:
+        raise ParameterError("need at least one similarity to build a Laplacian from")
+    return total

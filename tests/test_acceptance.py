@@ -41,7 +41,7 @@ import grdmf.evaluation
 from grdmf.cli import DEFAULT_HYPERPARAMS, main
 from grdmf.data import AssociationDataset, SimilaritySet, load_association_csv, load_similarity_csv
 from grdmf.evaluation import auc, aupr, run_cv, split_folds, topk_metrics
-from grdmf.graphs import build_laplacian, laplacian
+from grdmf.graphs import build_laplacian
 from grdmf.linalg import solve_sylvester_sym, sym_eigen
 from grdmf.solver import HyperParams, fit, init_factors, objective
 from grdmf.synthetic import make_synthetic_problem, write_synthetic_csvs
@@ -103,7 +103,7 @@ def test_laplacian_quadratic_identity():
         s = rng.random((n, n))
         s = 0.5 * (s + s.T)
         u = rng.standard_normal((n, k))
-        quad = float(np.trace(u.T @ laplacian(s) @ u))
+        quad = float(np.trace(u.T @ build_laplacian([s], n - 1) @ u))
         pairwise = 0.5 * sum(
             s[i, j] * float(np.sum((u[i] - u[j]) ** 2))
             for i in range(n)

@@ -7,6 +7,7 @@ on exit codes and on the artifacts the commands leave behind.
 import csv
 import dataclasses
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -175,8 +176,20 @@ def test_predict_unknown_virus_fails_cleanly(bundle, tmp_path, monkeypatch, capl
     out = tmp_path / "predbad"
     args = ["predict", *_base_args(bundle, out), "--virus", "no-such-virus"]
     assert main(args) == 1
-    assert "unknown virus 'no-such-virus'" in caplog.text
+    # logged as every other error is, not as a KeyError's quoted repr
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == ["unknown virus 'no-such-virus'; the dataset has 6 viruses"]
     assert not (out / "recommendations.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "predict"])
+def test_seed_is_refused_where_no_folds_are_drawn(bundle, tmp_path, capsys, command):
+    # only cv and ablation draw folds; a seed anywhere else would change nothing
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_base_args(bundle, tmp_path / "out"), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("k", [0, -3])

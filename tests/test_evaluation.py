@@ -235,7 +235,6 @@ def test_run_cv_perfect_scores_give_perfect_metrics(monkeypatch):
         assert fold.aupr == pytest.approx(1.0)
     assert report.auc == pytest.approx(1.0)
     assert report.aupr == pytest.approx(1.0)
-    assert report.scheme == "entries"
     assert report.seeds == [0]
 
 
@@ -345,7 +344,7 @@ def test_run_cv_seeds_concatenate_their_folds_under_one_aggregation(a, b):
     assert [f.seed for f in both.per_fold] == [a] * 4 + [b] * 4
     assert [f.to_dict() for f in both.per_fold] == [f.to_dict() for f in folds]
     assert any(f.skipped for f in folds) and not all(f.skipped for f in folds)
-    pooled = EvalReport.from_folds("entries", [a, b], folds, notes)
+    pooled = EvalReport.from_folds([a, b], folds, notes)
     assert both.to_dict() == pooled.to_dict()
 
 
@@ -363,7 +362,6 @@ def test_run_loocv_perfect_oracle_hits_the_combinatorial_bound(monkeypatch):
     monkeypatch.setattr(grdmf.evaluation, "fit", oracle)
     ks = (2, 3)
     report = run_loocv(dataset, sims, _HP, ks=ks)
-    assert report.scheme == "loo"
     assert report.seeds == []
     assert len(report.per_fold) == len(dataset.viruses)
     m = truth.shape[0]

@@ -18,13 +18,7 @@ from grdmf.exceptions import (
     ParameterError,
     SymmetryError,
 )
-from grdmf.graphs import (
-    build_laplacian,
-    combine_laplacians,
-    cosine_similarity,
-    laplacian,
-    sparsify_pnn,
-)
+from grdmf.graphs import build_laplacian, cosine_similarity, sparsify_pnn
 
 # ---------------------------------------------------------------------------
 # cosine_similarity
@@ -49,13 +43,16 @@ def test_cosine_hand_values():
 
 def test_cosine_zero_profile_isolates_without_warning():
     # all-zero rows are warned of where a profile loads, naming its file
-    profiles = np.array([[1.0, 1.0], [0.0, 0.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        sim = cosine_similarity(profiles)
-    assert sim[0, 1] == 0.0
-    assert sim[1, 0] == 0.0
-    assert sim[1, 1] == 1.0  # self-similarity stays defined
+    for zero in (0.0, -0.0):
+        profiles = np.array([[1.0, 1.0], [zero, zero], [0.5, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sim = cosine_similarity(profiles)
+        assert sim[0, 1] == 0.0
+        assert sim[1, 0] == 0.0
+        assert sim[1, 1] == 1.0  # self-similarity stays defined
+        # a signed zero row is still +0.0 to the others, with no write of its own
+        assert not np.signbit(sim).any()
 
 
 def test_cosine_rejects_negative_and_nonfinite_rows():
@@ -183,7 +180,10 @@ def test_sparsify_rejects_asymmetric():
 
 
 # ---------------------------------------------------------------------------
-# laplacian
+# the Laplacian of one graph
+#
+# An exactly symmetric similarity of size n keeps every weight at p = n - 1,
+# so build_laplacian([s], n - 1) is D - S of s itself.
 
 
 def test_laplacian_quadratic_form_identity():
@@ -194,7 +194,8 @@ def test_laplacian_quadratic_form_identity():
         s = rng.random((n, n))
         s = 0.5 * (s + s.T)
         u = rng.standard_normal((n, k))
-        lap = laplacian(s)
+        lap = build_laplacian([s], n - 1)
+        assert np.array_equal(lap, np.diag(s.sum(axis=1)) - s)
         quad = float(np.trace(u.T @ lap @ u))
         pairwise = 0.0
         for i in range(n):
@@ -208,14 +209,14 @@ def test_laplacian_rows_sum_to_zero_and_psd():
     rng = np.random.default_rng(7)
     s = rng.random((8, 8))
     s = 0.5 * (s + s.T)
-    lap = laplacian(s)
+    lap = build_laplacian([s], 7)
     assert np.allclose(lap.sum(axis=1), 0.0, atol=1e-12)
     assert np.linalg.eigvalsh(lap).min() >= -1e-10
 
 
 def test_laplacian_of_diagonal_similarity_is_zero():
     # self-loops contribute to the degree and cancel against -S exactly
-    lap = laplacian(np.diag([1.0, 2.0, 0.5]))
+    lap = build_laplacian([np.diag([1.0, 2.0, 0.5])], 2)
     assert np.allclose(lap, 0.0)
 
 
@@ -236,10 +237,10 @@ def _symmetric_similarities(draw):
 @settings(max_examples=60, deadline=None)
 @given(_symmetric_similarities())
 def test_sparsified_laplacian_is_symmetric_balanced_and_psd(s):
-    # what laplacian must deliver on every graph sparsify_pnn can hand it,
-    # now that it trusts its input instead of checking it
+    # what the Laplacian must be on every graph sparsify_pnn can hand it,
+    # since it is formed from that graph without a second check
     for p in range(1, s.shape[0]):
-        lap = laplacian(sparsify_pnn(s, p))
+        lap = build_laplacian([s], p)
         scale = 1.0 + np.linalg.norm(lap)
         assert np.array_equal(lap, lap.T)
         assert np.abs(lap.sum(axis=1)).max() <= 1e-12 * scale
@@ -247,32 +248,36 @@ def test_sparsified_laplacian_is_symmetric_balanced_and_psd(s):
 
 
 # ---------------------------------------------------------------------------
-# combining
+# combining graphs
 
 
 def test_combine_sums_entrywise():
-    a = np.eye(3)
-    b = np.full((3, 3), 2.0)
-    assert np.array_equal(combine_laplacians([a, b]), a + b)
-    assert np.array_equal(combine_laplacians([a]), a)
+    # several similarities give exactly the sum of their single builds
+    rng = np.random.default_rng(8)
+    sims = []
+    for _ in range(3):
+        s = rng.random((6, 6))
+        sims.append(0.5 * (s + s.T))
+    singles = [build_laplacian([s], 2) for s in sims]
+    assert np.array_equal(build_laplacian(sims[:2], 2), singles[0] + singles[1])
+    assert np.array_equal(build_laplacian(sims, 2), singles[0] + singles[1] + singles[2])
 
 
 def test_combine_validates():
-    with pytest.raises(ParameterError):
-        combine_laplacians([])
-    with pytest.raises(DimensionError):
-        combine_laplacians([np.eye(2), np.eye(3)])
+    with pytest.raises(ParameterError, match="^need at least one similarity"):
+        build_laplacian([], 2)
+    message = r"^similarity 1 has shape \(3, 3\), expected \(2, 2\)$"
+    with pytest.raises(DimensionError, match=message):
+        build_laplacian([np.eye(2), np.eye(3)], 1)
 
 
 def test_build_laplacian_is_the_composition():
+    # the Laplacian D - S of the sparsified graph, degrees over every column
     rng = np.random.default_rng(8)
-    sims = []
-    for _ in range(2):
-        s = rng.random((6, 6))
-        sims.append(0.5 * (s + s.T))
-    built = build_laplacian(sims, 2)
-    manual = combine_laplacians([laplacian(sparsify_pnn(s, 2)) for s in sims])
-    assert np.array_equal(built, manual)
+    s = rng.random((6, 6))
+    s = 0.5 * (s + s.T)
+    graph = sparsify_pnn(s, 2)
+    assert np.array_equal(build_laplacian([s], 2), np.diag(graph.sum(axis=1)) - graph)
 
 
 def test_build_laplacian_rejects_negative_weights():
@@ -289,8 +294,8 @@ def test_build_laplacian_rejects_negative_weights():
 
 
 def test_build_laplacian_checks_each_similarity_once(monkeypatch):
-    # sparsify_pnn is the one check of a similarity; the negativity check,
-    # laplacian and combine_laplacians trust what it has already scanned
+    # sparsify_pnn is the one check of a similarity; the negativity check
+    # and the Laplacian sum trust what it has already scanned
     counts = {"_as_matrix": 0, "_require_symmetric": 0}
     for name in counts:
         original = getattr(grdmf.graphs, name)

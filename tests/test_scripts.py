@@ -1,15 +1,21 @@
 """The scripts under ``scripts/``, run as a user runs them, at tiny sizes."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from grdmf.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "manifest.json"
 
 
 def _run(*argv, cwd):
@@ -21,6 +27,27 @@ def _run(*argv, cwd):
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def _blas() -> str:
+    """Name and version of the BLAS numpy was built against."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.25 has no "dicts" mode
+        return "unknown"
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
+def golden_manifest(out: Path) -> dict:
+    """The numpy and BLAS in use, and the SHA-256 of every file under ``out``."""
+    return {
+        "numpy": np.__version__,
+        "blas": _blas(),
+        "sha256": {
+            p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file()
+        },
+    }
 
 
 def _csv_shape(path):
@@ -96,6 +123,18 @@ def test_golden_bundle_writes_every_artifact_with_relative_paths(tmp_path):
         assert [rows for rows, _ in shapes[1:]] == [cols for _, cols in shapes[:-1]]
         assert [cols for _, cols in shapes[:-1]] == widths
 
+    # every artifact, inputs included, is byte-identical to the committed
+    # manifest; the bytes are only pinned for the numpy and BLAS it was made on
+    want, have = json.loads(GOLDEN.read_text()), golden_manifest(out)
+    if (want["numpy"], want["blas"]) != (have["numpy"], have["blas"]):
+        pytest.skip(
+            f"golden digests were made under numpy {want['numpy']} with {want['blas']}; "
+            f"this is numpy {have['numpy']} with {have['blas']}"
+        )
+    files = want["sha256"].keys() | have["sha256"].keys()
+    changed = sorted(f for f in files if want["sha256"].get(f) != have["sha256"].get(f))
+    assert not changed, f"golden artifacts differ from {GOLDEN.name}: {changed}"
+
 
 def test_iteration_sweep_prints_both_tables_for_the_six_defaults(tmp_path):
     proc = _run(
@@ -114,3 +153,15 @@ def test_iteration_sweep_prints_both_tables_for_the_six_defaults(tmp_path):
     ]
     assert [row[0].strip() for row in change_rows] == defaults
     assert all(float(cell) > 0.0 for row in change_rows for cell in row[1:])
+
+
+if __name__ == "__main__":
+    # rewrite the manifest from a fresh golden run, after an output change
+    # made by design: PYTHONPATH=src python tests/test_scripts.py
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = _run("golden_bundle.py", "golden", cwd=tmp)
+        if proc.returncode != 0:
+            sys.exit(proc.stderr)
+        manifest = golden_manifest(Path(tmp) / "golden")
+    GOLDEN.write_text(json.dumps(manifest, indent=2) + "\n")
+    print(f"wrote {len(manifest['sha256'])} digests to {GOLDEN}")
