@@ -11,7 +11,6 @@ from .evaluation import (
     EvalReport,
     auc,
     aupr,
-    run_ablation,
     run_cv,
     run_loocv,
     split_folds,
@@ -48,7 +47,6 @@ __all__ = [
     "EvalReport",
     "auc",
     "aupr",
-    "run_ablation",
     "run_cv",
     "run_loocv",
     "split_folds",

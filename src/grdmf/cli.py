@@ -29,7 +29,7 @@ from .data import (
     load_similarity_csv,
     write_matrix_csv,
 )
-from .evaluation import _top_k, run_ablation, run_cv, run_loocv
+from .evaluation import _top_k, run_cv, run_loocv
 from .exceptions import ConfigError, GrdmfError, ParameterError
 from .graphs import build_laplacian, cosine_similarity
 from .linalg import _integer, _real
@@ -293,6 +293,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         out=pick("out", "out", "grdmf_out", Path),
     )
 
+    # each command makes its own output directory, but one that cannot be
+    # made fails here, before any input is read or any fit runs
+    for path in (cfg.out, *cfg.out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"output {cfg.out}: {path} is not a directory")
+            break
+
     referenced = [cfg.association, *cfg.drug_sims.values(), *cfg.virus_sims.values()]
     referenced += [p for p in (cfg.drug_profile, cfg.virus_profile) if p]
     for path in referenced:
@@ -398,14 +406,15 @@ def cmd_predict(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySet
 def cmd_cv(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySet) -> int:
     hp = cfg.hyperparams
     if cfg.scheme == "loo":
+        seeds = []
         report = run_loocv(dataset, sims, hp, ks=cfg.ks)
     else:
-        seeds = range(cfg.seed, cfg.seed + cfg.repeats)
+        seeds = list(range(cfg.seed, cfg.seed + cfg.repeats))
         report = run_cv(dataset, sims, cfg.scheme, hp, seeds=seeds, folds=cfg.folds)
     payload = {
         "config": cfg.to_dict(),
         "scheme": cfg.scheme,
-        "seeds": report.seeds,
+        "seeds": seeds,
         **report.to_dict(),
     }
     cfg.out.mkdir(parents=True, exist_ok=True)
@@ -416,22 +425,52 @@ def cmd_cv(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySet) -> 
     return 0
 
 
-def _default_combos(sims: SimilaritySet) -> list[tuple[list[str], list[str]]]:
-    """Every single (drug, virus) similarity pair, plus everything combined."""
-    drug_names = list(sims.drug)
-    virus_names = list(sims.virus)
-    combos: list[tuple[list[str], list[str]]] = [
-        ([d], [v]) for d in drug_names for v in virus_names
-    ]
-    if len(drug_names) > 1 or len(virus_names) > 1:
-        combos.append((drug_names, virus_names))
-    return combos
+def _combo_sets(
+    sims: SimilaritySet, combos: Optional[list[tuple[list[str], list[str]]]]
+) -> dict[str, SimilaritySet]:
+    """Each combo's similarities, in order, under its label "s1_d+s2_d,s1_v".
+    ``None`` means each single (drug, virus) pair, then all combined when a
+    side has more than one. Every combo is checked before the first fit: no
+    combos, an empty side, an unknown name, a name repeated on one side and a
+    label given twice are each a :class:`ConfigError`."""
+    if combos is None:
+        combos = [([d], [v]) for d in sims.drug for v in sims.virus]
+        if len(sims.drug) > 1 or len(sims.virus) > 1:
+            combos.append((list(sims.drug), list(sims.virus)))
+    subsets: dict[str, SimilaritySet] = {}
+    for drug_names, virus_names in combos:
+        if not drug_names or not virus_names:
+            raise ConfigError("each combo needs at least one drug and one virus similarity")
+        unknown = [nm for nm in drug_names if nm not in sims.drug]
+        unknown += [nm for nm in virus_names if nm not in sims.virus]
+        if unknown:
+            known = sorted(sims.drug) + sorted(sims.virus)
+            raise ConfigError(f"unknown similarity name(s) {unknown}; available: {known}")
+        label = "+".join(drug_names) + "," + "+".join(virus_names)
+        repeated = sorted(
+            {nm for names in (drug_names, virus_names) for nm in names if names.count(nm) > 1}
+        )
+        if repeated:
+            raise ConfigError(f"combo {label!r} names {repeated} more than once on one side")
+        if label in subsets:
+            raise ConfigError(f"combo {label!r} is given twice")
+        subsets[label] = SimilaritySet(
+            drug={nm: sims.drug[nm] for nm in drug_names},
+            virus={nm: sims.virus[nm] for nm in virus_names},
+        )
+    if not subsets:
+        raise ConfigError("no combos given")
+    return subsets
 
 
 def cmd_ablation(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySet) -> int:
-    combos = cfg.combos if cfg.combos is not None else _default_combos(sims)
+    hp = cfg.hyperparams
+    # one seed list for every combo, so the folds match and only the graphs differ
     seeds = list(range(cfg.seed, cfg.seed + cfg.repeats))
-    reports = run_ablation(dataset, sims, combos, cfg.hyperparams, seeds=seeds, folds=cfg.folds)
+    reports = {
+        label: run_cv(dataset, subset, "entries", hp, seeds=seeds, folds=cfg.folds)
+        for label, subset in _combo_sets(sims, cfg.combos).items()
+    }
     payload = {
         "config": cfg.to_dict(),
         "scheme": cfg.scheme,

@@ -1,10 +1,9 @@
 """Cross-validation protocols and ranking metrics.
 
-Three random schemes (hiding cells, virus columns or drug rows), a
-leave-one-virus-out protocol, and a similarity-source ablation. All fold
-assignments derive deterministically from integer seeds, and the folds of
-every seed are aggregated by one rule, so identical inputs give identical
-reports.
+Three random schemes (hiding cells, virus columns or drug rows) and a
+leave-one-virus-out protocol. All fold assignments derive deterministically
+from integer seeds, and the folds of every seed are aggregated by one rule,
+so identical inputs give identical reports.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import numpy as np
 
 from .data import AssociationDataset, SimilaritySet
 from .exceptions import (
-    ConfigError,
     FoldSkippedWarning,
     ParameterError,
     TopKClampWarning,
@@ -36,7 +34,6 @@ __all__ = [
     "topk_metrics",
     "run_cv",
     "run_loocv",
-    "run_ablation",
 ]
 
 @dataclass
@@ -73,7 +70,6 @@ class FoldMetrics:
 class EvalReport:
     """Aggregated evaluation results for one protocol run."""
 
-    seeds: list[int]
     auc: Optional[float]
     aupr: Optional[float]
     pre_at_k: dict[int, float]
@@ -83,7 +79,7 @@ class EvalReport:
 
     @classmethod
     def from_folds(
-        cls, seeds: Sequence[int], per_fold: Sequence[FoldMetrics], notes: Sequence[str]
+        cls, per_fold: Sequence[FoldMetrics], notes: Sequence[str]
     ) -> "EvalReport":
         """Aggregate folds: each metric is its mean over the non-skipped
         folds that carry it, or absent (None for AUC/AUPR) if none does."""
@@ -98,7 +94,6 @@ class EvalReport:
             return {k: mean([t[k] for t in tables if k in t]) for k in keys}
 
         return cls(
-            seeds=list(seeds),
             auc=mean([f.auc for f in kept if f.auc is not None]),
             aupr=mean([f.aupr for f in kept if f.aupr is not None]),
             pre_at_k=mean_at_k([f.pre_at_k for f in kept]),
@@ -136,9 +131,9 @@ def split_folds(
     scheme -- "entries" hides random cells, "viruses" whole columns and
               "drugs" whole rows
 
-    The cells, columns or rows are permuted by ``default_rng(seed)`` and split
-    into ``folds`` groups whose sizes differ by at most one, so each fold
-    hides about 1/folds of them: 10% by default.
+    The cells, columns or rows are permuted by ``default_rng(seed)``, ``seed``
+    a non-negative integer, and split into ``folds`` groups whose sizes differ
+    by at most one, so each fold hides about 1/folds of them: 10% by default.
     """
     m, n = shape
     if m < 1 or n < 1:
@@ -152,6 +147,9 @@ def split_folds(
     folds = _integer(folds, "folds")
     if not 2 <= folds <= length:
         raise ParameterError(f"folds={folds} out of range [2, {length}]")
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     perm = np.random.default_rng(seed).permutation(length)
     out = []
     for group in np.array_split(perm, folds):
@@ -327,7 +325,7 @@ def run_cv(
         for f, hidden in enumerate(split_folds(y.shape, scheme, folds, seed))
     )
     per_fold, notes = _run_folds(y, similarities, hp, splits, score)
-    return EvalReport.from_folds(seeds, per_fold, notes)
+    return EvalReport.from_folds(per_fold, notes)
 
 
 def run_loocv(
@@ -341,7 +339,7 @@ def run_loocv(
     Reports Pre@k and Rec@k per virus plus their means. Viruses with no known
     positives keep their precision (necessarily 0) but are excluded from the
     recall means, with a note in the report. There is no randomness here, so
-    the report carries no seeds.
+    no fold carries a seed.
     """
     ks = [_integer(k, "a cutoff") for k in ks]
     if any(k < 1 for k in ks):
@@ -365,59 +363,5 @@ def run_loocv(
         return []
 
     per_virus, notes = _run_folds(y, similarities, hp, splits, score)
-    return EvalReport.from_folds([], per_virus, notes)
+    return EvalReport.from_folds(per_virus, notes)
 
-
-def run_ablation(
-    dataset: AssociationDataset,
-    similarities: SimilaritySet,
-    combos: Sequence[tuple[Sequence[str], Sequence[str]]],
-    hp: HyperParams,
-    seeds: Iterable[int] = (0,),
-    folds: int = 10,
-) -> dict[str, EvalReport]:
-    """Cross-validate each named similarity combination.
-
-    Every combo selects at least one drug-side and one virus-side similarity
-    by name from ``similarities``; results are keyed by a label of the form
-    ``"s1_d+s2_d,s1_v"``. All combos share the same seeds, so their fold
-    assignments are identical and the comparison isolates the graphs.
-
-    Every combo is checked before the first fit: no combos at all, an empty
-    side, an unknown name, a name repeated within a side and a label given
-    twice are each a :class:`ConfigError`.
-    """
-    subsets: dict[str, SimilaritySet] = {}
-    for drug_names, virus_names in combos:
-        drug_names = list(drug_names)
-        virus_names = list(virus_names)
-        if not drug_names or not virus_names:
-            raise ConfigError(
-                "each combo needs at least one drug and one virus similarity"
-            )
-        unknown = [nm for nm in drug_names if nm not in similarities.drug]
-        unknown += [nm for nm in virus_names if nm not in similarities.virus]
-        if unknown:
-            known = sorted(similarities.drug) + sorted(similarities.virus)
-            raise ConfigError(
-                f"unknown similarity name(s) {unknown}; available: {known}"
-            )
-        label = "+".join(drug_names) + "," + "+".join(virus_names)
-        repeated = sorted(
-            {nm for names in (drug_names, virus_names) for nm in names if names.count(nm) > 1}
-        )
-        if repeated:
-            raise ConfigError(f"combo {label!r} names {repeated} more than once on one side")
-        if label in subsets:
-            raise ConfigError(f"combo {label!r} is given twice")
-        subsets[label] = SimilaritySet(
-            drug={nm: similarities.drug[nm] for nm in drug_names},
-            virus={nm: similarities.virus[nm] for nm in virus_names},
-        )
-    if not subsets:
-        raise ConfigError("no combos given")
-    seeds = list(seeds)
-    return {
-        label: run_cv(dataset, subset, "entries", hp, seeds=seeds, folds=folds)
-        for label, subset in subsets.items()
-    }

@@ -14,7 +14,7 @@ class SymmetryError(GrdmfError, ValueError):
 
 
 class ParameterError(GrdmfError, ValueError):
-    """A scalar parameter is outside its admissible range."""
+    """A parameter, or an array's values, is outside its admissible range."""
 
 
 class SingularSystemError(GrdmfError, ArithmeticError):

@@ -69,7 +69,7 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     if a.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got {a.ndim}-D")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ParameterError(f"{name} contains non-finite entries")
     return a
 
 

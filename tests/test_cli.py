@@ -9,11 +9,12 @@ import dataclasses
 import json
 import logging
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from grdmf.cli import DEFAULT_HYPERPARAMS, build_parser, main
+from grdmf.cli import DEFAULT_HYPERPARAMS, _combo_sets, build_parser, main
 from grdmf.data import (
     SimilaritySet,
     load_association_csv,
@@ -21,6 +22,7 @@ from grdmf.data import (
 )
 from grdmf.evaluation import run_cv, run_loocv
 from grdmf.exceptions import (
+    ConfigError,
     FoldSkippedWarning,
     TopKClampWarning,
     ZeroProfileWarning,
@@ -267,6 +269,27 @@ def test_layers_outside_two_or_three_is_a_config_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("command", ["fit", "cv"])
+def test_an_out_that_cannot_be_a_directory_fails_before_any_input_is_read(
+    bundle, tmp_path, monkeypatch, caplog, capsys, command, below
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the output path is checked before any input is read")
+
+    for name in ("grdmf.cli.load_association_csv", "grdmf.cli.fit", "grdmf.evaluation.fit"):
+        monkeypatch.setattr(name, no_run)
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    out = afile / "sub" if below else afile
+    assert main([command, *_base_args(bundle, out)]) == 1
+    errors = [r for r in caplog.records if r.levelno == logging.ERROR]
+    assert [r.getMessage() for r in errors] == [f"output {out}: {afile} is not a directory"]
+    assert errors[0].exc_info is None
+    assert "Traceback" not in capsys.readouterr().err
+    assert afile.read_text() == "keep\n"
+
+
 # ---------------------------------------------------------------------------
 # cv
 
@@ -432,6 +455,82 @@ def test_ablation_unknown_combo_name_fails(bundle, tmp_path):
     ]
     assert main(args) == 1
     assert not (out / "ablation.json").exists()
+
+
+def test_ablation_labels_and_shared_folds(bundle, tmp_path, monkeypatch):
+    hidden = []
+
+    def recorder(y_train, mask, l_d, l_v, hp):
+        hidden.append(mask == 0.0)
+        return SimpleNamespace(x=np.full_like(y_train, 0.5))
+
+    monkeypatch.setattr("grdmf.evaluation.fit", recorder)
+    out = tmp_path / "ab-folds"
+    args = [
+        "ablation", *_base_args(bundle, out),
+        "--drug-sim", bundle["drug_sim"],  # auto-named s2_d
+        "--combos", "s1_d,s1_v;s1_d+s2_d,s1_v",
+        "--folds", "3", "--repeats", "1", "--seed", "9",
+    ]
+    assert main(args) == 0
+    payload = json.loads((out / "ablation.json").read_text())
+    assert set(payload["combos"]) == {"s1_d,s1_v", "s1_d+s2_d,s1_v"}
+    # same seed -> both combos hide exactly the same cells, fold by fold
+    assert len(hidden) == 6
+    for fold in range(3):
+        assert np.array_equal(hidden[fold], hidden[3 + fold])
+
+
+def test_ablation_rejects_unknown_and_empty():
+    eye = np.eye(3)
+    sims = SimilaritySet(drug={"s1_d": eye, "s2_d": 2 * eye}, virus={"s1_v": eye})
+    with pytest.raises(ConfigError, match="unknown similarity"):
+        _combo_sets(sims, [(["nope"], ["s1_v"])])
+    with pytest.raises(ConfigError, match="at least one drug and one virus"):
+        _combo_sets(sims, [([], ["s1_v"])])
+    with pytest.raises(ConfigError, match="no combos given"):
+        _combo_sets(sims, [])
+    # the default: each pair, then all combined, each subset in its own order
+    combos = _combo_sets(sims, None)
+    assert list(combos) == ["s1_d,s1_v", "s2_d,s1_v", "s1_d+s2_d,s1_v"]
+    assert list(combos["s1_d+s2_d,s1_v"].drug) == ["s1_d", "s2_d"]
+    assert combos["s2_d,s1_v"].drug["s2_d"] is sims.drug["s2_d"]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([[], ["s1_v"]], "each combo needs at least one drug and one virus similarity"),
+        ([["s1_d"], []], "each combo needs at least one drug and one virus similarity"),
+        (
+            [["s1_d"], ["s9_v"]],
+            "unknown similarity name(s) ['s9_v']; available: ['s1_d', 's1_v']",
+        ),
+        (
+            [["s1_d", "s1_d"], ["s1_v"]],
+            "combo 's1_d+s1_d,s1_v' names ['s1_d'] more than once on one side",
+        ),
+        ([["s1_d"], ["s1_v"]], "combo 's1_d,s1_v' is given twice"),
+    ],
+    ids=["empty-drug-side", "empty-virus-side", "unknown", "repeated", "twice"],
+)
+def test_ablation_checks_every_combo_before_the_first_fit(
+    bundle, tmp_path, monkeypatch, caplog, bad, message
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a combo was fitted before every combo was checked")
+
+    monkeypatch.setattr("grdmf.evaluation.fit", no_fit)
+    cfg_path = tmp_path / "combos.json"
+    cfg_path.write_text(json.dumps({"combos": [[["s1_d"], ["s1_v"]], bad]}))
+    out = tmp_path / "ab-bad"
+    args = [
+        "ablation", *_base_args(bundle, out), "--folds", "3", "--repeats", "1",
+        "--config", str(cfg_path),
+    ]
+    assert main(args) == 1
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] == [message]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

@@ -20,14 +20,12 @@ from grdmf.evaluation import (
     EvalReport,
     auc,
     aupr,
-    run_ablation,
     run_cv,
     run_loocv,
     split_folds,
     topk_metrics,
 )
 from grdmf.exceptions import (
-    ConfigError,
     FoldSkippedWarning,
     ParameterError,
     TopKClampWarning,
@@ -119,6 +117,20 @@ def test_split_folds_validation(scheme):
         split_folds((0, 4), scheme)
     with pytest.raises(ParameterError, match=r"^degenerate shape \(4, 0\)$"):
         split_folds((4, 0), scheme)
+
+
+@pytest.mark.parametrize("seed", [None, True, -1, 2.5])
+def test_split_folds_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
+    # None would draw OS entropy and True would run as seed 1
+    with pytest.raises(ParameterError, match="^seed must be"):
+        split_folds((4, 3), "entries", folds=3, seed=seed)
+
+
+@pytest.mark.parametrize("seed, same", [(2.0, 2), ("3", 3)])
+def test_split_folds_reads_an_integral_seed_as_that_integer(seed, same):
+    got = split_folds((4, 3), "entries", folds=3, seed=seed)
+    want = split_folds((4, 3), "entries", folds=3, seed=same)
+    assert all(np.array_equal(x, y) for x, y in zip(got, want, strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +247,6 @@ def test_run_cv_perfect_scores_give_perfect_metrics(monkeypatch):
         assert fold.aupr == pytest.approx(1.0)
     assert report.auc == pytest.approx(1.0)
     assert report.aupr == pytest.approx(1.0)
-    assert report.seeds == [0]
 
 
 def test_run_cv_hides_cells_from_the_backend(monkeypatch):
@@ -340,11 +351,10 @@ def test_run_cv_seeds_concatenate_their_folds_under_one_aggregation(a, b):
         second = run_cv(dataset, sims, "entries", _HP, seeds=[b], folds=4)
     folds = first.per_fold + second.per_fold
     notes = first.notes + second.notes
-    assert both.seeds == [a, b]
     assert [f.seed for f in both.per_fold] == [a] * 4 + [b] * 4
     assert [f.to_dict() for f in both.per_fold] == [f.to_dict() for f in folds]
     assert any(f.skipped for f in folds) and not all(f.skipped for f in folds)
-    pooled = EvalReport.from_folds([a, b], folds, notes)
+    pooled = EvalReport.from_folds(folds, notes)
     assert both.to_dict() == pooled.to_dict()
 
 
@@ -362,7 +372,6 @@ def test_run_loocv_perfect_oracle_hits_the_combinatorial_bound(monkeypatch):
     monkeypatch.setattr(grdmf.evaluation, "fit", oracle)
     ks = (2, 3)
     report = run_loocv(dataset, sims, _HP, ks=ks)
-    assert report.seeds == []
     assert len(report.per_fold) == len(dataset.viruses)
     m = truth.shape[0]
     for j, fold in enumerate(report.per_fold):
@@ -459,76 +468,6 @@ def test_library_counts_are_not_truncated(call, message):
     # a non-integral count is refused, as the CLI refuses it, not rounded down
     with pytest.raises(ParameterError, match=f"^{message}"):
         call()
-
-
-# ---------------------------------------------------------------------------
-# ablation
-
-
-def _two_source_problem():
-    dataset, _ = _tiny_problem(seed=7)
-    m = len(dataset.drugs)
-    n = len(dataset.viruses)
-    rng = np.random.default_rng(8)
-    s2 = rng.random((m, m))
-    s2 = 0.5 * (s2 + s2.T)
-    np.fill_diagonal(s2, 1.0)
-    sims = SimilaritySet(
-        drug={"s1_d": np.eye(m), "s2_d": s2},
-        virus={"s1_v": np.eye(n)},
-    )
-    return dataset, sims
-
-
-def test_run_ablation_labels_and_shared_folds(monkeypatch):
-    dataset, sims = _two_source_problem()
-    seen = []
-
-    def recorder(y_train, mask, l_d, l_v, hp):
-        seen.append(mask.copy())
-        return SimpleNamespace(x=np.full_like(y_train, 0.5))
-
-    combos = [(["s1_d"], ["s1_v"]), (["s1_d", "s2_d"], ["s1_v"])]
-    monkeypatch.setattr(grdmf.evaluation, "fit", recorder)
-    reports = run_ablation(dataset, sims, combos, _HP, seeds=[9], folds=3)
-    assert set(reports) == {"s1_d,s1_v", "s1_d+s2_d,s1_v"}
-    # same seed -> both combos hide exactly the same cells, fold by fold
-    for fold in range(3):
-        assert np.array_equal(seen[fold], seen[3 + fold])
-
-
-def test_run_ablation_rejects_unknown_and_empty(monkeypatch):
-    dataset, sims = _two_source_problem()
-    with pytest.raises(ConfigError, match="unknown similarity"):
-        run_ablation(dataset, sims, [(["nope"], ["s1_v"])], _HP)
-    with pytest.raises(ConfigError):
-        run_ablation(dataset, sims, [([], ["s1_v"])], _HP)
-    monkeypatch.setattr(grdmf.evaluation, "fit", _no_fit)
-    with pytest.raises(ConfigError, match="no combos given"):
-        run_ablation(dataset, sims, [], _HP)
-
-
-def _no_fit(y_train, mask, l_d, l_v, hp):
-    raise AssertionError("a combo was fitted before every combo was checked")
-
-
-@pytest.mark.parametrize(
-    "bad, message",
-    [
-        (([], ["s1_v"]), "at least one drug and one virus"),
-        ((["s1_d"], []), "at least one drug and one virus"),
-        ((["s1_d"], ["s9_v"]), r"unknown similarity name\(s\) \['s9_v'\]"),
-        ((["s1_d", "s1_d"], ["s1_v"]), r"'s1_d\+s1_d,s1_v' names \['s1_d'\] more than once"),
-        ((["s1_d"], ["s1_v"]), "combo 's1_d,s1_v' is given twice"),
-    ],
-    ids=["empty-drug-side", "empty-virus-side", "unknown", "repeated", "twice"],
-)
-def test_run_ablation_checks_every_combo_before_the_first_fit(monkeypatch, bad, message):
-    dataset, sims = _two_source_problem()
-    combos = [(["s1_d"], ["s1_v"]), bad]
-    monkeypatch.setattr(grdmf.evaluation, "fit", _no_fit)
-    with pytest.raises(ConfigError, match=message):
-        run_ablation(dataset, sims, combos, _HP, folds=3)
 
 
 def test_report_serialization_keys_are_strings(monkeypatch):

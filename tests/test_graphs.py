@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import grdmf.graphs
 from grdmf.exceptions import (
     DimensionError,
+    GrdmfError,
     ParameterError,
     SymmetryError,
 )
@@ -62,6 +63,9 @@ def test_cosine_rejects_negative_and_nonfinite_rows():
         cosine_similarity(np.array([[0.5, -1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="non-finite"):
         cosine_similarity(np.array([[0.5, np.nan], [1.0, 0.0]]))
+    # and one the package's callers catch with the rest of its errors
+    with pytest.raises(GrdmfError, match="^indicator contains non-finite entries$"):
+        cosine_similarity(np.array([[0.5, np.inf], [1.0, 0.0]]))
     sim = cosine_similarity(np.array([[0.5, 1.0], [1.0, 0.0]]))
     assert sim[0, 1] == pytest.approx(0.5 / np.sqrt(1.25))
 
@@ -269,6 +273,8 @@ def test_combine_validates():
     message = r"^similarity 1 has shape \(3, 3\), expected \(2, 2\)$"
     with pytest.raises(DimensionError, match=message):
         build_laplacian([np.eye(2), np.eye(3)], 1)
+    with pytest.raises(GrdmfError, match="^similarity contains non-finite entries$"):
+        build_laplacian([np.eye(2), np.full((2, 2), np.nan)], 1)
 
 
 def test_build_laplacian_is_the_composition():

@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 import grdmf.linalg
 import grdmf.solver
 from grdmf.cli import DEFAULT_HYPERPARAMS
-from grdmf.exceptions import DimensionError, ParameterError, SolverError, SymmetryError
+from grdmf.exceptions import (
+    DimensionError,
+    GrdmfError,
+    ParameterError,
+    SolverError,
+    SymmetryError,
+)
 from grdmf.graphs import build_laplacian
 from grdmf.linalg import FLOOR_RATIO, sym_eigen, truncated_svd
 from grdmf.solver import (
@@ -607,6 +613,9 @@ def test_fit_validates_inputs():
         fit(y, np.ones((3, 4)), np.eye(4), np.eye(3), hp)
     with pytest.raises(DimensionError):
         fit(y, np.ones_like(y), np.eye(3), np.eye(3), hp)
+    y[2, 1] = np.nan
+    with pytest.raises(GrdmfError, match="^y contains non-finite entries$"):
+        fit(y, np.ones_like(y), np.eye(4), np.eye(3), hp)
 
 
 def test_fit_wraps_iteration_failures():
