@@ -46,7 +46,11 @@ def main() -> None:
     counts = [int(k) for k in args.iters.split(",")]
 
     problem = make_synthetic_problem(m=args.drugs, n=args.viruses, rank=5, seed=0)
-    dataset, sims = problem.dataset, problem.similarities
+    dataset = problem.dataset
+
+    def laplacians(p: int):
+        return build_laplacian([problem.drug_sim], p), build_laplacian([problem.virus_sim], p)
+
     defaults = {
         f"{scheme}-{layers}": HyperParams(**params)
         for (scheme, layers), params in DEFAULT_HYPERPARAMS.items()
@@ -57,9 +61,10 @@ def main() -> None:
     print("|---" * (len(counts) + 1) + "|")
     for name, hp in defaults.items():
         scheme = name.split("-")[0]
+        l_d, l_v = laplacians(hp.p)
         cells = []
         for k in counts:
-            report = run_cv(dataset, sims, scheme, replace(hp, iters=k),
+            report = run_cv(dataset, l_d, l_v, scheme, replace(hp, iters=k),
                             seeds=range(args.seeds), folds=args.folds)
             cells.append(f"**{report.auc:.3f}**" if k == 10 else f"{report.auc:.3f}")
         print(f"| {name} | " + " | ".join(cells) + " |")
@@ -71,8 +76,7 @@ def main() -> None:
     print("| default | ‖X10 − X9‖ / ‖X10‖ | ‖X101 − X100‖ / ‖X101‖ | ‖X10 − X100‖ / ‖X100‖ |")
     print("|---|---|---|---|")
     for name, hp in defaults.items():
-        l_d = build_laplacian(list(sims.drug.values()), hp.p)
-        l_v = build_laplacian(list(sims.virus.values()), hp.p)
+        l_d, l_v = laplacians(hp.p)
         x = {k: fit(y * mask, mask, l_d, l_v, replace(hp, iters=k)).x for k in (9, 10, 100, 101)}
         # ‖X_a − X_b‖ / ‖X_a‖
         changes = [np.linalg.norm(x[a] - x[b]) / np.linalg.norm(x[a])

@@ -29,8 +29,8 @@ def run_seed(seed: int, args) -> tuple[float, float, float]:
         dims=tuple(int(d) for d in args.dims.split(",")),
         p=args.p, iters=args.iters,
     )
-    l_d = build_laplacian(list(problem.similarities.drug.values()), hp.p)
-    l_v = build_laplacian(list(problem.similarities.virus.values()), hp.p)
+    l_d = build_laplacian([problem.drug_sim], hp.p)
+    l_v = build_laplacian([problem.virus_sim], hp.p)
     hidden = split_folds(y.shape, "entries", round(1 / args.hide), seed)[0]
     mask = np.where(hidden, 0.0, 1.0)
     result = fit(y * mask, mask, l_d, l_v, hp)

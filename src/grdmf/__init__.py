@@ -2,7 +2,6 @@
 
 from .data import (
     AssociationDataset,
-    SimilaritySet,
     load_association_csv,
     load_profile_csv,
     load_similarity_csv,
@@ -40,7 +39,6 @@ from .solver import (
 
 __all__ = [
     "AssociationDataset",
-    "SimilaritySet",
     "load_association_csv",
     "load_profile_csv",
     "load_similarity_csv",

@@ -23,7 +23,6 @@ import numpy as np
 
 from .data import (
     AssociationDataset,
-    SimilaritySet,
     load_association_csv,
     load_profile_csv,
     load_similarity_csv,
@@ -54,6 +53,8 @@ DEFAULT_HYPERPARAMS: dict[tuple[str, int], dict] = {
 }
 
 DEFAULT_ITERS = 10
+
+Sims = tuple[dict[str, np.ndarray], dict[str, np.ndarray]]  #: (drug, virus) similarities by name
 
 
 @dataclass
@@ -310,7 +311,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _load_inputs(cfg: RunConfig) -> tuple[AssociationDataset, SimilaritySet]:
+def _load_inputs(cfg: RunConfig) -> tuple[AssociationDataset, Sims]:
     """Parse every referenced file in the dataset registries' order."""
     dataset = load_association_csv(cfg.association)
     drug: dict[str, np.ndarray] = {}
@@ -329,7 +330,7 @@ def _load_inputs(cfg: RunConfig) -> tuple[AssociationDataset, SimilaritySet]:
         "inputs: %d drugs, %d viruses, %d drug-side and %d virus-side similarities",
         len(dataset.drugs), len(dataset.viruses), len(drug), len(virus),
     )
-    return dataset, SimilaritySet(drug=drug, virus=virus)
+    return dataset, (drug, virus)
 
 
 # ---------------------------------------------------------------------------
@@ -344,19 +345,22 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _full_fit(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySet) -> FitResult:
-    hp = cfg.hyperparams
-    l_d = build_laplacian(list(sims.drug.values()), hp.p)
-    l_v = build_laplacian(list(sims.virus.values()), hp.p)
+def _laplacians(sims: Sims, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each side's summed graph Laplacian, drug side first: the CLI's one graph step."""
+    drug, virus = sims
+    return build_laplacian(list(drug.values()), p), build_laplacian(list(virus.values()), p)
+
+
+def _full_fit(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> FitResult:
     mask = np.ones_like(dataset.y)
-    return fit(dataset.y, mask, l_d, l_v, hp)
+    return fit(dataset.y, mask, *_laplacians(sims, cfg.hyperparams.p), cfg.hyperparams)
 
 
 def _latent_names(count: int, stem: str) -> list[str]:
     return [f"{stem}{i}" for i in range(count)]
 
 
-def cmd_fit(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySet) -> int:
+def cmd_fit(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> int:
     result = _full_fit(cfg, dataset, sims)
     out = cfg.out
     out.mkdir(parents=True, exist_ok=True)
@@ -383,7 +387,7 @@ def cmd_fit(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySet) ->
     return 0
 
 
-def cmd_predict(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySet) -> int:
+def cmd_predict(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> int:
     j = _virus_column(dataset, cfg.virus)  # before the fit, which is the costly part
     known = dataset.y[:, j] == 1.0
     scores = _full_fit(cfg, dataset, sims).x[:, j]
@@ -403,14 +407,15 @@ def cmd_predict(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySet
     return 0
 
 
-def cmd_cv(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySet) -> int:
+def cmd_cv(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> int:
     hp = cfg.hyperparams
+    l_d, l_v = _laplacians(sims, hp.p)
     if cfg.scheme == "loo":
         seeds = []
-        report = run_loocv(dataset, sims, hp, ks=cfg.ks)
+        report = run_loocv(dataset, l_d, l_v, hp, ks=cfg.ks)
     else:
         seeds = list(range(cfg.seed, cfg.seed + cfg.repeats))
-        report = run_cv(dataset, sims, cfg.scheme, hp, seeds=seeds, folds=cfg.folds)
+        report = run_cv(dataset, l_d, l_v, cfg.scheme, hp, seeds=seeds, folds=cfg.folds)
     payload = {
         "config": cfg.to_dict(),
         "scheme": cfg.scheme,
@@ -426,25 +431,26 @@ def cmd_cv(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySet) -> 
 
 
 def _combo_sets(
-    sims: SimilaritySet, combos: Optional[list[tuple[list[str], list[str]]]]
-) -> dict[str, SimilaritySet]:
+    sims: Sims, combos: Optional[list[tuple[list[str], list[str]]]]
+) -> dict[str, Sims]:
     """Each combo's similarities, in order, under its label "s1_d+s2_d,s1_v".
     ``None`` means each single (drug, virus) pair, then all combined when a
     side has more than one. Every combo is checked before the first fit: no
     combos, an empty side, an unknown name, a name repeated on one side and a
     label given twice are each a :class:`ConfigError`."""
+    drug, virus = sims
     if combos is None:
-        combos = [([d], [v]) for d in sims.drug for v in sims.virus]
-        if len(sims.drug) > 1 or len(sims.virus) > 1:
-            combos.append((list(sims.drug), list(sims.virus)))
-    subsets: dict[str, SimilaritySet] = {}
+        combos = [([d], [v]) for d in drug for v in virus]
+        if len(drug) > 1 or len(virus) > 1:
+            combos.append((list(drug), list(virus)))
+    subsets: dict[str, Sims] = {}
     for drug_names, virus_names in combos:
         if not drug_names or not virus_names:
             raise ConfigError("each combo needs at least one drug and one virus similarity")
-        unknown = [nm for nm in drug_names if nm not in sims.drug]
-        unknown += [nm for nm in virus_names if nm not in sims.virus]
+        unknown = [nm for nm in drug_names if nm not in drug]
+        unknown += [nm for nm in virus_names if nm not in virus]
         if unknown:
-            known = sorted(sims.drug) + sorted(sims.virus)
+            known = sorted(drug) + sorted(virus)
             raise ConfigError(f"unknown similarity name(s) {unknown}; available: {known}")
         label = "+".join(drug_names) + "," + "+".join(virus_names)
         repeated = sorted(
@@ -454,23 +460,21 @@ def _combo_sets(
             raise ConfigError(f"combo {label!r} names {repeated} more than once on one side")
         if label in subsets:
             raise ConfigError(f"combo {label!r} is given twice")
-        subsets[label] = SimilaritySet(
-            drug={nm: sims.drug[nm] for nm in drug_names},
-            virus={nm: sims.virus[nm] for nm in virus_names},
-        )
+        subsets[label] = ({nm: drug[nm] for nm in drug_names},
+                          {nm: virus[nm] for nm in virus_names})
     if not subsets:
         raise ConfigError("no combos given")
     return subsets
 
 
-def cmd_ablation(cfg: RunConfig, dataset: AssociationDataset, sims: SimilaritySet) -> int:
+def cmd_ablation(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> int:
     hp = cfg.hyperparams
     # one seed list for every combo, so the folds match and only the graphs differ
     seeds = list(range(cfg.seed, cfg.seed + cfg.repeats))
-    reports = {
-        label: run_cv(dataset, subset, "entries", hp, seeds=seeds, folds=cfg.folds)
-        for label, subset in _combo_sets(sims, cfg.combos).items()
-    }
+    reports = {}
+    for label, subset in _combo_sets(sims, cfg.combos).items():
+        l_d, l_v = _laplacians(subset, hp.p)
+        reports[label] = run_cv(dataset, l_d, l_v, "entries", hp, seeds=seeds, folds=cfg.folds)
     payload = {
         "config": cfg.to_dict(),
         "scheme": cfg.scheme,
@@ -527,6 +531,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--iters", type=int, help="outer iterations")
         p.add_argument("--out", help="output directory")
 
+    def add_folds(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--folds", type=int, help="fold count (default 10)")
+        p.add_argument("--repeats", type=int, help="repetitions with derived seeds (default 10)")
+        p.add_argument("--seed", type=int, help="seed of the first repeat's folds (default 0)")
+
     p_fit = sub.add_parser("fit", help="fit on all observed data, emit the completed matrix")
     add_common(p_fit)
 
@@ -541,9 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scheme", choices=("entries", "viruses", "drugs", "loo"),
         help="what to hide per fold (default entries)",
     )
-    p_cv.add_argument("--folds", type=int, help="fold count (default 10)")
-    p_cv.add_argument("--repeats", type=int, help="repetitions with derived seeds (default 10)")
-    p_cv.add_argument("--seed", type=int, help="seed of the first repeat's folds (default 0)")
+    add_folds(p_cv)
     p_cv.add_argument("--ks", help="cutoffs for loo Pre@k/Rec@k, e.g. 3,5,7")
 
     p_ab = sub.add_parser("ablation", help="compare similarity-source combinations")
@@ -553,9 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="semicolon-separated combos 'DRUGS,VIRUSES' with '+' joining names, "
         "e.g. 's1_d,s1_v;s1_d+s2_d,s1_v+s2_v' (default: each pair, then all combined)",
     )
-    p_ab.add_argument("--folds", type=int, help="fold count (default 10)")
-    p_ab.add_argument("--repeats", type=int, help="repetitions with derived seeds (default 10)")
-    p_ab.add_argument("--seed", type=int, help="seed of the first repeat's folds (default 0)")
+    add_folds(p_ab)
 
     return parser
 

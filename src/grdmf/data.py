@@ -21,7 +21,7 @@ import logging
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .exceptions import (
 
 __all__ = [
     "AssociationDataset",
-    "SimilaritySet",
     "load_association_csv",
     "save_association_csv",
     "load_profile_csv",
@@ -65,14 +64,6 @@ class AssociationDataset:
                 f"matrix shape {self.y.shape} does not match registries "
                 f"({len(self.drugs)} drugs, {len(self.viruses)} viruses)"
             )
-
-
-@dataclass(frozen=True)
-class SimilaritySet:
-    """Named similarity matrices per side, aligned to the dataset registries."""
-
-    drug: Mapping[str, np.ndarray]
-    virus: Mapping[str, np.ndarray]
 
 
 def _check_unique(names: Sequence[str], what: str, path) -> None:
@@ -145,6 +136,8 @@ def _walk_rows(handle, path, binary: bool):
             raise _first_bad_cell(path, lineno, cells, binary)
         row_names.append(row[0].strip())
         data.append(values)
+    if not data:
+        raise ParseError(f"{Path(path)} contains no data rows")
     _check_unique(row_names, "row", path)
     return tuple(row_names), tuple(col_names), np.array(data, dtype=float)
 

@@ -14,14 +14,13 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .data import AssociationDataset, SimilaritySet
+from .data import AssociationDataset
 from .exceptions import (
     FoldSkippedWarning,
     ParameterError,
     TopKClampWarning,
     UndefinedMetricError,
 )
-from .graphs import build_laplacian
 from .linalg import _integer
 from .solver import HyperParams, fit
 
@@ -122,6 +121,14 @@ def _str_keys(d: Optional[Mapping[int, float]]) -> Optional[dict[str, float]]:
     return {str(k): v for k, v in sorted(d.items())}
 
 
+def _seed(value) -> int:
+    """A fold seed: an integer by :func:`_integer`'s rule, and >= 0."""
+    seed = _integer(value, "seed")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def split_folds(
     shape: tuple[int, int], scheme: str, folds: int = 10, seed: int = 0
 ) -> list[np.ndarray]:
@@ -147,10 +154,7 @@ def split_folds(
     folds = _integer(folds, "folds")
     if not 2 <= folds <= length:
         raise ParameterError(f"folds={folds} out of range [2, {length}]")
-    seed = _integer(seed, "seed")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
-    perm = np.random.default_rng(seed).permutation(length)
+    perm = np.random.default_rng(_seed(seed)).permutation(length)
     out = []
     for group in np.array_split(perm, folds):
         hidden = np.zeros(length, dtype=bool)
@@ -249,22 +253,21 @@ def topk_metrics(scores, labels, k: int) -> tuple[float, float]:
 
 def _run_folds(
     y: np.ndarray,
-    similarities: SimilaritySet,
+    l_d: np.ndarray,
+    l_v: np.ndarray,
     hp: HyperParams,
     splits: Iterable[tuple[int, Optional[int], np.ndarray]],
     score: Callable[[FoldMetrics, np.ndarray, np.ndarray], list[str]],
 ) -> tuple[list[FoldMetrics], list[str]]:
     """The hide -> fit -> score loop shared by every protocol.
 
-    The Laplacians are built once. Each split is a ``(fold_id, seed, hidden)``
-    triple, ``hidden`` a boolean mask of y's shape (seed None for a
-    deterministic split). Each fold trains on ``y`` with its hidden cells
-    zeroed, and ``score(record, scores, labels)`` fills in the fold's metrics
+    Each split is a ``(fold_id, seed, hidden)`` triple, ``hidden`` a boolean
+    mask of y's shape (seed None for a deterministic split). Each fold trains
+    on ``y`` with its hidden cells zeroed and the Laplacians ``l_d``, ``l_v``,
+    and ``score(record, scores, labels)`` fills in the fold's metrics
     from the completed matrix at those cells, in row-major order, and returns
     its notes.
     """
-    l_d = build_laplacian(list(similarities.drug.values()), hp.p)
-    l_v = build_laplacian(list(similarities.virus.values()), hp.p)
     per_fold: list[FoldMetrics] = []
     notes: list[str] = []
     for fold_id, seed, hidden in splits:
@@ -281,7 +284,8 @@ def _run_folds(
 
 def run_cv(
     dataset: AssociationDataset,
-    similarities: SimilaritySet,
+    l_d: np.ndarray,
+    l_v: np.ndarray,
     scheme: str,
     hp: HyperParams,
     seeds: Iterable[int] = (0,),
@@ -291,16 +295,18 @@ def run_cv(
 
     scheme  -- "entries" (hide random cells), "viruses" (hide whole columns)
                or "drugs" (hide whole rows)
-    seeds   -- one repetition per seed, each a fresh :func:`split_folds`
+    seeds   -- one repetition per seed, each a fresh :func:`split_folds`;
+               every seed is read before the first fit
 
     Hidden cells are zeroed in both the mask and the training copy of Y; the
     completed matrix scores them against the true labels. The folds of every
     seed, in seed order, form one report. Folds whose hidden cells are
     single-class are skipped with a warning and excluded from the means.
-    Similarity matrices must already be aligned to the dataset registries.
+    ``l_d`` and ``l_v``, each side's summed graph Laplacian, must already be
+    aligned to the dataset registries; every fold shares them.
     """
     y = dataset.y
-    seeds = list(seeds)
+    seeds = [_seed(seed) for seed in seeds]
     if not seeds:
         raise ParameterError("run_cv needs at least one seed")
 
@@ -324,13 +330,14 @@ def run_cv(
         for seed in seeds
         for f, hidden in enumerate(split_folds(y.shape, scheme, folds, seed))
     )
-    per_fold, notes = _run_folds(y, similarities, hp, splits, score)
+    per_fold, notes = _run_folds(y, l_d, l_v, hp, splits, score)
     return EvalReport.from_folds(per_fold, notes)
 
 
 def run_loocv(
     dataset: AssociationDataset,
-    similarities: SimilaritySet,
+    l_d: np.ndarray,
+    l_v: np.ndarray,
     hp: HyperParams,
     ks: Sequence[int] = (3, 5, 7),
 ) -> EvalReport:
@@ -339,7 +346,7 @@ def run_loocv(
     Reports Pre@k and Rec@k per virus plus their means. Viruses with no known
     positives keep their precision (necessarily 0) but are excluded from the
     recall means, with a note in the report. There is no randomness here, so
-    no fold carries a seed.
+    no fold carries a seed. ``l_d`` and ``l_v`` are as for :func:`run_cv`.
     """
     ks = [_integer(k, "a cutoff") for k in ks]
     if any(k < 1 for k in ks):
@@ -362,6 +369,6 @@ def run_loocv(
         record.aupr = aupr(scores, labels)
         return []
 
-    per_virus, notes = _run_folds(y, similarities, hp, splits, score)
+    per_virus, notes = _run_folds(y, l_d, l_v, hp, splits, score)
     return EvalReport.from_folds(per_virus, notes)
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import AssociationDataset, SimilaritySet, save_association_csv, write_matrix_csv
+from .data import AssociationDataset, save_association_csv, write_matrix_csv
 from .graphs import cosine_similarity
 
 __all__ = ["SyntheticProblem", "make_synthetic_problem", "write_synthetic_csvs"]
@@ -23,7 +23,8 @@ __all__ = ["SyntheticProblem", "make_synthetic_problem", "write_synthetic_csvs"]
 @dataclass(frozen=True)
 class SyntheticProblem:
     dataset: AssociationDataset
-    similarities: SimilaritySet
+    drug_sim: np.ndarray
+    virus_sim: np.ndarray
     latent_left: np.ndarray
     latent_right: np.ndarray
 
@@ -38,7 +39,7 @@ def make_synthetic_problem(
     """Plant a rank-``rank`` structure and binarize it at ``percentile``.
 
     Latent factors are uniform on [0, 1); the similarity on each side is the
-    cosine similarity of the true latent vectors, named ``s1_d`` / ``s1_v``.
+    cosine similarity of the true latent vectors.
     """
     rng = np.random.default_rng(seed)
     left = rng.random((m, rank))
@@ -48,13 +49,10 @@ def make_synthetic_problem(
     drugs = tuple(f"drug{i:03d}" for i in range(m))
     viruses = tuple(f"virus{j:03d}" for j in range(n))
     dataset = AssociationDataset(drugs=drugs, viruses=viruses, y=y)
-    similarities = SimilaritySet(
-        drug={"s1_d": cosine_similarity(left)},
-        virus={"s1_v": cosine_similarity(right.T)},
-    )
     return SyntheticProblem(
         dataset=dataset,
-        similarities=similarities,
+        drug_sim=cosine_similarity(left),
+        virus_sim=cosine_similarity(right.T),
         latent_left=left,
         latent_right=right,
     )
@@ -78,14 +76,8 @@ def write_synthetic_csvs(problem: SyntheticProblem, out_dir) -> dict[str, Path]:
         "virus_profile": out_dir / "virus_profile.csv",
     }
     save_association_csv(dataset, paths["association"])
-    write_matrix_csv(
-        paths["drug_sim"], dataset.drugs, dataset.drugs,
-        problem.similarities.drug["s1_d"],
-    )
-    write_matrix_csv(
-        paths["virus_sim"], dataset.viruses, dataset.viruses,
-        problem.similarities.virus["s1_v"],
-    )
+    write_matrix_csv(paths["drug_sim"], dataset.drugs, dataset.drugs, problem.drug_sim)
+    write_matrix_csv(paths["virus_sim"], dataset.viruses, dataset.viruses, problem.virus_sim)
     rank = problem.latent_left.shape[1]
     features = [f"f{r}" for r in range(rank)]
     drug_ind = (problem.latent_left > np.median(problem.latent_left, axis=0)).astype(int)

@@ -54,8 +54,8 @@ def descent_instance(seed: int):
     k1 = min(k2 + 2, min(m, n))
     mask = (rng.random(y.shape) >= rng.uniform(0.05, 0.15)).astype(float)
     p = min(3, n - 1)
-    l_d = build_laplacian(list(prob.similarities.drug.values()), p)
-    l_v = build_laplacian(list(prob.similarities.virus.values()), p)
+    l_d = build_laplacian([prob.drug_sim], p)
+    l_v = build_laplacian([prob.virus_sim], p)
     mu = float(rng.uniform(0.05, 0.2))
     theta = float(rng.uniform(0.8, 1.5))
     hp = HyperParams(mu=mu, theta=theta, alpha=0.5, dims=(k1, k2), p=p, iters=10)
@@ -202,7 +202,8 @@ def csv_table_oracle(path, binary: bool):
     first, then checked in file order with ``float()`` per cell.
 
     Returns (row names, column names, values), or raises the ParseError or
-    RegistryError, with its text, that the loader must raise.
+    RegistryError, with its text, that the loader must raise. A file needs a
+    header row and at least one data row.
     """
     with open(path, newline="") as handle:
         records = [
@@ -236,6 +237,8 @@ def csv_table_oracle(path, binary: bool):
                 raise ParseError(f"{where}: expected {expected}, got {text!r}")
             parsed.append(value)
         values.append(parsed)
+    if not values:
+        raise ParseError(f"{path} contains no data rows")
     names = [row[0].strip() for _, row in body]
     _first_duplicate(names, "row", path)
     return tuple(names), tuple(cols), np.array(values, dtype=float)

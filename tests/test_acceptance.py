@@ -39,7 +39,7 @@ import pytest
 import grdmf
 import grdmf.evaluation
 from grdmf.cli import DEFAULT_HYPERPARAMS, main
-from grdmf.data import AssociationDataset, SimilaritySet, load_association_csv, load_similarity_csv
+from grdmf.data import load_association_csv, load_similarity_csv
 from grdmf.evaluation import auc, aupr, run_cv, split_folds, topk_metrics
 from grdmf.graphs import build_laplacian
 from grdmf.linalg import solve_sylvester_sym, sym_eigen
@@ -204,8 +204,8 @@ def test_synthetic_recovery():
     for seed in range(10):
         prob = make_synthetic_problem(m=40, n=20, rank=3, seed=seed, percentile=70.0)
         y = prob.dataset.y
-        l_d = build_laplacian(list(prob.similarities.drug.values()), hp.p)
-        l_v = build_laplacian(list(prob.similarities.virus.values()), hp.p)
+        l_d = build_laplacian([prob.drug_sim], hp.p)
+        l_v = build_laplacian([prob.virus_sim], hp.p)
         hidden = split_folds(y.shape, "entries", 10, seed)[0]
         mask = np.where(hidden, 0.0, 1.0)
         res = fit(y * mask, mask, l_d, l_v, hp)
@@ -230,19 +230,15 @@ def _load_benchmark():
         return None
     root = Path(root)
     dataset = load_association_csv(root / "association.csv")
-    drug = {
-        p.stem: load_similarity_csv(p, dataset.drugs)
-        for p in sorted(root.glob("drug_sim*.csv"))
-    }
-    virus = {
-        p.stem: load_similarity_csv(p, dataset.viruses)
-        for p in sorted(root.glob("virus_sim*.csv"))
-    }
+    drug = [load_similarity_csv(p, dataset.drugs) for p in sorted(root.glob("drug_sim*.csv"))]
+    virus = [
+        load_similarity_csv(p, dataset.viruses) for p in sorted(root.glob("virus_sim*.csv"))
+    ]
     if not drug or not virus:
         raise FileNotFoundError(
             f"{root} needs drug_sim*.csv and virus_sim*.csv similarity files"
         )
-    return dataset, SimilaritySet(drug=drug, virus=virus)
+    return dataset, drug, virus
 
 
 def test_benchmark_cell_cv_bands(monkeypatch):
@@ -250,12 +246,14 @@ def test_benchmark_cell_cv_bands(monkeypatch):
     if loaded is None:
         print("SKIP: benchmark cell-holdout bands — set GRDMF_DVA_DIR to run")
         pytest.skip("benchmark files not available (GRDMF_DVA_DIR unset)")
-    dataset, sims = loaded
+    dataset, drug, virus = loaded
     stock = DEFAULT_HYPERPARAMS[("entries", 2)]
     hp = HyperParams(
         mu=stock["mu"], theta=stock["theta"], alpha=stock["alpha"],
         dims=stock["dims"], p=stock["p"], iters=10,
     )
+    l_d = build_laplacian(drug, hp.p)
+    l_v = build_laplacian(virus, hp.p)
     aucs, auprs, fit_times = [], [], []
 
     def timed_fit(y_train, mask, l_d, l_v, hp_):
@@ -266,7 +264,7 @@ def test_benchmark_cell_cv_bands(monkeypatch):
 
     monkeypatch.setattr(grdmf.evaluation, "fit", timed_fit)
     for seed in range(10):
-        report = run_cv(dataset, sims, "entries", hp, seeds=[seed], folds=10)
+        report = run_cv(dataset, l_d, l_v, "entries", hp, seeds=[seed], folds=10)
         aucs.append(report.auc)
         auprs.append(report.aupr)
     mean_auc = float(np.mean(aucs))
@@ -286,7 +284,7 @@ def test_benchmark_cold_start_ranking():
     if loaded is None:
         print("SKIP: benchmark cold-start ranking — set GRDMF_DVA_DIR to run")
         pytest.skip("benchmark files not available (GRDMF_DVA_DIR unset)")
-    dataset, sims = loaded
+    dataset, drug, virus = loaded
     target = next((v for v in dataset.viruses if "sars-cov-2" in v.lower()), None)
     if target is None:
         pytest.skip("benchmark has no SARS-CoV-2 column")
@@ -295,8 +293,8 @@ def test_benchmark_cold_start_ranking():
         mu=stock["mu"], theta=stock["theta"], alpha=stock["alpha"],
         dims=stock["dims"], p=stock["p"], iters=10,
     )
-    l_d = build_laplacian(list(sims.drug.values()), hp.p)
-    l_v = build_laplacian(list(sims.virus.values()), hp.p)
+    l_d = build_laplacian(drug, hp.p)
+    l_v = build_laplacian(virus, hp.p)
     res = fit(dataset.y, np.ones_like(dataset.y), l_d, l_v, hp)
     j = dataset.viruses.index(target)
     got = {dataset.drugs[i].lower() for i in grdmf.evaluation._top_k(res.x[:, j], 5)}
@@ -317,8 +315,8 @@ def test_three_layer_consistency():
     prob = make_synthetic_problem(m=40, n=20, rank=3, seed=0, percentile=70.0)
     y = prob.dataset.y
     mask = np.ones_like(y)
-    l_d = build_laplacian(list(prob.similarities.drug.values()), 5)
-    l_v = build_laplacian(list(prob.similarities.virus.values()), 5)
+    l_d = build_laplacian([prob.drug_sim], 5)
+    l_v = build_laplacian([prob.virus_sim], 5)
     mu, theta, alpha = 1.0, 1.0, 0.5
 
     two = init_factors(y, (5, 3))
@@ -383,8 +381,8 @@ from grdmf.synthetic import make_synthetic_problem
 problem = make_synthetic_problem(m=400, n=100, rank=5, seed=0)
 y = problem.dataset.y
 hp = HyperParams(**DEFAULT_HYPERPARAMS[("entries", 2)])
-l_d = build_laplacian(list(problem.similarities.drug.values()), hp.p)
-l_v = build_laplacian(list(problem.similarities.virus.values()), hp.p)
+l_d = build_laplacian([problem.drug_sim], hp.p)
+l_v = build_laplacian([problem.virus_sim], hp.p)
 np.save(sys.argv[1], fit(y, np.ones_like(y), l_d, l_v, hp).x)
 """
 

@@ -15,11 +15,7 @@ import numpy as np
 import pytest
 
 from grdmf.cli import DEFAULT_HYPERPARAMS, _combo_sets, build_parser, main
-from grdmf.data import (
-    SimilaritySet,
-    load_association_csv,
-    load_similarity_csv,
-)
+from grdmf.data import load_association_csv, load_similarity_csv
 from grdmf.evaluation import run_cv, run_loocv
 from grdmf.exceptions import (
     ConfigError,
@@ -56,13 +52,14 @@ def _base_args(bundle, out, *, iters="2", dims="4,2"):
 
 
 def _library_inputs(bundle):
-    """The dataset, similarities and hyperparameters `_base_args` resolves to."""
+    """The dataset, Laplacians and hyperparameters `_base_args` resolves to."""
     dataset = load_association_csv(bundle["association"])
+    hp = HyperParams(mu=0.1, theta=1.0, alpha=0.5, dims=(4, 2), p=2, iters=2)
     drug_sim = load_similarity_csv(bundle["drug_sim"], dataset.drugs)
     virus_sim = load_similarity_csv(bundle["virus_sim"], dataset.viruses)
-    sims = SimilaritySet(drug={"s1_d": drug_sim}, virus={"s1_v": virus_sim})
-    hp = HyperParams(mu=0.1, theta=1.0, alpha=0.5, dims=(4, 2), p=2, iters=2)
-    return dataset, sims, hp
+    l_d = build_laplacian([drug_sim], hp.p)
+    l_v = build_laplacian([virus_sim], hp.p)
+    return dataset, l_d, l_v, hp
 
 
 def _read_rows(path):
@@ -339,9 +336,9 @@ def test_cv_means_are_the_library_report_means(bundle, tmp_path):
     with pytest.warns(FoldSkippedWarning):
         assert main(args) == 0
     payload = json.loads((out / "metrics.json").read_text())
-    dataset, sims, hp = _library_inputs(bundle)
+    dataset, l_d, l_v, hp = _library_inputs(bundle)
     with pytest.warns(FoldSkippedWarning):
-        report = run_cv(dataset, sims, "entries", hp, seeds=[1], folds=12).to_dict()
+        report = run_cv(dataset, l_d, l_v, "entries", hp, seeds=[1], folds=12).to_dict()
     assert payload["mean"] == report["mean"]
 
 
@@ -352,7 +349,7 @@ def _count_laplacians(monkeypatch) -> list:
         calls.append(1)
         return build_laplacian(*args, **kwargs)
 
-    monkeypatch.setattr("grdmf.evaluation.build_laplacian", counting)
+    monkeypatch.setattr("grdmf.cli.build_laplacian", counting)
     return calls
 
 
@@ -379,7 +376,7 @@ def test_ablation_builds_the_laplacians_once_per_combo(bundle, tmp_path, monkeyp
 
 
 def test_loo_means_are_the_library_report_means(bundle, tmp_path):
-    dataset, sims, hp = _library_inputs(bundle)
+    dataset, l_d, l_v, hp = _library_inputs(bundle)
     # a virus without positives is left out of the recall means, and
     # k=20 exceeds the 12 drugs, so it is clamped with a warning
     assert dataset.y[:, dataset.viruses.index("virus001")].sum() == 0
@@ -389,7 +386,7 @@ def test_loo_means_are_the_library_report_means(bundle, tmp_path):
         assert main(["cv", *_base_args(bundle, out), "--scheme", "loo", "--ks", "2,20"]) == 0
     payload = json.loads((out / "metrics.json").read_text())
     with pytest.warns(TopKClampWarning):
-        report = run_loocv(dataset, sims, hp, ks=(2, 20)).to_dict()
+        report = run_loocv(dataset, l_d, l_v, hp, ks=(2, 20)).to_dict()
     assert payload["mean"] == report["mean"]
     assert payload["notes"] == report["notes"]
 
@@ -483,7 +480,7 @@ def test_ablation_labels_and_shared_folds(bundle, tmp_path, monkeypatch):
 
 def test_ablation_rejects_unknown_and_empty():
     eye = np.eye(3)
-    sims = SimilaritySet(drug={"s1_d": eye, "s2_d": 2 * eye}, virus={"s1_v": eye})
+    sims = ({"s1_d": eye, "s2_d": 2 * eye}, {"s1_v": eye})
     with pytest.raises(ConfigError, match="unknown similarity"):
         _combo_sets(sims, [(["nope"], ["s1_v"])])
     with pytest.raises(ConfigError, match="at least one drug and one virus"):
@@ -493,8 +490,9 @@ def test_ablation_rejects_unknown_and_empty():
     # the default: each pair, then all combined, each subset in its own order
     combos = _combo_sets(sims, None)
     assert list(combos) == ["s1_d,s1_v", "s2_d,s1_v", "s1_d+s2_d,s1_v"]
-    assert list(combos["s1_d+s2_d,s1_v"].drug) == ["s1_d", "s2_d"]
-    assert combos["s2_d,s1_v"].drug["s2_d"] is sims.drug["s2_d"]
+    drug, virus = combos["s1_d+s2_d,s1_v"]
+    assert list(drug) == ["s1_d", "s2_d"] and list(virus) == ["s1_v"]
+    assert combos["s2_d,s1_v"][0]["s2_d"] is sims[0]["s2_d"]
 
 
 @pytest.mark.parametrize(
@@ -763,6 +761,30 @@ def test_bad_similarity_cell_fails_cleanly(bundle, tmp_path, caplog):
     ]
     assert main(args) == 1  # a ParseError, not an escaping ValueError
     assert f"{bad}:3: column 4" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--association", "--drug-sim", "--drug-profile"])
+def test_a_csv_with_a_header_and_no_data_rows_names_its_file(
+    bundle, tmp_path, caplog, capsys, flag
+):
+    key = flag[2:].replace("-", "_")
+    header = Path(bundle[key]).read_text().splitlines()[0]
+    empty = tmp_path / f"{key}_header_only.csv"
+    empty.write_text(f"# no rows below\n{header}\n")
+    inputs = {
+        "--association": bundle["association"],
+        "--drug-sim": bundle["drug_sim"],
+        "--virus-sim": bundle["virus_sim"],
+        flag: str(empty),
+    }
+    args = [part for pair in inputs.items() for part in pair]
+    out = tmp_path / "header_only"
+    assert main(["fit", *args, "--dims", "4,2", "--iters", "1", "--out", str(out)]) == 1
+    errors = [r for r in caplog.records if r.levelno == logging.ERROR]
+    assert [r.getMessage() for r in errors] == [f"{empty} contains no data rows"]
+    assert errors[0].exc_info is None
+    assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -35,15 +35,50 @@ def test_cli_imports_only_the_standard_library_and_numpy():
     assert [name for name in new if name not in allowed] == []
 
 
-def _imports_cli(node: ast.AST) -> bool:
+#: the package modules each module may import. The protocols in evaluation
+#: take Laplacians, as fit does, so they stand on solver, not on graphs: the
+#: command line alone turns named similarities into Laplacians
+ALLOWED_IMPORTS = {
+    "__init__": {"data", "evaluation", "graphs", "linalg", "solver"},
+    "__main__": {"cli"},
+    "cli": {"data", "evaluation", "exceptions", "graphs", "linalg", "solver"},
+    "data": {"exceptions"},
+    "evaluation": {"data", "exceptions", "linalg", "solver"},
+    "exceptions": set(),
+    "graphs": {"exceptions", "linalg"},
+    "linalg": {"exceptions"},
+    "solver": {"exceptions", "linalg"},
+    "synthetic": {"data", "graphs"},
+}
+
+
+def _package_imports(node: ast.AST) -> set[str]:
+    """The grdmf modules one import statement names, relative or absolute."""
     if isinstance(node, ast.Import):
-        return any(alias.name == "grdmf.cli" for alias in node.names)
-    if isinstance(node, ast.ImportFrom):
-        module = "." * node.level + (node.module or "")
-        return module in (".cli", "grdmf.cli") or (
-            module in (".", "grdmf") and any(alias.name == "cli" for alias in node.names)
-        )
-    return False
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        base = "grdmf" if node.level else ""
+        module = ".".join(filter(None, [base, node.module]))
+        names = [f"{module}.{alias.name}" for alias in node.names] + [module]
+    else:
+        return set()
+    parts = [name.split(".") for name in names]
+    return {p[1] for p in parts if len(p) > 1 and p[0] == "grdmf"} & set(ALLOWED_IMPORTS)
+
+
+def _module_paths():
+    return sorted((ROOT / "src" / "grdmf").glob("*.py"))
+
+
+def test_each_module_imports_only_the_package_modules_its_row_allows():
+    assert {path.stem for path in _module_paths()} == set(ALLOWED_IMPORTS)
+    extra = {}
+    for path in _module_paths():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set().union(*map(_package_imports, ast.walk(tree)))
+        if imported - ALLOWED_IMPORTS[path.stem]:
+            extra[path.stem] = sorted(imported - ALLOWED_IMPORTS[path.stem])
+    assert extra == {}
 
 
 def _names_config_error(node: ast.AST) -> bool:
@@ -58,11 +93,11 @@ def test_library_modules_know_nothing_of_the_command_line():
     # a configuration error is the CLI's to raise, and only the entry point
     # runs the CLI; the library raises its own errors
     offenders = []
-    for path in sorted((ROOT / "src" / "grdmf").glob("*.py")):
+    for path in _module_paths():
         if path.name == "cli.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (_imports_cli(node) and path.name != "__main__.py") or (
+            if ("cli" in _package_imports(node) and path.name != "__main__.py") or (
                 _names_config_error(node) and path.name != "exceptions.py"
             ):
                 offenders.append(f"{path.name}:{node.lineno}")

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grdmf.evaluation
-from grdmf.data import AssociationDataset, SimilaritySet
+from grdmf.data import AssociationDataset
 from grdmf.evaluation import (
     EvalReport,
     auc,
@@ -221,25 +221,26 @@ def _tiny_problem(seed=0, m=9, n=6, positive=0.35):
     drugs = tuple(f"d{i}" for i in range(m))
     viruses = tuple(f"v{j}" for j in range(n))
     dataset = AssociationDataset(drugs=drugs, viruses=viruses, y=y)
-    sims = SimilaritySet(
-        drug={"s1_d": np.eye(m)},
-        virus={"s1_v": np.eye(n)},
-    )
-    return dataset, sims
+    return dataset, *_no_graphs(m, n)
+
+
+def _no_graphs(m, n):
+    """The Laplacians of identity similarities, which have no edges: zero."""
+    return np.zeros((m, m)), np.zeros((n, n))
 
 
 _HP = HyperParams(mu=0.1, theta=1.0, alpha=0.5, dims=(3, 2), p=1, iters=2)
 
 
 def test_run_cv_perfect_scores_give_perfect_metrics(monkeypatch):
-    dataset, sims = _tiny_problem()
+    dataset, l_d, l_v = _tiny_problem()
     truth = dataset.y
 
     def oracle(y_train, mask, l_d, l_v, hp):
         return SimpleNamespace(x=truth)
 
     monkeypatch.setattr(grdmf.evaluation, "fit", oracle)
-    report = run_cv(dataset, sims, "entries", _HP, seeds=[0], folds=3)
+    report = run_cv(dataset, l_d, l_v, "entries", _HP, seeds=[0], folds=3)
     kept = [f for f in report.per_fold if not f.skipped]
     assert kept, "every fold was single-class; fixture too small"
     for fold in kept:
@@ -250,7 +251,7 @@ def test_run_cv_perfect_scores_give_perfect_metrics(monkeypatch):
 
 
 def test_run_cv_hides_cells_from_the_backend(monkeypatch):
-    dataset, sims = _tiny_problem(seed=1)
+    dataset, l_d, l_v = _tiny_problem(seed=1)
     truth = dataset.y
     calls = []
 
@@ -266,7 +267,7 @@ def test_run_cv_hides_cells_from_the_backend(monkeypatch):
         return SimpleNamespace(x=np.zeros_like(y_train) + 0.5)
 
     monkeypatch.setattr(grdmf.evaluation, "fit", checker)
-    run_cv(dataset, sims, "entries", _HP, seeds=[2], folds=3)
+    run_cv(dataset, l_d, l_v, "entries", _HP, seeds=[2], folds=3)
     assert len(calls) == 3
     assert sum(calls) == truth.size  # folds partition the matrix
 
@@ -280,14 +281,14 @@ def test_run_cv_skips_single_class_folds(monkeypatch):
         viruses=tuple(f"v{j}" for j in range(4)),
         y=y,
     )
-    sims = SimilaritySet(drug={"s": np.eye(4)}, virus={"s": np.eye(4)})
+    l_d, l_v = _no_graphs(4, 4)
 
     def oracle(y_train, mask, l_d, l_v, hp):
         return SimpleNamespace(x=rng.random(y.shape))
 
     monkeypatch.setattr(grdmf.evaluation, "fit", oracle)
     with pytest.warns(FoldSkippedWarning):
-        report = run_cv(dataset, sims, "entries", _HP, seeds=[0], folds=4)
+        report = run_cv(dataset, l_d, l_v, "entries", _HP, seeds=[0], folds=4)
     skipped = [f for f in report.per_fold if f.skipped]
     assert len(skipped) == 3  # the positive lands in exactly one fold
     assert len(report.notes) == 3
@@ -296,7 +297,7 @@ def test_run_cv_skips_single_class_folds(monkeypatch):
 
 
 def test_run_cv_axis_schemes_hide_whole_lines(monkeypatch):
-    dataset, sims = _tiny_problem(seed=3)
+    dataset, l_d, l_v = _tiny_problem(seed=3)
 
     def checker(y_train, mask, l_d, l_v, hp):
         hidden_cols = np.flatnonzero((mask == 0.0).all(axis=0))
@@ -305,21 +306,45 @@ def test_run_cv_axis_schemes_hide_whole_lines(monkeypatch):
         return SimpleNamespace(x=np.full_like(y_train, 0.5))
 
     monkeypatch.setattr(grdmf.evaluation, "fit", checker)
-    run_cv(dataset, sims, "viruses", _HP, seeds=[0], folds=3)
+    run_cv(dataset, l_d, l_v, "viruses", _HP, seeds=[0], folds=3)
     with pytest.raises(ParameterError):
-        run_cv(dataset, sims, "cells", _HP, seeds=[0], folds=3)
+        run_cv(dataset, l_d, l_v, "cells", _HP, seeds=[0], folds=3)
 
 
 def test_run_cv_needs_a_seed():
-    dataset, sims = _tiny_problem()
+    dataset, l_d, l_v = _tiny_problem()
     with pytest.raises(ParameterError, match="at least one seed"):
-        run_cv(dataset, sims, "entries", _HP, seeds=[], folds=3)
+        run_cv(dataset, l_d, l_v, "entries", _HP, seeds=[], folds=3)
+
+
+def test_run_cv_reads_every_seed_before_the_first_fit(monkeypatch):
+    dataset, l_d, l_v = _tiny_problem(seed=12)
+    scores = np.random.default_rng(0).random(dataset.y.shape)
+    masks = []
+
+    def recorder(y_train, mask, l_d, l_v, hp):
+        masks.append(mask)
+        return SimpleNamespace(x=scores)
+
+    monkeypatch.setattr(grdmf.evaluation, "fit", recorder)
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+        run_cv(dataset, l_d, l_v, "entries", _HP, seeds=[0, -1], folds=3)
+    assert masks == []
+    # a seed is stored as the integer it reads as, and draws that seed's folds
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FoldSkippedWarning)
+        given = run_cv(dataset, l_d, l_v, "entries", _HP, seeds=["3"], folds=3)
+        as_int = run_cv(dataset, l_d, l_v, "entries", _HP, seeds=[3], folds=3)
+    assert [type(f.seed) for f in given.per_fold] == [int] * 3
+    assert given.to_dict() == as_int.to_dict()
+    assert len(masks) == 6
+    assert all(np.array_equal(a, b) for a, b in zip(masks[:3], masks[3:]))
 
 
 def test_run_cv_is_deterministic():
-    dataset, sims = _tiny_problem(seed=4)
-    a = run_cv(dataset, sims, "entries", _HP, seeds=[5], folds=3)
-    b = run_cv(dataset, sims, "entries", _HP, seeds=[5], folds=3)
+    dataset, l_d, l_v = _tiny_problem(seed=4)
+    a = run_cv(dataset, l_d, l_v, "entries", _HP, seeds=[5], folds=3)
+    b = run_cv(dataset, l_d, l_v, "entries", _HP, seeds=[5], folds=3)
     assert a.to_dict() == b.to_dict()
 
 
@@ -335,7 +360,7 @@ def test_run_cv_seeds_concatenate_their_folds_under_one_aggregation(a, b):
         viruses=tuple(f"v{j}" for j in range(4)),
         y=y,
     )
-    sims = SimilaritySet(drug={"s": np.eye(4)}, virus={"s": np.eye(4)})
+    l_d, l_v = _no_graphs(4, 4)
     scores = np.random.default_rng(0).random(y.shape)
 
     def oracle(y_train, mask, l_d, l_v, hp):
@@ -346,9 +371,9 @@ def test_run_cv_seeds_concatenate_their_folds_under_one_aggregation(a, b):
     with pytest.MonkeyPatch.context() as monkeypatch, warnings.catch_warnings():
         monkeypatch.setattr(grdmf.evaluation, "fit", oracle)
         warnings.simplefilter("ignore", FoldSkippedWarning)
-        both = run_cv(dataset, sims, "entries", _HP, seeds=[a, b], folds=4)
-        first = run_cv(dataset, sims, "entries", _HP, seeds=[a], folds=4)
-        second = run_cv(dataset, sims, "entries", _HP, seeds=[b], folds=4)
+        both = run_cv(dataset, l_d, l_v, "entries", _HP, seeds=[a, b], folds=4)
+        first = run_cv(dataset, l_d, l_v, "entries", _HP, seeds=[a], folds=4)
+        second = run_cv(dataset, l_d, l_v, "entries", _HP, seeds=[b], folds=4)
     folds = first.per_fold + second.per_fold
     notes = first.notes + second.notes
     assert [f.seed for f in both.per_fold] == [a] * 4 + [b] * 4
@@ -363,7 +388,7 @@ def test_run_cv_seeds_concatenate_their_folds_under_one_aggregation(a, b):
 
 
 def test_run_loocv_perfect_oracle_hits_the_combinatorial_bound(monkeypatch):
-    dataset, sims = _tiny_problem(seed=5)
+    dataset, l_d, l_v = _tiny_problem(seed=5)
     truth = dataset.y
 
     def oracle(y_train, mask, l_d, l_v, hp):
@@ -371,7 +396,7 @@ def test_run_loocv_perfect_oracle_hits_the_combinatorial_bound(monkeypatch):
 
     monkeypatch.setattr(grdmf.evaluation, "fit", oracle)
     ks = (2, 3)
-    report = run_loocv(dataset, sims, _HP, ks=ks)
+    report = run_loocv(dataset, l_d, l_v, _HP, ks=ks)
     assert len(report.per_fold) == len(dataset.viruses)
     m = truth.shape[0]
     for j, fold in enumerate(report.per_fold):
@@ -398,13 +423,13 @@ def test_run_loocv_zero_positive_virus_excluded_from_recall(monkeypatch):
         viruses=("va", "vb", "vc"),
         y=y,
     )
-    sims = SimilaritySet(drug={"s": np.eye(5)}, virus={"s": np.eye(3)})
+    l_d, l_v = _no_graphs(5, 3)
 
     def oracle(y_train, mask, l_d, l_v, hp):
         return SimpleNamespace(x=y)
 
     monkeypatch.setattr(grdmf.evaluation, "fit", oracle)
-    report = run_loocv(dataset, sims, _HP, ks=(2,))
+    report = run_loocv(dataset, l_d, l_v, _HP, ks=(2,))
     assert any("vb" in note for note in report.notes)
     vb = report.per_fold[1]
     assert vb.pre_at_k[2] == 0.0
@@ -419,13 +444,13 @@ def test_run_loocv_all_positive_virus_skips_rank_metrics(monkeypatch):
     dataset = AssociationDataset(
         drugs=("d0", "d1", "d2", "d3"), viruses=("va", "vb"), y=y
     )
-    sims = SimilaritySet(drug={"s": np.eye(4)}, virus={"s": np.eye(2)})
+    l_d, l_v = _no_graphs(4, 2)
 
     def oracle(y_train, mask, l_d, l_v, hp):
         return SimpleNamespace(x=y)
 
     monkeypatch.setattr(grdmf.evaluation, "fit", oracle)
-    report = run_loocv(dataset, sims, _HP, ks=(2,))
+    report = run_loocv(dataset, l_d, l_v, _HP, ks=(2,))
     va = report.per_fold[0]
     assert va.auc is None and va.aupr is None
     assert va.pre_at_k[2] == pytest.approx(1.0)
@@ -439,19 +464,19 @@ def test_run_cv_refuses_an_unknown_scheme_before_any_fit(monkeypatch):
         raise AssertionError("a fold was fitted under an unknown scheme")
 
     monkeypatch.setattr(grdmf.evaluation, "fit", no_fit)
-    dataset, sims = _tiny_problem(seed=1)
+    dataset, l_d, l_v = _tiny_problem(seed=1)
     for scheme in ("rows", "cols", "loo"):
         message = f"^scheme must be 'entries', 'viruses' or 'drugs', got '{scheme}'$"
         with pytest.raises(ParameterError, match=message):
             split_folds(dataset.y.shape, scheme, folds=2)
         with pytest.raises(ParameterError, match=message):
-            run_cv(dataset, sims, scheme, _HP, folds=2)
+            run_cv(dataset, l_d, l_v, scheme, _HP, folds=2)
 
 
 def test_run_loocv_validates_cutoffs():
-    dataset, sims = _tiny_problem(seed=6)
+    dataset, l_d, l_v = _tiny_problem(seed=6)
     with pytest.raises(ParameterError):
-        run_loocv(dataset, sims, _HP, ks=(0,))
+        run_loocv(dataset, l_d, l_v, _HP, ks=(0,))
 
 
 @pytest.mark.parametrize(
@@ -471,13 +496,13 @@ def test_library_counts_are_not_truncated(call, message):
 
 
 def test_report_serialization_keys_are_strings(monkeypatch):
-    dataset, sims = _tiny_problem(seed=9)
+    dataset, l_d, l_v = _tiny_problem(seed=9)
 
     def oracle(y_train, mask, l_d, l_v, hp):
         return SimpleNamespace(x=dataset.y)
 
     monkeypatch.setattr(grdmf.evaluation, "fit", oracle)
-    report = run_loocv(dataset, sims, _HP, ks=(3,))
+    report = run_loocv(dataset, l_d, l_v, _HP, ks=(3,))
     payload = report.to_dict()
     assert set(payload["mean"]["pre_at_k"]) <= {"3"}
     for fold in payload["folds"]:
@@ -492,7 +517,7 @@ def test_report_serialization_keys_are_strings(monkeypatch):
 def test_protocols_look_up_the_module_fit_once_per_fold(monkeypatch):
     # the benchmark records every fold's fit by rebinding grdmf.evaluation.fit,
     # so a protocol run must find the rebound function
-    dataset, sims = _tiny_problem(seed=10)
+    dataset, l_d, l_v = _tiny_problem(seed=10)
     real_fit = grdmf.evaluation.fit
     calls = []
 
@@ -503,10 +528,10 @@ def test_protocols_look_up_the_module_fit_once_per_fold(monkeypatch):
     monkeypatch.setattr(grdmf.evaluation, "fit", counting_fit)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FoldSkippedWarning)
-        run_cv(dataset, sims, "entries", _HP, seeds=[0, 1], folds=3)
+        run_cv(dataset, l_d, l_v, "entries", _HP, seeds=[0, 1], folds=3)
     assert len(calls) == 6
     calls.clear()
-    run_loocv(dataset, sims, _HP, ks=(2,))
+    run_loocv(dataset, l_d, l_v, _HP, ks=(2,))
     assert len(calls) == len(dataset.viruses)
 
 
@@ -514,7 +539,7 @@ def test_protocols_look_up_the_module_fit_once_per_fold(monkeypatch):
 def test_folds_are_scored_in_row_major_order(monkeypatch, scheme):
     # three score levels, so most hidden cells tie and AUPR's stable
     # tie-break makes it depend on the order the cells are scored in
-    dataset, sims = _tiny_problem(seed=11, m=12, n=8, positive=0.4)
+    dataset, l_d, l_v = _tiny_problem(seed=11, m=12, n=8, positive=0.4)
     x = np.random.default_rng(12).integers(0, 3, dataset.y.shape) / 2.0
     hidden = []
 
@@ -526,9 +551,9 @@ def test_folds_are_scored_in_row_major_order(monkeypatch, scheme):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FoldSkippedWarning)
         if scheme == "loo":
-            report = run_loocv(dataset, sims, _HP, ks=(2,))
+            report = run_loocv(dataset, l_d, l_v, _HP, ks=(2,))
         else:
-            report = run_cv(dataset, sims, scheme, _HP, seeds=[0, 1], folds=3)
+            report = run_cv(dataset, l_d, l_v, scheme, _HP, seeds=[0, 1], folds=3)
     y = dataset.y
     assert len(hidden) == len(report.per_fold)
     scored = [(f, h) for f, h in zip(report.per_fold, hidden) if f.aupr is not None]

@@ -442,8 +442,8 @@ def default_instance(key, seed):
     hp = HyperParams(**DEFAULT_HYPERPARAMS[key])
     y = prob.dataset.y
     mask = (np.random.default_rng(seed).random(y.shape) >= 0.1).astype(float)
-    l_d = build_laplacian(list(prob.similarities.drug.values()), hp.p)
-    l_v = build_laplacian(list(prob.similarities.virus.values()), hp.p)
+    l_d = build_laplacian([prob.drug_sim], hp.p)
+    l_v = build_laplacian([prob.virus_sim], hp.p)
     return y * mask, mask, l_d, l_v, hp
 
 
@@ -527,8 +527,8 @@ def test_block_descent_holds_across_the_admissible_hyperparameters(
     hp = HyperParams(mu=mu, theta=theta, alpha=alpha, dims=dims, p=3, iters=10)
     mask = (np.random.default_rng(seed).random((m, n)) >= 0.1).astype(float)
     y = prob.dataset.y * mask
-    l_d = build_laplacian(list(prob.similarities.drug.values()), hp.p)
-    l_v = build_laplacian(list(prob.similarities.virus.values()), hp.p)
+    l_d = build_laplacian([prob.drug_sim], hp.p)
+    l_v = build_laplacian([prob.virus_sim], hp.p)
     live = init_factors(y, hp.dims)
     for init in (live, pad_chain(live, hp.dims)):
         for label, before, after, delta_sq in block_walk(y, mask, l_d, l_v, hp, init):
@@ -583,8 +583,8 @@ def test_fit_matches_the_whole_fit_reference(seed, dims):
     y = prob.dataset.y
     mask = np.ones(y.shape)
     mask.flat[np.random.default_rng(seed).permutation(y.size)[: y.size // 5]] = 0.0
-    l_d = build_laplacian(list(prob.similarities.drug.values()), 3)
-    l_v = build_laplacian(list(prob.similarities.virus.values()), 3)
+    l_d = build_laplacian([prob.drug_sim], 3)
+    l_v = build_laplacian([prob.virus_sim], 3)
     hp = HyperParams(mu=0.5, theta=1.0, alpha=0.5, dims=dims, p=3)
     result = fit(y * mask, mask, l_d, l_v, hp)
     expected = reference_fit(y * mask, mask, l_d, l_v, hp)
@@ -696,8 +696,8 @@ def test_each_symmetric_operand_is_checked_once(monkeypatch):
                 monkeypatch.setattr(module, name, wrapper)
 
     prob = make_synthetic_problem(m=86, n=23, rank=5, seed=0)
-    l_d = build_laplacian(list(prob.similarities.drug.values()), 2)
-    l_v = build_laplacian(list(prob.similarities.virus.values()), 2)
+    l_d = build_laplacian([prob.drug_sim], 2)
+    l_v = build_laplacian([prob.virus_sim], 2)
     hp = HyperParams(mu=100.0, theta=1.0, alpha=0.05, dims=(17, 15), p=2, iters=10)
     y = prob.dataset.y
     counting("_require_symmetric")
@@ -725,8 +725,8 @@ def test_every_operand_fit_diagonalizes_is_exactly_symmetric(monkeypatch, dims):
             monkeypatch.setattr(module, "sym_eigen", recording)
 
     prob = make_synthetic_problem(m=86, n=23, rank=5, seed=0)
-    l_d = build_laplacian(list(prob.similarities.drug.values()), 2)
-    l_v = build_laplacian(list(prob.similarities.virus.values()), 2)
+    l_d = build_laplacian([prob.drug_sim], 2)
+    l_v = build_laplacian([prob.virus_sim], 2)
     hp = HyperParams(mu=100.0, theta=1.0, alpha=0.05, dims=dims, p=2, iters=10)
     y = prob.dataset.y
     fit(y, np.ones_like(y), l_d, l_v, hp)
@@ -751,8 +751,8 @@ def test_graph_side_coefficients_are_diagonalized_once_per_fit(monkeypatch, dims
             monkeypatch.setattr(module, "sym_eigen", recording)
 
     prob = make_synthetic_problem(m=86, n=23, rank=5, seed=0)
-    l_d = build_laplacian(list(prob.similarities.drug.values()), 2)
-    l_v = build_laplacian(list(prob.similarities.virus.values()), 2)
+    l_d = build_laplacian([prob.drug_sim], 2)
+    l_v = build_laplacian([prob.virus_sim], 2)
     hp = HyperParams(mu=100.0, theta=1.0, alpha=0.05, dims=dims, p=2, iters=10)
     y = prob.dataset.y
     fit(y, np.ones_like(y), l_d, l_v, hp)
