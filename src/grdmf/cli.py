@@ -86,14 +86,6 @@ class RunConfig:
         return json.loads(json.dumps(values, default=os.fspath))
 
 
-def _virus_column(dataset: AssociationDataset, virus_name: str) -> int:
-    if virus_name not in dataset.viruses:
-        raise ConfigError(
-            f"unknown virus {virus_name!r}; the dataset has {len(dataset.viruses)} viruses"
-        )
-    return dataset.viruses.index(virus_name)
-
-
 # ---------------------------------------------------------------------------
 # configuration resolution
 
@@ -388,7 +380,11 @@ def cmd_fit(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> int:
 
 
 def cmd_predict(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> int:
-    j = _virus_column(dataset, cfg.virus)  # before the fit, which is the costly part
+    if cfg.virus not in dataset.viruses:  # before the fit, which is the costly part
+        raise ConfigError(
+            f"unknown virus {cfg.virus!r}; the dataset has {len(dataset.viruses)} viruses"
+        )
+    j = dataset.viruses.index(cfg.virus)
     known = dataset.y[:, j] == 1.0
     scores = _full_fit(cfg, dataset, sims).x[:, j]
     order = _top_k(scores, cfg.k)

@@ -66,9 +66,13 @@ class AssociationDataset:
             )
 
 
-def _check_unique(names: Sequence[str], what: str, path) -> None:
+def _check_names(names: Sequence[str], what: str, path) -> None:
+    """Each name, already stripped, is non-empty and unique: a name that was
+    blank, or is given twice, is a :class:`RegistryError` naming the file."""
     seen = set()
-    for name in names:
+    for i, name in enumerate(names, start=1):
+        if not name:
+            raise RegistryError(f"empty {what} name in {path} ({what} {i} of {len(names)})")
         if name in seen:
             raise RegistryError(f"duplicate {what} name {name!r} in {path}")
         seen.add(name)
@@ -118,7 +122,7 @@ def _walk_rows(handle, path, binary: bool):
     col_names = [h.strip() for h in header[1:]]
     if not col_names:
         raise ParseError(f"{path}:{header_line}: header row names no columns")
-    _check_unique(col_names, "column", path)
+    _check_names(col_names, "column", path)
     width = len(col_names)
     row_names: list[str] = []
     data: list[np.ndarray] = []
@@ -138,7 +142,7 @@ def _walk_rows(handle, path, binary: bool):
         data.append(values)
     if not data:
         raise ParseError(f"{Path(path)} contains no data rows")
-    _check_unique(row_names, "row", path)
+    _check_names(row_names, "row", path)
     return tuple(row_names), tuple(col_names), np.array(data, dtype=float)
 
 
@@ -217,8 +221,8 @@ def _parse_table(path, binary: bool):
                 parsed = _read_plain(handle, binary)
                 if parsed is not None:
                     row_names, col_names, _ = parsed
-                    _check_unique(col_names, "column", path)
-                    _check_unique(row_names, "row", path)
+                    _check_names(col_names, "column", path)
+                    _check_names(row_names, "row", path)
                     return parsed
                 handle.seek(0)
             return _walk_rows(handle, path, binary)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -251,35 +251,20 @@ def topk_metrics(scores, labels, k: int) -> tuple[float, float]:
     return hits / order.size, hits / total_pos
 
 
-def _run_folds(
-    y: np.ndarray,
-    l_d: np.ndarray,
-    l_v: np.ndarray,
-    hp: HyperParams,
-    splits: Iterable[tuple[int, Optional[int], np.ndarray]],
-    score: Callable[[FoldMetrics, np.ndarray, np.ndarray], list[str]],
-) -> tuple[list[FoldMetrics], list[str]]:
-    """The hide -> fit -> score loop shared by every protocol.
+def _fold_scores(
+    y: np.ndarray, l_d: np.ndarray, l_v: np.ndarray, hp: HyperParams, masks
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The hide -> fit loop shared by every protocol.
 
-    Each split is a ``(fold_id, seed, hidden)`` triple, ``hidden`` a boolean
-    mask of y's shape (seed None for a deterministic split). Each fold trains
-    on ``y`` with its hidden cells zeroed and the Laplacians ``l_d``, ``l_v``,
-    and ``score(record, scores, labels)`` fills in the fold's metrics
-    from the completed matrix at those cells, in row-major order, and returns
-    its notes.
+    For each boolean mask of y's shape, fits ``y`` with the masked cells
+    zeroed and the Laplacians ``l_d``, ``l_v``, and yields the completed
+    matrix's scores and y's labels at those cells, in row-major order.
     """
-    per_fold: list[FoldMetrics] = []
-    notes: list[str] = []
-    for fold_id, seed, hidden in splits:
+    for hidden in masks:
         mask = np.where(hidden, 0.0, 1.0)
         # ``fit`` is this module's global, looked up per fold: tests and the
         # benchmark substitute a fit by rebinding ``grdmf.evaluation.fit``
-        scores = fit(y * mask, mask, l_d, l_v, hp).x[hidden]
-        labels = y[hidden]
-        record = FoldMetrics(fold_id, labels.size, int(labels.sum()), seed=seed)
-        notes += score(record, scores, labels)
-        per_fold.append(record)
-    return per_fold, notes
+        yield fit(y * mask, mask, l_d, l_v, hp).x[hidden], y[hidden]
 
 
 def run_cv(
@@ -309,28 +294,24 @@ def run_cv(
     seeds = [_seed(seed) for seed in seeds]
     if not seeds:
         raise ParameterError("run_cv needs at least one seed")
-
-    def score(record: FoldMetrics, scores: np.ndarray, labels: np.ndarray) -> list[str]:
-        if record.n_positive in (0, labels.size):
-            record.skipped = True
-            note = (
-                f"fold {record.fold_id}: hidden cells are single-class "
-                f"({record.n_positive} of {labels.size} positive); metrics skipped"
-            )
-            # stacklevel 4: score <- _run_folds <- run_cv <- caller
-            warnings.warn(note, FoldSkippedWarning, stacklevel=4)
-            return [note]
-        record.auc = auc(scores, labels)
-        record.aupr = aupr(scores, labels)
-        return []
-
-    # drawn seed by seed, so only one seed's splits are held at a time
-    splits = (
-        (f, seed, hidden)
-        for seed in seeds
-        for f, hidden in enumerate(split_folds(y.shape, scheme, folds, seed))
-    )
-    per_fold, notes = _run_folds(y, l_d, l_v, hp, splits, score)
+    per_fold: list[FoldMetrics] = []
+    notes: list[str] = []
+    for seed in seeds:  # drawn seed by seed, so one seed's masks are held at a time
+        masks = split_folds(y.shape, scheme, folds, seed)
+        for f, (scores, labels) in enumerate(_fold_scores(y, l_d, l_v, hp, masks)):
+            record = FoldMetrics(f, labels.size, int(labels.sum()), seed=seed)
+            per_fold.append(record)
+            if record.n_positive in (0, labels.size):
+                record.skipped = True
+                note = (
+                    f"fold {f}: hidden cells are single-class "
+                    f"({record.n_positive} of {labels.size} positive); metrics skipped"
+                )
+                warnings.warn(note, FoldSkippedWarning, stacklevel=2)
+                notes.append(note)
+            else:
+                record.auc = auc(scores, labels)
+                record.aupr = aupr(scores, labels)
     return EvalReport.from_folds(per_fold, notes)
 
 
@@ -353,22 +334,23 @@ def run_loocv(
         raise ParameterError(f"cutoffs must be >= 1, got {ks}")
     y = dataset.y
     m, n = y.shape
-    splits = ((j, None, np.broadcast_to(np.arange(n) == j, y.shape)) for j in range(n))
-
-    def score(record: FoldMetrics, scores: np.ndarray, labels: np.ndarray) -> list[str]:
-        record.name = virus = dataset.viruses[record.fold_id]
+    masks = (np.broadcast_to(np.arange(n) == j, y.shape) for j in range(n))
+    per_virus: list[FoldMetrics] = []
+    notes: list[str] = []
+    for j, (scores, labels) in enumerate(_fold_scores(y, l_d, l_v, hp, masks)):
+        virus = dataset.viruses[j]
+        record = FoldMetrics(j, labels.size, int(labels.sum()), name=virus)
         record.pre_at_k, record.rec_at_k = {}, {}
+        per_virus.append(record)
         if record.n_positive == 0:
             record.pre_at_k = dict.fromkeys(ks, 0.0)
-            return [f"virus {virus!r} has no known positives; excluded from recall means"]
+            notes.append(f"virus {virus!r} has no known positives; excluded from recall means")
+            continue
         for k in ks:
             record.pre_at_k[k], record.rec_at_k[k] = topk_metrics(scores, labels, k)
         if record.n_positive == m:
-            return [f"virus {virus!r} is all-positive; AUC/AUPR skipped"]
-        record.auc = auc(scores, labels)
-        record.aupr = aupr(scores, labels)
-        return []
-
-    per_virus, notes = _run_folds(y, l_d, l_v, hp, splits, score)
+            notes.append(f"virus {virus!r} is all-positive; AUC/AUPR skipped")
+        else:
+            record.auc = auc(scores, labels)
+            record.aupr = aupr(scores, labels)
     return EvalReport.from_folds(per_virus, notes)
-

@@ -9,6 +9,7 @@ coefficient of a 1000-drug problem; clarity wins over cleverness throughout.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -99,10 +100,17 @@ def _real(value, what: str = "value") -> float:
 def _require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
-    gap = np.linalg.norm(a - a.T)
-    if gap > SYMMETRY_RTOL * (1.0 + np.linalg.norm(a)):
+    scale = 1.0
+    gap, size = np.linalg.norm(a - a.T), np.linalg.norm(a)
+    if not math.isfinite(gap + size):
+        # a norm overflowed, which would pass any asymmetry: measure both in
+        # units of the largest entry instead
+        scale = float(np.abs(a).max())
+        b = a / scale
+        gap, size = np.linalg.norm(b - b.T), np.linalg.norm(b)
+    if gap > SYMMETRY_RTOL * (1.0 / scale + size):
         raise SymmetryError(
-            f"{name} is not symmetric: ||M - M.T||_F = {gap:.3e} beyond tolerance"
+            f"{name} is not symmetric: ||M - M.T||_F = {gap * scale:.3e} beyond tolerance"
         )
 
 

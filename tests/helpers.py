@@ -191,8 +191,10 @@ def random_scores_labels(rng, size: int, quantize: bool):
 # matrix CSV oracle
 
 
-def _first_duplicate(names, what: str, path) -> None:
+def _first_bad_name(names, what: str, path) -> None:
     for i, name in enumerate(names):
+        if not name:
+            raise RegistryError(f"empty {what} name in {path} ({what} {i + 1} of {len(names)})")
         if name in names[:i]:
             raise RegistryError(f"duplicate {what} name {name!r} in {path}")
 
@@ -217,7 +219,7 @@ def csv_table_oracle(path, binary: bool):
     cols = [h.strip() for h in header[1:]]
     if not cols:
         raise ParseError(f"{path}:{header_line}: header row names no columns")
-    _first_duplicate(cols, "column", path)
+    _first_bad_name(cols, "column", path)
     expected = "0 or 1" if binary else "a finite nonnegative number"
     values = []
     for lineno, row in body:
@@ -240,7 +242,7 @@ def csv_table_oracle(path, binary: bool):
     if not values:
         raise ParseError(f"{path} contains no data rows")
     names = [row[0].strip() for _, row in body]
-    _first_duplicate(names, "row", path)
+    _first_bad_name(names, "row", path)
     return tuple(names), tuple(cols), np.array(values, dtype=float)
 
 

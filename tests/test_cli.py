@@ -181,6 +181,50 @@ def test_predict_unknown_virus_fails_cleanly(bundle, tmp_path, monkeypatch, capl
     assert not (out / "recommendations.csv").exists()
 
 
+def _logged_errors(caplog):
+    return [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+
+
+@pytest.mark.parametrize("virus", [None, ""], ids=["absent", "empty"])
+def test_predict_without_a_virus_is_a_config_error(bundle, tmp_path, caplog, virus):
+    out = tmp_path / "novirus"
+    args = ["predict", *_base_args(bundle, out)]
+    if virus is not None:
+        args += ["--virus", virus]
+    assert main(args) == 1
+    assert _logged_errors(caplog) == ["predict needs a virus name (--virus)"]
+    assert not out.exists()
+
+
+def test_a_missing_config_file_is_a_config_error(bundle, tmp_path, caplog):
+    missing = tmp_path / "no-such.json"
+    assert main(["fit", *_base_args(bundle, tmp_path / "out"), "--config", str(missing)]) == 1
+    assert _logged_errors(caplog) == [f"config file not found: {missing}"]
+
+
+def test_a_config_file_scheme_is_checked(bundle, tmp_path, caplog):
+    # the --scheme flag is refused by argparse; a config file's scheme is not
+    cfg_path = tmp_path / "scheme.json"
+    cfg_path.write_text(json.dumps({"scheme": "bogus"}))
+    out = tmp_path / "badscheme"
+    assert main(["cv", *_base_args(bundle, out), "--config", str(cfg_path)]) == 1
+    assert _logged_errors(caplog) == [
+        "scheme must be one of entries, viruses, drugs, loo; got 'bogus'"
+    ]
+    assert not out.exists()
+
+
+def test_a_drug_side_graph_is_required(bundle, tmp_path, caplog):
+    out = tmp_path / "nodrug"
+    args = ["fit", "--association", bundle["association"],
+            "--virus-sim", bundle["virus_sim"], "--out", str(out)]
+    assert main(args) == 1
+    assert _logged_errors(caplog) == [
+        "at least one drug-side similarity or profile is required"
+    ]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["fit", "predict"])
 def test_seed_is_refused_where_no_folds_are_drawn(bundle, tmp_path, capsys, command):
     # only cv and ablation draw folds; a seed anywhere else would change nothing

@@ -94,6 +94,35 @@ def test_association_rejects_duplicates(tmp_path):
         load_association_csv(path2)
 
 
+@pytest.mark.parametrize("name", ["", " "], ids=["empty", "blank"])
+@pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+def test_association_rejects_empty_names(tmp_path, monkeypatch, quote, name):
+    # `predict --virus ''` reads as no virus at all, so no such name may load
+    walks = []
+    walk_rows = data._walk_rows
+
+    def counting_walk(*args):
+        walks.append(1)
+        return walk_rows(*args)
+
+    monkeypatch.setattr(data, "_walk_rows", counting_walk)
+    blank = f"{quote}{name}{quote}"
+    column = _write(tmp_path / "c.csv", f",v0,{blank},v2\nd0,0,1,0\n")
+    with pytest.raises(RegistryError) as exc:
+        load_association_csv(column)
+    assert str(exc.value) == f"empty column name in {column} (column 2 of 3)"
+    # a quoted file is read by the row walker, a plain one by the C reader
+    assert len(walks) == bool(quote)
+    row = _write(tmp_path / "r.csv", f",v0,v1\nd0,0,1\n{blank},0,1\n")
+    with pytest.raises(RegistryError) as exc:
+        load_association_csv(row)
+    assert str(exc.value) == f"empty row name in {row} (row 2 of 2)"
+    # a bad column name is reported before any row is read
+    early = _write(tmp_path / "e.csv", f",v0,{blank}\nd0,0,x\n")
+    with pytest.raises(RegistryError, match="^empty column name in "):
+        load_association_csv(early)
+
+
 def test_empty_and_missing_files(tmp_path):
     empty = _write(tmp_path / "empty.csv", "# only a comment\n")
     with pytest.raises(ParseError, match="no data rows"):

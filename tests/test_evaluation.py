@@ -296,6 +296,24 @@ def test_run_cv_skips_single_class_folds(monkeypatch):
     assert report.auc is not None  # the surviving fold still aggregates
 
 
+def test_a_skipped_fold_warning_points_at_the_run_cv_caller(monkeypatch):
+    y = np.zeros((4, 4))
+    y[2, 3] = 1.0
+    dataset = AssociationDataset(
+        drugs=tuple(f"d{i}" for i in range(4)),
+        viruses=tuple(f"v{j}" for j in range(4)),
+        y=y,
+    )
+    l_d, l_v = _no_graphs(4, 4)
+    monkeypatch.setattr(
+        grdmf.evaluation, "fit", lambda y_train, *args: SimpleNamespace(x=y_train)
+    )
+    with pytest.warns(FoldSkippedWarning) as caught:
+        run_cv(dataset, l_d, l_v, "entries", _HP, seeds=[0], folds=4)
+    assert len(caught) == 3
+    assert {w.filename for w in caught} == {__file__}
+
+
 def test_run_cv_axis_schemes_hide_whole_lines(monkeypatch):
     dataset, l_d, l_v = _tiny_problem(seed=3)
 

@@ -183,6 +183,13 @@ def test_sparsify_rejects_asymmetric():
         sparsify_pnn(s, 1)
 
 
+def test_sparsify_rejects_asymmetry_whose_norm_overflows():
+    s = np.array([[1.0, 1e300], [0.0, 1.0]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(SymmetryError, match="^similarity is not symmetric"):
+            sparsify_pnn(s, 1)
+
+
 # ---------------------------------------------------------------------------
 # the Laplacian of one graph
 #

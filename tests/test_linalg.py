@@ -41,6 +41,35 @@ def test_eigen_rejects_asymmetric():
         sym_eigen(a)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e-6])
+def test_eigen_symmetry_tolerance_is_relative_to_the_norm(scale):
+    # ||M - M.T||_F = sqrt(2) eps * scale against 1e-8 * (1 + sqrt(2) scale)
+    limit = 1e-8 * (1.0 + np.sqrt(2.0) * scale) / (np.sqrt(2.0) * scale)
+    for eps, passes in ((0.9 * limit, True), (1.1 * limit, False)):
+        a = scale * np.eye(2)
+        a[0, 1] = eps * scale
+        if passes:
+            sym_eigen(a)
+        else:
+            with pytest.raises(SymmetryError):
+                sym_eigen(a)
+
+
+def test_eigen_rejects_asymmetry_whose_norm_overflows():
+    # ||M||_F is inf for each of these, which passed any gap before rescaling
+    huge = np.finfo(float).max / 2
+    for a in (
+        [[1e300, 1e300], [0.0, 1e300]],
+        [[huge, huge], [-huge, 1.0]],  # M - M.T overflows too
+    ):
+        with np.errstate(over="ignore"):
+            with pytest.raises(SymmetryError, match="^matrix is not symmetric"):
+                sym_eigen(np.array(a))
+    with np.errstate(over="ignore"):
+        eig = sym_eigen(np.array([[1e300, 1e300], [1e300, 1e300]]))
+    assert np.allclose(eig.values, [0.0, 2e300], atol=1e288)
+
+
 def test_eigen_rejects_bad_dims():
     with pytest.raises(DimensionError):
         sym_eigen(np.zeros(3))

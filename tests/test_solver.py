@@ -178,6 +178,13 @@ def test_objective_shape_checks():
         objective(x, [np.ones((12, 4)), np.ones((4, 6))], *args)
 
 
+def test_objective_checks_the_virus_laplacian_shape():
+    fs = [np.ones((3, 2)), np.ones((2, 4))]
+    y = np.zeros((3, 4))
+    with pytest.raises(DimensionError, match=r"^l_v must be 4x4, got \(3, 3\)$"):
+        objective(y, fs, y, np.ones_like(y), np.eye(3), np.eye(3), 1, 1)
+
+
 # ---------------------------------------------------------------------------
 # initialization
 
@@ -216,6 +223,14 @@ def test_init_rejects_non_integral_dims():
     # HyperParams refuses these dims, so init_factors must not run them as (4, 2)
     with pytest.raises(ParameterError, match="^a factor dimension must be an integer, got 4.7$"):
         init_factors(np.ones((5, 4)), (4.7, 2.9))
+
+
+@pytest.mark.parametrize("dims", [(3, 0), (0, 2), (-1, 2)])
+def test_init_rejects_dims_below_one(dims):
+    message = f"factor dimensions must be >= 1, got {dims}"
+    with pytest.raises(ParameterError) as exc:
+        init_factors(np.ones((5, 4)), dims)
+    assert str(exc.value) == message
 
 
 def test_init_is_deterministic():
