@@ -266,6 +266,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     k = pick("k", "k", 10, _integer)
     if k < 1:
         raise ConfigError(f"--k must be >= 1, got {k}")
+    # the upper bound on folds depends on the data, so split_folds checks it
+    folds = pick("folds", "folds", 10, _integer)
+    if folds < 2:
+        raise ConfigError(f"--folds must be >= 2, got {folds}")
+    ks = pick("ks", "ks", (3, 5, 7), _int_tuple)
+    if any(cutoff < 1 for cutoff in ks):
+        raise ConfigError(f"--ks cutoffs must be >= 1, got {list(ks)}")
 
     cfg = RunConfig(
         command=command,
@@ -276,10 +283,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         virus_profile=virus_profile,
         hyperparams=hyperparams,
         scheme=scheme,
-        folds=pick("folds", "folds", 10, _integer),
+        folds=folds,
         repeats=repeats,
         seed=seed,
-        ks=pick("ks", "ks", (3, 5, 7), _int_tuple),
+        ks=ks,
         k=k,
         virus=virus,
         combos=combos,

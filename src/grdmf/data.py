@@ -46,9 +46,6 @@ logger = logging.getLogger("grdmf")
 #: asymmetry beyond this (absolute, entrywise) triggers averaging on load
 ASYMMETRY_TOL = 1e-9
 
-#: rows per call of numpy's text reader when parsing a CSV body
-_BLOCK_ROWS = 64
-
 
 @dataclass(frozen=True)
 class AssociationDataset:
@@ -148,58 +145,48 @@ def _walk_rows(handle, path, binary: bool):
 
 def _read_plain(handle, binary: bool):
     """The common case in one streaming pass: names by ``str.partition``, the
-    body by numpy's C text reader. Returns None wherever the result could
-    differ from :func:`_walk_rows`: a ``"`` anywhere (quoting), a line longer
-    than ``csv``'s field limit, no data rows, a row without cells, a ragged
-    row, a spelling only ``float()`` accepts (``1_0``, non-ASCII digits) or a
-    cell that breaks the body contract. Both readers convert numbers with
-    CPython's ``PyOS_string_to_double``, so accepted values agree bit for
-    bit."""
+    body by one call of numpy's C text reader. Returns None wherever the
+    result could differ from :func:`_walk_rows`: a ``"`` anywhere (quoting), a
+    line longer than ``csv``'s field limit, no data rows, a row without cells,
+    a ragged row, a spelling only ``float()`` accepts (``1_0``, non-ASCII
+    digits) or a cell that breaks the body contract. Both readers convert
+    numbers with CPython's ``PyOS_string_to_double``, so accepted values agree
+    bit for bit."""
     limit = csv.field_size_limit()
     plain = True
-    row_names: list[str] = []
+    names: list[str] = []  # the header's first cell, then every row name
 
-    def lines():
+    def rests():
         nonlocal plain
         for line in handle:
             if '"' in line or len(line) > limit:
                 plain = False
                 return
             line = line.rstrip("\r\n")
-            if line and not line.startswith("#"):
-                yield line
-
-    def cells(body):
-        nonlocal plain
-        for line in body:
+            if not line or line.startswith("#"):
+                continue
             name, _, rest = line.partition(",")
             if not rest:
                 plain = False
                 return
-            row_names.append(name.strip())
+            names.append(name.strip())
             yield rest
 
-    body = lines()
+    body = rests()
     header = next(body, None)
-    if header is None:
+    first = next(body, None)  # numpy warns on an empty input: start from a row in hand
+    if first is None:
         return None
-    col_names = [h.strip() for h in header.split(",")[1:]]
-    rests = cells(body)
-    # fixed-size blocks, stacked once: no array grows by reallocation, and
-    # no block is empty (numpy warns on an empty input)
-    blocks = []
+    col_names = [h.strip() for h in header.split(",")]
     try:
-        for first in rests:
-            block = itertools.chain((first,), itertools.islice(rests, _BLOCK_ROWS - 1))
-            blocks.append(
-                np.loadtxt(block, delimiter=",", comments=None, quotechar=None, ndmin=2)
-            )
-        values = np.concatenate(blocks) if blocks else None
+        values = np.loadtxt(
+            itertools.chain((first,), body), delimiter=",", comments=None, quotechar=None, ndmin=2
+        )
     except ValueError:
         return None
+    row_names = names[1:]
     if (
         not plain
-        or values is None
         or values.shape != (len(row_names), len(col_names))
         or not _body_ok(values, binary).all()
     ):

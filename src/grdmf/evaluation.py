@@ -327,13 +327,19 @@ def run_loocv(
     Reports Pre@k and Rec@k per virus plus their means. Viruses with no known
     positives keep their precision (necessarily 0) but are excluded from the
     recall means, with a note in the report. There is no randomness here, so
-    no fold carries a seed. ``l_d`` and ``l_v`` are as for :func:`run_cv`.
+    no fold carries a seed. ``l_d`` and ``l_v`` are as for :func:`run_cv`. A
+    cutoff beyond the number of drugs is clamped to it, with one warning.
     """
     ks = [_integer(k, "a cutoff") for k in ks]
     if any(k < 1 for k in ks):
         raise ParameterError(f"cutoffs must be >= 1, got {ks}")
     y = dataset.y
     m, n = y.shape
+    for k in ks:  # each virus ranks the m drugs: warn here once, not per virus
+        if k > m:
+            warnings.warn(
+                f"k={k} exceeds the {m} candidates; clamping", TopKClampWarning, stacklevel=2
+            )
     masks = (np.broadcast_to(np.arange(n) == j, y.shape) for j in range(n))
     per_virus: list[FoldMetrics] = []
     notes: list[str] = []
@@ -347,7 +353,7 @@ def run_loocv(
             notes.append(f"virus {virus!r} has no known positives; excluded from recall means")
             continue
         for k in ks:
-            record.pre_at_k[k], record.rec_at_k[k] = topk_metrics(scores, labels, k)
+            record.pre_at_k[k], record.rec_at_k[k] = topk_metrics(scores, labels, min(k, m))
         if record.n_positive == m:
             notes.append(f"virus {virus!r} is all-positive; AUC/AUPR skipped")
         else:

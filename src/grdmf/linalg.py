@@ -101,7 +101,8 @@ def _require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
     scale = 1.0
-    gap, size = np.linalg.norm(a - a.T), np.linalg.norm(a)
+    with np.errstate(over="ignore"):
+        gap, size = np.linalg.norm(a - a.T), np.linalg.norm(a)
     if not math.isfinite(gap + size):
         # a norm overflowed, which would pass any asymmetry: measure both in
         # units of the largest entry instead

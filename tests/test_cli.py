@@ -258,6 +258,29 @@ def test_predict_rejects_k_below_one_before_any_fit(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--folds", "1"], "--folds must be >= 2, got 1"),
+        (["--scheme", "loo", "--ks", "3,0"], "--ks cutoffs must be >= 1, got [3, 0]"),
+    ],
+    ids=["folds", "ks"],
+)
+def test_cv_rejects_folds_and_cutoffs_before_any_input_is_read(
+    bundle, tmp_path, monkeypatch, caplog, flags, message
+):
+    def no_read(*args, **kwargs):
+        raise AssertionError("the flag is checked before any input is read")
+
+    monkeypatch.setattr("grdmf.cli._sha256", no_read)
+    monkeypatch.setattr("grdmf.cli.load_association_csv", no_read)
+    out = tmp_path / "cv-flags"
+    assert main(["cv", *_base_args(bundle, out), *flags]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and message in errors[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize(
     "dims, layers, message",

@@ -349,15 +349,15 @@ def test_bodies_without_cells_emit_no_warning(tmp_path, text):
 
 
 def test_bodies_longer_than_one_reader_block(tmp_path):
-    # the C reader takes the body in blocks of rows; rows that agree within
-    # their own block but not with the header are still a field-count error
+    # a tall body, and one whose rows past the 64th agree with each other but
+    # not with the header, which is still a field-count error
     rows = [f"r{i},0.5,1" for i in range(150)]
     path = _write(tmp_path / "tall.csv", ",a,b\n" + "\n".join(rows) + "\n")
     got = _outcome(data._parse_table, path, False)
     assert got == _outcome(csv_table_oracle, path, False) and got[2] == (150, 2)
-    ragged = rows[:data._BLOCK_ROWS] + [row + ",1" for row in rows[data._BLOCK_ROWS:]]
+    ragged = rows[:64] + [row + ",1" for row in rows[64:]]
     path = _write(tmp_path / "ragged.csv", ",a,b\n" + "\n".join(ragged) + "\n")
-    line = data._BLOCK_ROWS + 2
+    line = 64 + 2
     with pytest.raises(ParseError, match=rf"ragged\.csv:{line}: expected 3 fields, got 4"):
         data._parse_table(path, False)
 

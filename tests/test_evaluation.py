@@ -477,6 +477,27 @@ def test_run_loocv_all_positive_virus_skips_rank_metrics(monkeypatch):
     assert report.auc == pytest.approx(1.0)
 
 
+def test_run_loocv_warns_once_per_clamped_cutoff_at_its_caller(monkeypatch):
+    y = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+    dataset = AssociationDataset(drugs=("d0", "d1", "d2"), viruses=("va", "vb", "vc"), y=y)
+    l_d, l_v = _no_graphs(3, 3)
+
+    def oracle(y_train, mask, l_d, l_v, hp):
+        return SimpleNamespace(x=y)
+
+    monkeypatch.setattr(grdmf.evaluation, "fit", oracle)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_loocv(dataset, l_d, l_v, _HP, ks=(5,))
+    assert [w.category for w in caught] == [TopKClampWarning]
+    assert caught[0].filename == __file__
+    assert "k=5 exceeds the 3 candidates; clamping" in str(caught[0].message)
+    # each virus is scored at the 3 drugs it can rank, under its own cutoff
+    exact = run_loocv(dataset, l_d, l_v, _HP, ks=(3,))
+    assert [f.pre_at_k[5] for f in report.per_fold] == [f.pre_at_k[3] for f in exact.per_fold]
+    assert [f.rec_at_k[5] for f in report.per_fold] == [f.rec_at_k[3] for f in exact.per_fold]
+
+
 def test_run_cv_refuses_an_unknown_scheme_before_any_fit(monkeypatch):
     def no_fit(*args):
         raise AssertionError("a fold was fitted under an unknown scheme")

@@ -4,6 +4,8 @@ The Sylvester solver is checked against a Kronecker-lifted dense solve, which
 shares no code with the eigendecomposition route.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,17 @@ def test_eigen_rejects_asymmetry_whose_norm_overflows():
     with np.errstate(over="ignore"):
         eig = sym_eigen(np.array([[1e300, 1e300], [1e300, 1e300]]))
     assert np.allclose(eig.values, [0.0, 2e300], atol=1e288)
+
+
+def test_eigen_of_a_huge_operand_lets_no_overflow_warning_escape():
+    # the symmetry check handles an overflowing norm itself, so numpy's
+    # RuntimeWarning from computing that norm must not reach the caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eig = sym_eigen(np.array([[1e300, 1e300], [1e300, 1e300]]))
+        assert np.allclose(eig.values, [0.0, 2e300], atol=1e288)
+        with pytest.raises(SymmetryError, match="^matrix is not symmetric"):
+            sym_eigen(np.array([[1e300, 1e300], [0.0, 1e300]]))
 
 
 def test_eigen_rejects_bad_dims():
