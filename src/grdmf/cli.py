@@ -55,6 +55,7 @@ DEFAULT_HYPERPARAMS: dict[tuple[str, int], dict] = {
 DEFAULT_ITERS = 10
 
 Sims = tuple[dict[str, np.ndarray], dict[str, np.ndarray]]  #: (drug, virus) similarities by name
+Combo = tuple[list[str], list[str]]  #: (drug, virus) similarity names
 
 
 @dataclass
@@ -75,7 +76,7 @@ class RunConfig:
     ks: tuple[int, ...]
     k: int
     virus: Optional[str]
-    combos: Optional[list[tuple[list[str], list[str]]]]
+    combos: dict[str, Combo]
     out: Path
     digests: dict[str, str] = field(default_factory=dict)
 
@@ -104,26 +105,47 @@ def _combo_side(side) -> list[str]:
     return [str(name) for name in side]
 
 
-def _parse_combos(spec) -> list[tuple[list[str], list[str]]]:
-    """Accept "s1_d,s1_v;s1_d+s2_d,s1_v" strings or [[...],[...]] pairs."""
-    if isinstance(spec, str):
-        combos = []
-        for chunk in spec.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            parts = chunk.split(",")
-            if len(parts) != 2:
+def _parse_combos(spec, drug_names: list[str], virus_names: list[str]) -> dict[str, Combo]:
+    """Each combo's names under its label "s1_d+s2_d,s1_v", from a
+    "s1_d,s1_v;s1_d+s2_d,s1_v" string or [[...],[...]] pairs; None means each
+    single pair, then all combined when a side has more than one. No combos, an
+    empty side, an unknown name, a name repeated on one side and a label given
+    twice are each a :class:`ConfigError`."""
+    if spec is None:
+        spec = [([d], [v]) for d in drug_names for v in virus_names]
+        if len(drug_names) > 1 or len(virus_names) > 1:
+            spec.append((drug_names, virus_names))
+    elif isinstance(spec, str):
+        chunks = [chunk.strip() for chunk in spec.split(";") if chunk.strip()]
+        for chunk in chunks:
+            if chunk.count(",") != 1:
                 raise ConfigError(
                     f"combo {chunk!r} must be 'drugnames,virusnames' with '+' joining names"
                 )
-            combos.append((_combo_side(parts[0]), _combo_side(parts[1])))
-        return combos
-    combos = []
+        spec = [chunk.split(",") for chunk in chunks]
+    combos: dict[str, Combo] = {}
     for pair in spec:
         if len(pair) != 2:
             raise ConfigError(f"combo {pair!r} must pair drug names with virus names")
-        combos.append((_combo_side(pair[0]), _combo_side(pair[1])))
+        drugs, viruses = _combo_side(pair[0]), _combo_side(pair[1])
+        if not drugs or not viruses:
+            raise ConfigError("each combo needs at least one drug and one virus similarity")
+        unknown = [nm for nm in drugs if nm not in drug_names]
+        unknown += [nm for nm in viruses if nm not in virus_names]
+        if unknown:
+            known = sorted(drug_names) + sorted(virus_names)
+            raise ConfigError(f"unknown similarity name(s) {unknown}; available: {known}")
+        label = "+".join(drugs) + "," + "+".join(viruses)
+        repeated = sorted(
+            {nm for names in (drugs, viruses) for nm in names if names.count(nm) > 1}
+        )
+        if repeated:
+            raise ConfigError(f"combo {label!r} names {repeated} more than once on one side")
+        if label in combos:
+            raise ConfigError(f"combo {label!r} is given twice")
+        combos[label] = (drugs, viruses)
+    if not combos:
+        raise ConfigError("no combos given")
     return combos
 
 
@@ -133,6 +155,12 @@ def _next_name(taken, suffix: str) -> str:
     while f"s{counter}_{suffix}" in taken:
         counter += 1
     return f"s{counter}_{suffix}"
+
+
+def _side_names(paths: dict[str, Path], profile: Optional[Path], suffix: str) -> list[str]:
+    """A side's similarity names: its named paths, then, for a profile, the
+    side's next default name, which its cosine similarity is keyed by."""
+    return [*paths, _next_name(paths, suffix)] if profile is not None else list(paths)
 
 
 def _sim_name(name: str) -> str:
@@ -251,7 +279,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if not virus_sims and virus_profile is None:
         raise ConfigError("at least one virus-side similarity or profile is required")
 
-    combos = pick("combos", "combos", convert=_parse_combos)
+    names = _side_names(drug_sims, drug_profile, "d"), _side_names(virus_sims, virus_profile, "v")
+    combos = pick("combos", "combos", convert=lambda spec: _parse_combos(spec, *names))
+    if combos is None:
+        combos = _parse_combos(None, *names)
 
     virus = pick("virus", "virus") or None
     if command == "predict" and not virus:
@@ -271,6 +302,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if folds < 2:
         raise ConfigError(f"--folds must be >= 2, got {folds}")
     ks = pick("ks", "ks", (3, 5, 7), _int_tuple)
+    if not ks:
+        raise ConfigError("--ks needs at least one cutoff")
     if any(cutoff < 1 for cutoff in ks):
         raise ConfigError(f"--ks cutoffs must be >= 1, got {list(ks)}")
 
@@ -310,21 +343,22 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _load_side(
+    paths: dict[str, Path], profile: Optional[Path], registry: list[str], suffix: str
+) -> dict[str, np.ndarray]:
+    """One side's similarities, in ``registry`` order, under its
+    :func:`_side_names`: each named CSV, then the profile's cosine similarity."""
+    sources = [load_similarity_csv(path, registry) for path in paths.values()]
+    if profile is not None:
+        sources.append(cosine_similarity(load_profile_csv(profile, registry)))
+    return dict(zip(_side_names(paths, profile, suffix), sources))
+
+
 def _load_inputs(cfg: RunConfig) -> tuple[AssociationDataset, Sims]:
     """Parse every referenced file in the dataset registries' order."""
     dataset = load_association_csv(cfg.association)
-    drug: dict[str, np.ndarray] = {}
-    for name, path in cfg.drug_sims.items():
-        drug[name] = load_similarity_csv(path, dataset.drugs)
-    if cfg.drug_profile is not None:
-        indicator = load_profile_csv(cfg.drug_profile, dataset.drugs)
-        drug[_next_name(drug, "d")] = cosine_similarity(indicator)
-    virus: dict[str, np.ndarray] = {}
-    for name, path in cfg.virus_sims.items():
-        virus[name] = load_similarity_csv(path, dataset.viruses)
-    if cfg.virus_profile is not None:
-        indicator = load_profile_csv(cfg.virus_profile, dataset.viruses)
-        virus[_next_name(virus, "v")] = cosine_similarity(indicator)
+    drug = _load_side(cfg.drug_sims, cfg.drug_profile, dataset.drugs, "d")
+    virus = _load_side(cfg.virus_sims, cfg.virus_profile, dataset.viruses, "v")
     logger.info(
         "inputs: %d drugs, %d viruses, %d drug-side and %d virus-side similarities",
         len(dataset.drugs), len(dataset.viruses), len(drug), len(virus),
@@ -344,10 +378,11 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _laplacians(sims: Sims, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each side's summed graph Laplacian, drug side first: the CLI's one graph step."""
-    drug, virus = sims
-    return build_laplacian(list(drug.values()), p), build_laplacian(list(virus.values()), p)
+def _laplacians(sims: Sims, p: int, combo: Optional[Combo] = None) -> tuple[np.ndarray, ...]:
+    """Each side's summed graph Laplacian, drug side first: the CLI's one graph
+    step. ``combo`` names each side's similarities; None takes them all."""
+    return tuple(build_laplacian([side[name] for name in names], p)
+                 for side, names in zip(sims, combo or sims))
 
 
 def _full_fit(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> FitResult:
@@ -433,50 +468,13 @@ def cmd_cv(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> int:
     return 0
 
 
-def _combo_sets(
-    sims: Sims, combos: Optional[list[tuple[list[str], list[str]]]]
-) -> dict[str, Sims]:
-    """Each combo's similarities, in order, under its label "s1_d+s2_d,s1_v".
-    ``None`` means each single (drug, virus) pair, then all combined when a
-    side has more than one. Every combo is checked before the first fit: no
-    combos, an empty side, an unknown name, a name repeated on one side and a
-    label given twice are each a :class:`ConfigError`."""
-    drug, virus = sims
-    if combos is None:
-        combos = [([d], [v]) for d in drug for v in virus]
-        if len(drug) > 1 or len(virus) > 1:
-            combos.append((list(drug), list(virus)))
-    subsets: dict[str, Sims] = {}
-    for drug_names, virus_names in combos:
-        if not drug_names or not virus_names:
-            raise ConfigError("each combo needs at least one drug and one virus similarity")
-        unknown = [nm for nm in drug_names if nm not in drug]
-        unknown += [nm for nm in virus_names if nm not in virus]
-        if unknown:
-            known = sorted(drug) + sorted(virus)
-            raise ConfigError(f"unknown similarity name(s) {unknown}; available: {known}")
-        label = "+".join(drug_names) + "," + "+".join(virus_names)
-        repeated = sorted(
-            {nm for names in (drug_names, virus_names) for nm in names if names.count(nm) > 1}
-        )
-        if repeated:
-            raise ConfigError(f"combo {label!r} names {repeated} more than once on one side")
-        if label in subsets:
-            raise ConfigError(f"combo {label!r} is given twice")
-        subsets[label] = ({nm: drug[nm] for nm in drug_names},
-                          {nm: virus[nm] for nm in virus_names})
-    if not subsets:
-        raise ConfigError("no combos given")
-    return subsets
-
-
 def cmd_ablation(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> int:
     hp = cfg.hyperparams
     # one seed list for every combo, so the folds match and only the graphs differ
     seeds = list(range(cfg.seed, cfg.seed + cfg.repeats))
     reports = {}
-    for label, subset in _combo_sets(sims, cfg.combos).items():
-        l_d, l_v = _laplacians(subset, hp.p)
+    for label, combo in cfg.combos.items():
+        l_d, l_v = _laplacians(sims, hp.p, combo)
         reports[label] = run_cv(dataset, l_d, l_v, "entries", hp, seeds=seeds, folds=cfg.folds)
     payload = {
         "config": cfg.to_dict(),

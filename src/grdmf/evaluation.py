@@ -327,10 +327,13 @@ def run_loocv(
     Reports Pre@k and Rec@k per virus plus their means. Viruses with no known
     positives keep their precision (necessarily 0) but are excluded from the
     recall means, with a note in the report. There is no randomness here, so
-    no fold carries a seed. ``l_d`` and ``l_v`` are as for :func:`run_cv`. A
-    cutoff beyond the number of drugs is clamped to it, with one warning.
+    no fold carries a seed. ``l_d`` and ``l_v`` are as for :func:`run_cv`. At
+    least one cutoff is required. A cutoff beyond the number of drugs is
+    clamped to it, with one warning.
     """
     ks = [_integer(k, "a cutoff") for k in ks]
+    if not ks:
+        raise ParameterError("at least one cutoff is required")
     if any(k < 1 for k in ks):
         raise ParameterError(f"cutoffs must be >= 1, got {ks}")
     y = dataset.y

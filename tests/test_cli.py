@@ -14,8 +14,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from grdmf.cli import DEFAULT_HYPERPARAMS, _combo_sets, build_parser, main
-from grdmf.data import load_association_csv, load_similarity_csv
+from grdmf.cli import DEFAULT_HYPERPARAMS, _parse_combos, build_parser, main
+from grdmf.data import load_association_csv, load_profile_csv, load_similarity_csv
 from grdmf.evaluation import run_cv, run_loocv
 from grdmf.exceptions import (
     ConfigError,
@@ -23,7 +23,7 @@ from grdmf.exceptions import (
     TopKClampWarning,
     ZeroProfileWarning,
 )
-from grdmf.graphs import build_laplacian
+from grdmf.graphs import build_laplacian, cosine_similarity
 from grdmf.solver import HyperParams
 from grdmf.synthetic import make_synthetic_problem, write_synthetic_csvs
 
@@ -263,8 +263,9 @@ def test_predict_rejects_k_below_one_before_any_fit(
     [
         (["--folds", "1"], "--folds must be >= 2, got 1"),
         (["--scheme", "loo", "--ks", "3,0"], "--ks cutoffs must be >= 1, got [3, 0]"),
+        (["--scheme", "loo", "--ks", ","], "--ks needs at least one cutoff"),
     ],
-    ids=["folds", "ks"],
+    ids=["folds", "ks", "ks-empty"],
 )
 def test_cv_rejects_folds_and_cutoffs_before_any_input_is_read(
     bundle, tmp_path, monkeypatch, caplog, flags, message
@@ -410,11 +411,12 @@ def test_cv_means_are_the_library_report_means(bundle, tmp_path):
 
 
 def _count_laplacians(monkeypatch) -> list:
+    """Record the similarity list of each CLI call to build_laplacian."""
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return build_laplacian(*args, **kwargs)
+    def counting(similarities, p):
+        calls.append(similarities)
+        return build_laplacian(similarities, p)
 
     monkeypatch.setattr("grdmf.cli.build_laplacian", counting)
     return calls
@@ -431,6 +433,13 @@ def test_cv_builds_the_laplacians_once_for_all_repeats(bundle, tmp_path, monkeyp
 
 
 def test_ablation_builds_the_laplacians_once_per_combo(bundle, tmp_path, monkeypatch):
+    loaded = []
+
+    def loading(*args, **kwargs):
+        loaded.append(load_similarity_csv(*args, **kwargs))
+        return loaded[-1]
+
+    monkeypatch.setattr("grdmf.cli.load_similarity_csv", loading)
     calls = _count_laplacians(monkeypatch)
     args = [
         "ablation", *_base_args(bundle, tmp_path / "ab"),
@@ -440,6 +449,10 @@ def test_ablation_builds_the_laplacians_once_per_combo(bundle, tmp_path, monkeyp
     ]
     assert main(args) == 0
     assert len(calls) == 4  # two combos, one pair each
+    # each combo's graphs are built from the loaded arrays themselves, not copies
+    s1_d, s2_d, s1_v = loaded
+    expected = [[s1_d], [s1_v], [s1_d, s2_d], [s1_v]]
+    assert [[id(a) for a in sims] for sims in calls] == [[id(a) for a in sims] for sims in expected]
 
 
 def test_loo_means_are_the_library_report_means(bundle, tmp_path):
@@ -546,20 +559,18 @@ def test_ablation_labels_and_shared_folds(bundle, tmp_path, monkeypatch):
 
 
 def test_ablation_rejects_unknown_and_empty():
-    eye = np.eye(3)
-    sims = ({"s1_d": eye, "s2_d": 2 * eye}, {"s1_v": eye})
+    names = (["s1_d", "s2_d"], ["s1_v"])
     with pytest.raises(ConfigError, match="unknown similarity"):
-        _combo_sets(sims, [(["nope"], ["s1_v"])])
+        _parse_combos([(["nope"], ["s1_v"])], *names)
     with pytest.raises(ConfigError, match="at least one drug and one virus"):
-        _combo_sets(sims, [([], ["s1_v"])])
+        _parse_combos([([], ["s1_v"])], *names)
     with pytest.raises(ConfigError, match="no combos given"):
-        _combo_sets(sims, [])
-    # the default: each pair, then all combined, each subset in its own order
-    combos = _combo_sets(sims, None)
+        _parse_combos([], *names)
+    # the default: each pair, then all combined, each side's names in order
+    combos = _parse_combos(None, *names)
     assert list(combos) == ["s1_d,s1_v", "s2_d,s1_v", "s1_d+s2_d,s1_v"]
-    drug, virus = combos["s1_d+s2_d,s1_v"]
-    assert list(drug) == ["s1_d", "s2_d"] and list(virus) == ["s1_v"]
-    assert combos["s2_d,s1_v"][0]["s2_d"] is sims[0]["s2_d"]
+    assert combos["s1_d+s2_d,s1_v"] == (["s1_d", "s2_d"], ["s1_v"])
+    assert combos["s2_d,s1_v"] == (["s2_d"], ["s1_v"])
 
 
 @pytest.mark.parametrize(
@@ -585,7 +596,12 @@ def test_ablation_checks_every_combo_before_the_first_fit(
     def no_fit(*args, **kwargs):
         raise AssertionError("a combo was fitted before every combo was checked")
 
+    def no_read(*args, **kwargs):
+        raise AssertionError("every combo is checked before any input is read")
+
     monkeypatch.setattr("grdmf.evaluation.fit", no_fit)
+    monkeypatch.setattr("grdmf.cli._sha256", no_read)
+    monkeypatch.setattr("grdmf.cli.load_association_csv", no_read)
     cfg_path = tmp_path / "combos.json"
     cfg_path.write_text(json.dumps({"combos": [[["s1_d"], ["s1_v"]], bad]}))
     out = tmp_path / "ab-bad"
@@ -605,7 +621,12 @@ def test_ablation_without_combos_fails_before_any_fit(
     def no_fit(*args, **kwargs):
         raise AssertionError("an empty combo list is rejected before any fit")
 
+    def no_read(*args, **kwargs):
+        raise AssertionError("an empty combo list is rejected before any input is read")
+
     monkeypatch.setattr("grdmf.evaluation.fit", no_fit)
+    monkeypatch.setattr("grdmf.cli._sha256", no_read)
+    monkeypatch.setattr("grdmf.cli.load_association_csv", no_read)
     out = tmp_path / "ab-none"
     args = ["ablation", *_base_args(bundle, out), "--folds", "3", "--repeats", "1"]
     if source == "flag":
@@ -617,6 +638,39 @@ def test_ablation_without_combos_fails_before_any_fit(
     assert main(args) == 1
     assert "no combos given" in caplog.text
     assert not (out / "ablation.json").exists()
+
+
+def test_a_profile_is_named_alike_when_combos_are_checked_and_when_it_is_loaded(
+    bundle, tmp_path, monkeypatch, caplog
+):
+    # beside one --drug-sim (s1_d), the drug profile's cosine similarity is s2_d
+    def ablation(out, combos):
+        return main([
+            "ablation", *_base_args(bundle, out), "--drug-profile", bundle["drug_profile"],
+            "--combos", combos, "--folds", "3", "--repeats", "1",
+        ])
+
+    calls = _count_laplacians(monkeypatch)
+    out = tmp_path / "ab-profile"
+    with pytest.warns(ZeroProfileWarning):  # the synthetic profile has all-zero rows
+        assert ablation(out, "s2_d,s1_v") == 0
+    assert list(json.loads((out / "ablation.json").read_text())["combos"]) == ["s2_d,s1_v"]
+    drugs = load_association_csv(bundle["association"]).drugs
+    with pytest.warns(ZeroProfileWarning):
+        profile_sim = cosine_similarity(load_profile_csv(bundle["drug_profile"], drugs))
+    assert len(calls[0]) == 1 and np.array_equal(calls[0][0], profile_sim)
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("every combo is checked before any input is read")
+
+    monkeypatch.setattr("grdmf.cli._sha256", no_read)
+    monkeypatch.setattr("grdmf.cli.load_association_csv", no_read)
+    out = tmp_path / "ab-profile-s3"
+    assert ablation(out, "s3_d,s1_v") == 1
+    assert _logged_errors(caplog) == [
+        "unknown similarity name(s) ['s3_d']; available: ['s1_d', 's2_d', 's1_v']"
+    ]
+    assert not out.exists()
 
 
 def test_ablation_with_another_scheme_fails_before_any_input_is_read(

@@ -518,6 +518,17 @@ def test_run_loocv_validates_cutoffs():
         run_loocv(dataset, l_d, l_v, _HP, ks=(0,))
 
 
+def test_run_loocv_without_cutoffs_fails_before_the_first_fit(monkeypatch):
+    # with no cutoff, every virus would be fitted for a report with no Pre@k/Rec@k
+    def no_fit(*args):
+        raise AssertionError("a virus was fitted for an empty cutoff list")
+
+    monkeypatch.setattr(grdmf.evaluation, "fit", no_fit)
+    dataset, l_d, l_v = _tiny_problem(seed=6)
+    with pytest.raises(ParameterError, match="^at least one cutoff is required$"):
+        run_loocv(dataset, l_d, l_v, _HP, ks=())
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
