@@ -317,13 +317,16 @@ def load_similarity_csv(path, registry: Sequence[str]) -> np.ndarray:
 
 
 def write_matrix_csv(path, row_names, col_names, values, comments: Iterable[str] = ()) -> None:
-    """Write a real-valued matrix with the shared header/first-column layout."""
+    """Write a real-valued matrix with the shared header/first-column layout,
+    each body row as one string of shortest round-trip ``repr`` cells."""
     path = Path(path)
     values = np.asarray(values, dtype=float)
     with path.open("w", newline="") as handle:
         for comment in comments:
             handle.write(f"# {comment}\n")
-        writer = csv.writer(handle)
-        writer.writerow(["", *col_names])
-        for name, row in zip(row_names, values):
-            writer.writerow([name, *map(repr, row.tolist())])
+        csv.writer(handle).writerow(["", *col_names])
+        for name, row in zip(row_names, values):  # one row at a time keeps the peak low
+            name = str(name)
+            if any(c in name for c in ',"\r\n'):  # quoted as csv.writer quotes it
+                name = '"' + name.replace('"', '""') + '"'
+            handle.write(f"{name},{','.join(map(repr, row.tolist()))}\r\n")

@@ -314,9 +314,10 @@ def fit(
     initial point included), the count of eigenvalue-flooring events and the
     wall-clock time.
 
-    ``fit`` is the boundary: y, mask (binary), l_d and l_v (symmetric) and a
-    custom init (two or more finite factors whose widths chain from m to n)
-    are checked here, once. A later failure, a
+    ``fit`` is the boundary: y, mask (binary), l_d and l_v (symmetric, with
+    2*mu*max|L| finite, else a :class:`ParameterError` naming mu and the side)
+    and a custom init (two or more finite factors whose widths chain from m to
+    n) are checked here, once. A later failure, a
     non-finite objective included, is a :class:`SolverError` naming the
     iteration (0 for the starting point).
 
@@ -338,8 +339,15 @@ def fit(
         raise DimensionError(f"l_d must be {m}x{m}, got {l_d.shape}")
     if l_v.shape != (n, n):
         raise DimensionError(f"l_v must be {n}x{n}, got {l_v.shape}")
-    _require_symmetric(l_d, "l_d")
-    _require_symmetric(l_v, "l_v")
+    for side, lap in (("l_d", l_d), ("l_v", l_v)):
+        _require_symmetric(lap, side)
+        # on Python floats an overflow is inf, not a numpy RuntimeWarning
+        peak = float(max(lap.max(initial=0.0), -lap.min(initial=0.0)))
+        if not np.isfinite(2.0 * hp.mu * peak):
+            raise ParameterError(
+                f"mu {hp.mu!r} is too large for {side}: 2*mu*max|{side}| is not finite "
+                f"(max|{side}| = {peak!r})"
+            )
 
     if init is None:
         chain = init_factors(y, hp.dims)

@@ -827,6 +827,18 @@ def test_nonfinite_weights_are_config_errors(bundle, tmp_path, caplog, flag, val
     assert not out.exists()
 
 
+def test_a_mu_that_overflows_the_graph_coefficient_names_mu(bundle, tmp_path, caplog):
+    # finite, so HyperParams takes it; fit refuses it before iteration 0, with
+    # no numpy warning (the suite turns warnings into errors)
+    out = tmp_path / "huge-mu"
+    args = _base_args(bundle, out)
+    args[args.index("--mu") + 1] = "1e308"
+    assert main(["fit", *args]) == 1
+    assert "mu 1e+308 is too large for l_d: 2*mu*max|l_d| is not finite" in caplog.text
+    assert "iteration" not in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, extra, file_cfg, named",
     [

@@ -440,14 +440,21 @@ def test_unseekable_input_is_walked_once(tmp_path):
 
 
 def test_matrix_writer_bytes_are_pinned(tmp_path):
-    # shortest round-trip repr per cell, csv quoting for names, CRLF rows
+    # shortest round-trip repr per cell, names quoted as csv.writer quotes them
+    # (a comma, a quote, a line break), CRLF rows
     path = tmp_path / "m.csv"
-    values = np.array([[-0.0, 1e-300, 5e-324], [0.1, 1.0 / 3.0, 1e16]])
-    write_matrix_csv(path, ["r1", "r,2"], ["a", "b", "c"], values, comments=["note"])
+    values = np.array(
+        [[-0.0, 1e-300, 5e-324], [0.1, 1.0 / 3.0, 1e16], [2.5, -1.0, 0.0], [1e-5, 7.0, 3.0]]
+    )
+    write_matrix_csv(
+        path, ["r1", "r,2", 'r"3', "r\n4"], ["a", "b", "c"], values, comments=["note"]
+    )
     assert path.read_bytes() == (
         b"# note\n,a,b,c\r\n"
         b"r1,-0.0,1e-300,5e-324\r\n"
         b'"r,2",0.1,0.3333333333333333,1e+16\r\n'
+        b'"r""3",2.5,-1.0,0.0\r\n'
+        b'"r\n4",1e-05,7.0,3.0\r\n'
     )
     write_matrix_csv(path, ["r"], ["a", "b"], np.array([[1, 0]]))
     assert path.read_bytes() == b",a,b\r\nr,1.0,0.0\r\n"

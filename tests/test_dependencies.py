@@ -2,6 +2,7 @@
 modules stay below the command line."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -102,3 +103,19 @@ def test_library_modules_know_nothing_of_the_command_line():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_the_root_re_exports_each_library_modules_all():
+    # each module's __all__ is the one list of its public names: the root
+    # holds them all, in module order, each one the module's own object
+    import grdmf
+
+    names = ["data", "evaluation", "graphs", "linalg", "solver"]
+    assert set(names) == ALLOWED_IMPORTS["__init__"]
+    modules = [importlib.import_module(f"grdmf.{name}") for name in names]
+    expected = [name for module in modules for name in module.__all__]
+    assert grdmf.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(grdmf, name) is getattr(module, name), f"{module.__name__}.{name}"

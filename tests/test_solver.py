@@ -669,14 +669,15 @@ def test_fit_rejects_mismatched_init_at_entry():
         fit(y, mask, l_d, l_v, hp, init=[np.ones((m, n))])
 
 
-def test_fit_wraps_a_nonfinite_graph_coefficient():
-    # a finite mu this large overflows 2*mu*L + I; its eigendecomposition fails
-    # inside the fit's error wrapping, so the CLI reports it instead of a traceback
+def test_fit_rejects_a_mu_that_overflows_a_graph_coefficient():
+    # a finite mu this large overflows 2*mu*L + I: fit refuses it at the
+    # boundary, naming mu and the side, before iteration 0 and with no numpy
+    # warning (the suite turns warnings into errors)
     y, mask, l_d, l_v, hp = descent_instance(15)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-        SolverError, match="^iteration 0 failed"
-    ):
+    with pytest.raises(ParameterError, match=r"^mu 1e\+308 is too large for l_d: 2\*mu\*max"):
         fit(y, mask, l_d, l_v, replace(hp, mu=1e308))
+    with pytest.raises(ParameterError, match=r"^mu 1e\+300 is too large for l_v: 2\*mu\*max"):
+        fit(y, mask, l_d * 1e-10, l_v * 1e10, replace(hp, mu=1e300))
 
 
 def test_fit_stops_on_nonfinite_objective():
