@@ -288,19 +288,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if command == "predict" and not virus:
         raise ConfigError("predict needs a virus name (--virus)")
 
-    repeats = pick("repeats", "repeats", 10, _integer)
-    if repeats < 1:
-        raise ConfigError(f"--repeats must be >= 1, got {repeats}")
-    seed = pick("seed", "seed", 0, _integer)
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
-    k = pick("k", "k", 10, _integer)
-    if k < 1:
-        raise ConfigError(f"--k must be >= 1, got {k}")
-    # the upper bound on folds depends on the data, so split_folds checks it
-    folds = pick("folds", "folds", 10, _integer)
-    if folds < 2:
-        raise ConfigError(f"--folds must be >= 2, got {folds}")
+    # each count's default and least value; the upper bound on folds depends
+    # on the data, so split_folds checks it
+    counts = {}
+    for key, default, least in ("repeats", 10, 1), ("seed", 0, 0), ("k", 10, 1), ("folds", 10, 2):
+        counts[key] = pick(key, key, default, _integer)
+        if counts[key] < least:
+            raise ConfigError(f"--{key} must be >= {least}, got {counts[key]}")
     ks = pick("ks", "ks", (3, 5, 7), _int_tuple)
     if not ks:
         raise ConfigError("--ks needs at least one cutoff")
@@ -316,11 +310,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         virus_profile=virus_profile,
         hyperparams=hyperparams,
         scheme=scheme,
-        folds=folds,
-        repeats=repeats,
-        seed=seed,
         ks=ks,
-        k=k,
+        **counts,
         virus=virus,
         combos=combos,
         out=pick("out", "out", "grdmf_out", Path),

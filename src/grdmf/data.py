@@ -31,6 +31,7 @@ from .exceptions import (
     RegistryError,
     ZeroProfileWarning,
 )
+from .linalg import _symmetrized
 
 __all__ = [
     "AssociationDataset",
@@ -64,38 +65,27 @@ class AssociationDataset:
 
 
 def _check_names(names: Sequence[str], what: str, path) -> None:
-    """Each name, already stripped, is non-empty and unique: a name that was
-    blank, or is given twice, is a :class:`RegistryError` naming the file."""
+    """Each name, already stripped, is non-empty, unique and free of a leading
+    ``#`` (a row written under it would read back as a comment); a name that is
+    not is a :class:`RegistryError` naming the file."""
     seen = set()
     for i, name in enumerate(names, start=1):
         if not name:
             raise RegistryError(f"empty {what} name in {path} ({what} {i} of {len(names)})")
+        if name.startswith("#"):
+            raise RegistryError(
+                f"{what} name {name!r} in {path} starts with '#' ({what} {i} of {len(names)})"
+            )
         if name in seen:
             raise RegistryError(f"duplicate {what} name {name!r} in {path}")
         seen.add(name)
 
 
-def _body_ok(values: np.ndarray, binary: bool) -> np.ndarray:
-    """The body contract per cell: 0 or 1 if binary, else finite and nonnegative."""
+def _body_ok(values, binary: bool):
+    """The body contract per cell or array: 0 or 1 if binary, else finite and nonnegative."""
     if binary:
         return (values == 0.0) | (values == 1.0)
-    return np.isfinite(values) & (values >= 0.0)
-
-
-def _first_bad_cell(path, lineno: int, cells: Sequence[str], binary: bool) -> ParseError:
-    """The error for the first cell of a rejected row that breaks the contract."""
-    for col, text in enumerate(cells, start=2):
-        try:
-            value = float(text)
-        except ValueError:
-            return ParseError(
-                f"{path}:{lineno}: column {col}: cannot parse {text!r} as a number"
-            )
-        if not _body_ok(np.float64(value), binary):
-            expected = "0 or 1" if binary else "a finite nonnegative number"
-            return ParseError(
-                f"{path}:{lineno}: column {col}: expected {expected}, got {text!r}"
-            )
+    return (values >= 0.0) & (values < np.inf)
 
 
 def _csv_rows(handle, path):
@@ -110,7 +100,7 @@ def _csv_rows(handle, path):
 
 
 def _walk_rows(handle, path, binary: bool):
-    """The exact reader: ``csv`` rows, ``float()`` per cell, each row checked
+    """The exact reader: ``csv`` rows, ``float()`` per cell, each cell checked
     as it is read, so the error names the first bad cell in file order."""
     rows = _csv_rows(handle, path)
     header_line, header = next(rows, (None, None))
@@ -128,15 +118,21 @@ def _walk_rows(handle, path, binary: bool):
             raise ParseError(
                 f"{path}:{lineno}: expected {width + 1} fields, got {len(row)}"
             )
-        cells = row[1:]
-        try:
-            values = np.fromiter(map(float, cells), float, width)
-        except ValueError:
-            values = None
-        if values is None or not _body_ok(values, binary).all():
-            raise _first_bad_cell(path, lineno, cells, binary)
+        values = []
+        for col, text in enumerate(row[1:], start=2):
+            try:
+                values.append(float(text))
+            except ValueError:
+                raise ParseError(
+                    f"{path}:{lineno}: column {col}: cannot parse {text!r} as a number"
+                ) from None
+            if not _body_ok(values[-1], binary):
+                expected = "0 or 1" if binary else "a finite nonnegative number"
+                raise ParseError(
+                    f"{path}:{lineno}: column {col}: expected {expected}, got {text!r}"
+                )
         row_names.append(row[0].strip())
-        data.append(values)
+        data.append(np.array(values))
     if not data:
         raise ParseError(f"{Path(path)} contains no data rows")
     _check_names(row_names, "row", path)
@@ -153,43 +149,36 @@ def _read_plain(handle, binary: bool):
     numbers with CPython's ``PyOS_string_to_double``, so accepted values agree
     bit for bit."""
     limit = csv.field_size_limit()
-    plain = True
     names: list[str] = []  # the header's first cell, then every row name
 
     def rests():
-        nonlocal plain
+        # a line this reader cannot take is a ValueError, which loadtxt passes through
         for line in handle:
             if '"' in line or len(line) > limit:
-                plain = False
-                return
+                raise ValueError("quoted or overlong line")
             line = line.rstrip("\r\n")
             if not line or line.startswith("#"):
                 continue
             name, _, rest = line.partition(",")
             if not rest:
-                plain = False
-                return
+                raise ValueError("row without cells")
             names.append(name.strip())
             yield rest
 
     body = rests()
-    header = next(body, None)
-    first = next(body, None)  # numpy warns on an empty input: start from a row in hand
-    if first is None:
-        return None
-    col_names = [h.strip() for h in header.split(",")]
     try:
+        header = next(body, None)
+        first = next(body, None)  # numpy warns on an empty input: start from a row in hand
+        if first is None:
+            return None
         values = np.loadtxt(
             itertools.chain((first,), body), delimiter=",", comments=None, quotechar=None, ndmin=2
         )
     except ValueError:
         return None
+    col_names = [h.strip() for h in header.split(",")]
     row_names = names[1:]
-    if (
-        not plain
-        or values.shape != (len(row_names), len(col_names))
-        or not _body_ok(values, binary).all()
-    ):
+    if values.shape != (len(row_names), len(col_names)) or not _body_ok(values, binary).all():
         return None
     return tuple(row_names), tuple(col_names), values
 
@@ -303,14 +292,14 @@ def load_similarity_csv(path, registry: Sequence[str]) -> np.ndarray:
         )
     # one buffer holds |S - S.T| and then (S + S.T) / 2: a single extra array
     buf = np.subtract(values, values.T)
-    gap = float(np.abs(buf, out=buf).max()) if values.size else 0.0
+    gap = float(np.abs(buf, out=buf).max())
     if gap > ASYMMETRY_TOL:
         warnings.warn(
             f"{path}: asymmetric by {gap:.3e} (entrywise); averaging (S + S.T)/2",
             AsymmetryWarning,
             stacklevel=2,
         )
-    values = np.multiply(np.add(values, values.T, out=buf), 0.5, out=buf)
+    values = _symmetrized(values, out=buf)
     logger.info("loaded similarity %s: %d entities", path, len(row_names))
     order = _registry_order(path, row_names, registry, "similarity")
     return values[np.ix_(order, order)]

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import DimensionError, ParameterError
-from .linalg import _as_matrix, _integer, _require_symmetric
+from .linalg import _as_matrix, _integer, _require_symmetric, _symmetrized
 
 __all__ = [
     "cosine_similarity",
@@ -57,7 +57,7 @@ def sparsify_pnn(s, p: int) -> np.ndarray:
     p = _integer(p, "p")
     if not 1 <= p <= n - 1:
         raise ParameterError(f"p={p} out of range [1, {n - 1}] for {n} entities")
-    sym = 0.5 * (s + s.T)
+    sym = _symmetrized(s)
     ranked = sym.copy()
     np.fill_diagonal(ranked, -np.inf)
     # stable argsort of the negated row: descending value, ties toward lower column
@@ -83,7 +83,9 @@ def build_laplacian(similarities: Sequence[np.ndarray], p: int) -> np.ndarray:
     Every weight must be nonnegative: a negative one makes the Laplacian
     indefinite, and the solver would fail on it only inside an iteration.
     :func:`sparsify_pnn` is the one check of the rest: 2-D, finite, symmetric.
-    There must be at least one similarity, and all must have one size.
+    There must be at least one similarity, and all must have one size. A
+    similarity whose degrees, or whose sum with the earlier Laplacians, pass
+    the float range is refused with its index.
     """
     total = None
     for i, s in enumerate(similarities):
@@ -94,15 +96,19 @@ def build_laplacian(similarities: Sequence[np.ndarray], p: int) -> np.ndarray:
                 "graph weights must be nonnegative"
             )
         s = sparsify_pnn(s, p)
-        lap = np.diag(s.sum(axis=1)) - s
-        if total is None:
-            total = lap
-        elif lap.shape != total.shape:
-            raise DimensionError(
-                f"similarity {i} has shape {s.shape}, expected {total.shape}"
+        if total is not None and s.shape != total.shape:
+            raise DimensionError(f"similarity {i} has shape {s.shape}, expected {total.shape}")
+        with np.errstate(over="ignore"):
+            lap = np.diag(s.sum(axis=1)) - s
+            if total is None:
+                total = lap
+            else:
+                total += lap
+        # the diagonal is >= 0 and the rest <= 0, so an overflow is an inf, never a NaN
+        if np.isinf(total.max()) or np.isinf(total.min()):
+            raise ParameterError(
+                f"similarity {i} is too large: its degrees or the summed Laplacian overflow"
             )
-        else:
-            total += lap
     if total is None:
         raise ParameterError("need at least one similarity to build a Laplacian from")
     return total

@@ -115,6 +115,19 @@ def _require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
         )
 
 
+def _symmetrized(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``(a + a.T) / 2``, into ``out`` if given, without overflow: a pair whose
+    sum passes the float range is halved before it is added, and every other
+    cell is ``0.5 * (a + a.T)`` to the bit."""
+    with np.errstate(over="ignore"):
+        avg = np.add(a, a.T, out=out)
+    avg *= 0.5
+    if np.isinf(avg.max()) or np.isinf(avg.min()):
+        over = np.isinf(avg)
+        avg[over] = 0.5 * a[over] + 0.5 * a.T[over]
+    return avg
+
+
 def sym_eigen(a) -> SymEigen:
     """Full eigendecomposition of a symmetric matrix, eigenvalues ascending.
 

@@ -195,6 +195,10 @@ def _first_bad_name(names, what: str, path) -> None:
     for i, name in enumerate(names):
         if not name:
             raise RegistryError(f"empty {what} name in {path} ({what} {i + 1} of {len(names)})")
+        if name.startswith("#"):
+            raise RegistryError(
+                f"{what} name {name!r} in {path} starts with '#' ({what} {i + 1} of {len(names)})"
+            )
         if name in names[:i]:
             raise RegistryError(f"duplicate {what} name {name!r} in {path}")
 

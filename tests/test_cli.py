@@ -14,8 +14,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from grdmf.cli import DEFAULT_HYPERPARAMS, _parse_combos, build_parser, main
-from grdmf.data import load_association_csv, load_profile_csv, load_similarity_csv
+from grdmf.cli import DEFAULT_HYPERPARAMS, _named_paths, _parse_combos, build_parser, main
+from grdmf.data import (
+    load_association_csv,
+    load_profile_csv,
+    load_similarity_csv,
+    write_matrix_csv,
+)
 from grdmf.evaluation import run_cv, run_loocv
 from grdmf.exceptions import (
     ConfigError,
@@ -566,6 +571,8 @@ def test_ablation_rejects_unknown_and_empty():
         _parse_combos([([], ["s1_v"])], *names)
     with pytest.raises(ConfigError, match="no combos given"):
         _parse_combos([], *names)
+    with pytest.raises(ConfigError, match="^combo 's1_d' must be 'drugnames,virusnames'"):
+        _parse_combos("s1_d,s1_v;s1_d", *names)
     # the default: each pair, then all combined, each side's names in order
     combos = _parse_combos(None, *names)
     assert list(combos) == ["s1_d,s1_v", "s2_d,s1_v", "s1_d+s2_d,s1_v"]
@@ -587,8 +594,12 @@ def test_ablation_rejects_unknown_and_empty():
             "combo 's1_d+s1_d,s1_v' names ['s1_d'] more than once on one side",
         ),
         ([["s1_d"], ["s1_v"]], "combo 's1_d,s1_v' is given twice"),
+        (
+            [["s1_d"], ["s1_v"], ["s1_v"]],
+            "combo [['s1_d'], ['s1_v'], ['s1_v']] must pair drug names with virus names",
+        ),
     ],
-    ids=["empty-drug-side", "empty-virus-side", "unknown", "repeated", "twice"],
+    ids=["empty-drug-side", "empty-virus-side", "unknown", "repeated", "twice", "three-sides"],
 )
 def test_ablation_checks_every_combo_before_the_first_fit(
     bundle, tmp_path, monkeypatch, caplog, bad, message
@@ -726,6 +737,12 @@ def test_similarity_names_that_break_combo_labels_fail_before_any_input_is_read(
     assert main(args) == 1
     assert f"similarity name {name!r} must be non-empty and contain no" in caplog.text
     assert not out.exists()
+
+
+def test_a_similarity_name_given_twice_is_a_config_error():
+    # the first path takes the default name s1_d, which the second then names
+    with pytest.raises(ConfigError, match="^duplicate similarity name 's1_d'$"):
+        _named_paths(["a.csv", "s1_d=b.csv"], "d")
 
 
 # ---------------------------------------------------------------------------
@@ -894,6 +911,24 @@ def test_bad_similarity_cell_fails_cleanly(bundle, tmp_path, caplog):
     ]
     assert main(args) == 1  # a ParseError, not an escaping ValueError
     assert f"{bad}:3: column 4" in caplog.text
+    assert not out.exists()
+
+
+def test_a_similarity_whose_laplacian_overflows_fails_cleanly(bundle, tmp_path, caplog):
+    # every cell is finite, and pairs past the float range average without
+    # overflow; the degrees are not finite, and build_laplacian says so, with
+    # no numpy warning (the suite turns warnings into errors)
+    rows = _read_rows(bundle["drug_sim"])
+    big = tmp_path / "drug_sim_big.csv"
+    cells = np.array([row[1:] for row in rows[1:]], dtype=float)
+    write_matrix_csv(big, [row[0] for row in rows[1:]], rows[0][1:], 1e308 * cells)
+    out = tmp_path / "big"
+    args = _base_args(bundle, out)
+    args[args.index("--drug-sim") + 1] = str(big)
+    assert main(["fit", *args]) == 1
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] == [
+        "similarity 0 is too large: its degrees or the summed Laplacian overflow"
+    ]
     assert not out.exists()
 
 

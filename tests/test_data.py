@@ -123,6 +123,20 @@ def test_association_rejects_empty_names(tmp_path, monkeypatch, quote, name):
         load_association_csv(early)
 
 
+@pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+def test_a_name_that_starts_with_a_hash_is_refused(tmp_path, quote):
+    # a row written under '#d1' would start its line with '#' and read back
+    # as a comment, so the name is refused where it is loaded
+    row = _write(tmp_path / "r.csv", f",v0,v1\nd0,0,1\n{quote} #d1{quote},0,1\n")
+    with pytest.raises(RegistryError) as exc:
+        load_association_csv(row)
+    assert str(exc.value) == f"row name '#d1' in {row} starts with '#' (row 2 of 2)"
+    column = _write(tmp_path / "c.csv", f",v0,{quote}#v1{quote}\nd0,0,1\n")
+    with pytest.raises(RegistryError) as exc:
+        load_association_csv(column)
+    assert str(exc.value) == f"column name '#v1' in {column} starts with '#' (column 2 of 2)"
+
+
 def test_empty_and_missing_files(tmp_path):
     empty = _write(tmp_path / "empty.csv", "# only a comment\n")
     with pytest.raises(ParseError, match="no data rows"):
@@ -146,10 +160,12 @@ def test_similarity_round_trip_exact(tmp_path):
     s = 0.5 * (s + s.T)
     names = tuple(f"e{i}" for i in range(5))
     path = tmp_path / "sim.csv"
-    write_matrix_csv(path, names, names, s, comments=["sim"])
-    back = load_similarity_csv(path, names)
-    # repr-formatted floats reload bit-exactly
-    assert np.array_equal(back, s)
+    # at 1e308 some pairs sum past the float range; they average without overflow
+    for scale in (1.0, 1e308):
+        write_matrix_csv(path, names, names, scale * s, comments=["sim"])
+        back = load_similarity_csv(path, names)
+        # repr-formatted floats reload bit-exactly
+        assert np.array_equal(back, scale * s)
 
 
 def test_similarity_requires_matching_names(tmp_path):
@@ -338,7 +354,9 @@ def test_reader_matches_csv_and_float_per_cell(tmp_path, text, binary):
     assert got == _outcome(csv_table_oracle, path, binary)
 
 
-@pytest.mark.parametrize("text", ["drug,v1,v2\n", "drug,v1\nd1,\n", "drug,v1\r\n\r\n"])
+@pytest.mark.parametrize(
+    "text", ["drug,v1,v2\n", "drug,v1\nd1,\n", "drug,v1\r\n\r\n", "drug\nd1\n"]
+)
 def test_bodies_without_cells_emit_no_warning(tmp_path, text):
     # numpy's reader warns on an empty body; the loader must not pass it one
     path = _write(tmp_path / "h.csv", text)

@@ -43,7 +43,7 @@ ALLOWED_IMPORTS = {
     "__init__": {"data", "evaluation", "graphs", "linalg", "solver"},
     "__main__": {"cli"},
     "cli": {"data", "evaluation", "exceptions", "graphs", "linalg", "solver"},
-    "data": {"exceptions"},
+    "data": {"exceptions", "linalg"},
     "evaluation": {"data", "exceptions", "linalg", "solver"},
     "exceptions": set(),
     "graphs": {"exceptions", "linalg"},

@@ -306,6 +306,19 @@ def test_build_laplacian_rejects_negative_weights():
     assert np.array_equal(build_laplacian([-0.0 * good], 2), np.zeros((4, 4)))
 
 
+def test_build_laplacian_refuses_a_laplacian_that_overflows():
+    # every weight is finite, and sparsify_pnn averages a pair past the float
+    # range without overflow; the degrees of `huge`, or the sum of two `wide`
+    # Laplacians, are not finite
+    huge = np.full((3, 3), 1e308)
+    with pytest.raises(ParameterError, match="^similarity 0 is too large: its degrees"):
+        build_laplacian([huge], 2)
+    wide = np.array([[0.0, 1e308], [1e308, 0.0]])
+    assert np.array_equal(build_laplacian([wide], 1), [[1e308, -1e308], [-1e308, 1e308]])
+    with pytest.raises(ParameterError, match="^similarity 1 is too large"):
+        build_laplacian([wide, wide], 1)
+
+
 def test_build_laplacian_checks_each_similarity_once(monkeypatch):
     # sparsify_pnn is the one check of a similarity; the negativity check
     # and the Laplacian sum trust what it has already scanned

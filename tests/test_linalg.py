@@ -17,7 +17,7 @@ from grdmf.exceptions import (
     SingularSystemError,
     SymmetryError,
 )
-from grdmf.linalg import solve_sylvester_sym, spd_inverse, sym_eigen, truncated_svd
+from grdmf.linalg import _symmetrized, solve_sylvester_sym, spd_inverse, sym_eigen, truncated_svd
 from helpers import kron_solve, random_spd
 
 # ---------------------------------------------------------------------------
@@ -220,3 +220,21 @@ def test_spd_inverse_zero_matrix():
     inv = _dense(e)
     assert floored == 3
     assert np.all(np.isfinite(inv))
+
+
+def test_symmetrized_halves_only_the_pairs_whose_sum_overflows():
+    rng = np.random.default_rng(4)
+    a = rng.random((5, 5))
+    a[1, 2], a[2, 1] = 1.5e308, 1e308
+    a[3, 3] = 1.7e308
+    a[0, 4], a[4, 0] = -1.6e308, -1e308
+    with np.errstate(over="ignore"):
+        plain = 0.5 * (a + a.T)
+    out = np.empty_like(a)
+    got = _symmetrized(a, out=out)
+    assert got is out
+    finite = np.isfinite(plain)
+    assert got[finite].tobytes() == plain[finite].tobytes()
+    assert got[1, 2] == got[2, 1] == 1.25e308
+    assert got[3, 3] == 1.7e308
+    assert got[0, 4] == got[4, 0] == -1.3e308

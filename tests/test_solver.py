@@ -233,6 +233,11 @@ def test_init_rejects_dims_below_one(dims):
     assert str(exc.value) == message
 
 
+def test_init_needs_two_factor_dimensions():
+    with pytest.raises(ParameterError, match=r"^need at least two factor dimensions, got \(3,\)$"):
+        init_factors(np.ones((5, 4)), (3,))
+
+
 def test_init_is_deterministic():
     rng = np.random.default_rng(13)
     y = rng.random((8, 6))
@@ -381,6 +386,15 @@ def test_update_middle_is_stationary():
         d /= np.linalg.norm(d)
         assert abs(_directional_derivative(f, mid_new, d)) <= 1e-5 * scale
     assert f(mid_new) <= f(f_prev) + 1e-10
+
+
+def test_update_middle_checks_the_product_shapes():
+    x, f_prev = np.ones((6, 5)), np.ones((3, 2))
+    left, right = np.ones((6, 3)), np.ones((2, 5))
+    with pytest.raises(DimensionError, match=r"^left product must be \(6, 3\), got \(6, 2\)$"):
+        update_middle(x, f_prev, left[:, :2], right, 1.0)
+    with pytest.raises(DimensionError, match=r"^right product must be \(2, 5\), got \(2, 4\)$"):
+        update_middle(x, f_prev, left, right[:, :4], 1.0)
 
 
 def test_update_middle_reports_flooring():
@@ -628,6 +642,8 @@ def test_fit_validates_inputs():
         fit(y, np.ones((3, 4)), np.eye(4), np.eye(3), hp)
     with pytest.raises(DimensionError):
         fit(y, np.ones_like(y), np.eye(3), np.eye(3), hp)
+    with pytest.raises(DimensionError, match=r"^l_v must be 3x3, got \(4, 4\)$"):
+        fit(y, np.ones_like(y), np.eye(4), np.eye(4), hp)
     y[2, 1] = np.nan
     with pytest.raises(GrdmfError, match="^y contains non-finite entries$"):
         fit(y, np.ones_like(y), np.eye(4), np.eye(3), hp)
