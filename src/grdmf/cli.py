@@ -157,10 +157,12 @@ def _next_name(taken, suffix: str) -> str:
     return f"s{counter}_{suffix}"
 
 
-def _side_names(paths: dict[str, Path], profile: Optional[Path], suffix: str) -> list[str]:
-    """A side's similarity names: its named paths, then, for a profile, the
-    side's next default name, which its cosine similarity is keyed by."""
-    return [*paths, _next_name(paths, suffix)] if profile is not None else list(paths)
+def _side_files(
+    paths: dict[str, Path], profile: Optional[Path], suffix: str
+) -> dict[str, Path]:
+    """A side's files by similarity name: its named paths, then its profile
+    under the side's next default name, which its cosine similarity is keyed by."""
+    return {**paths, _next_name(paths, suffix): profile} if profile is not None else paths
 
 
 def _sim_name(name: str) -> str:
@@ -279,7 +281,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if not virus_sims and virus_profile is None:
         raise ConfigError("at least one virus-side similarity or profile is required")
 
-    names = _side_names(drug_sims, drug_profile, "d"), _side_names(virus_sims, virus_profile, "v")
+    names = (list(_side_files(drug_sims, drug_profile, "d")),
+             list(_side_files(virus_sims, virus_profile, "v")))
     combos = pick("combos", "combos", convert=lambda spec: _parse_combos(spec, *names))
     if combos is None:
         combos = _parse_combos(None, *names)
@@ -337,12 +340,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def _load_side(
     paths: dict[str, Path], profile: Optional[Path], registry: list[str], suffix: str
 ) -> dict[str, np.ndarray]:
-    """One side's similarities, in ``registry`` order, under its
-    :func:`_side_names`: each named CSV, then the profile's cosine similarity."""
+    """One side's similarities, in ``registry`` order, under the names of its
+    :func:`_side_files`: each named CSV, then the profile's cosine similarity."""
     sources = [load_similarity_csv(path, registry) for path in paths.values()]
     if profile is not None:
         sources.append(cosine_similarity(load_profile_csv(profile, registry)))
-    return dict(zip(_side_names(paths, profile, suffix), sources))
+    return dict(zip(_side_files(paths, profile, suffix), sources))
 
 
 def _load_inputs(cfg: RunConfig) -> tuple[AssociationDataset, Sims]:
@@ -365,20 +368,42 @@ def _config_comment(cfg: RunConfig) -> str:
     return "config " + json.dumps(cfg.to_dict(), sort_keys=True)
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _artifact(cfg: RunConfig, name: str) -> Path:
+    """The path of artifact ``name``, after making ``--out``: a command asks for
+    its first artifact only once its fits have succeeded."""
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    return cfg.out / name
+
+
+def _write_report(cfg: RunConfig, name: str, seeds: list[int], body: dict) -> int:
+    """Write a protocol's JSON report under its config, scheme and seeds, and
+    print its path."""
+    path = _artifact(cfg, name)
+    payload = {"config": cfg.to_dict(), "scheme": cfg.scheme, "seeds": seeds, **body}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(path)
+    return 0
 
 
-def _laplacians(sims: Sims, p: int, combo: Optional[Combo] = None) -> tuple[np.ndarray, ...]:
+def _laplacians(cfg: RunConfig, sims: Sims, combo: Optional[Combo] = None) -> list[np.ndarray]:
     """Each side's summed graph Laplacian, drug side first: the CLI's one graph
-    step. ``combo`` names each side's similarities; None takes them all."""
-    return tuple(build_laplacian([side[name] for name in names], p)
-                 for side, names in zip(sims, combo or sims))
+    step. ``combo`` names each side's similarities; None takes them all. A
+    refusal names the side and each similarity it counts, with its file."""
+    files = (_side_files(cfg.drug_sims, cfg.drug_profile, "d"),
+             _side_files(cfg.virus_sims, cfg.virus_profile, "v"))
+    laplacians = []
+    for side, named, names, paths in zip(("drug", "virus"), sims, combo or sims, files):
+        try:
+            laplacians.append(build_laplacian([named[name] for name in names], cfg.hyperparams.p))
+        except ParameterError as exc:
+            listed = ", ".join(f"[{i}] {name} ({paths[name]})" for i, name in enumerate(names))
+            raise ConfigError(f"{side} similarities {listed}: {exc}") from exc
+    return laplacians
 
 
 def _full_fit(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> FitResult:
     mask = np.ones_like(dataset.y)
-    return fit(dataset.y, mask, *_laplacians(sims, cfg.hyperparams.p), cfg.hyperparams)
+    return fit(dataset.y, mask, *_laplacians(cfg, sims), cfg.hyperparams)
 
 
 def _latent_names(count: int, stem: str) -> list[str]:
@@ -387,18 +412,15 @@ def _latent_names(count: int, stem: str) -> list[str]:
 
 def cmd_fit(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> int:
     result = _full_fit(cfg, dataset, sims)
-    out = cfg.out
-    out.mkdir(parents=True, exist_ok=True)
     comment = [_config_comment(cfg)]
-    write_matrix_csv(
-        out / "completed.csv", dataset.drugs, dataset.viruses, result.x, comment
-    )
+    completed = _artifact(cfg, "completed.csv")
+    write_matrix_csv(completed, dataset.drugs, dataset.viruses, result.x, comment)
     names = ["u1", *(f"u{i}" for i in range(2, len(result.factors))), "v"]
     for name, factor in zip(names, result.factors):
         rows = dataset.drugs if name == "u1" else _latent_names(factor.shape[0], "k")
         cols = dataset.viruses if name == "v" else _latent_names(factor.shape[1], "k")
-        write_matrix_csv(out / f"factor_{name}.csv", rows, cols, factor, comment)
-    with (out / "trace.csv").open("w") as handle:
+        write_matrix_csv(_artifact(cfg, f"factor_{name}.csv"), rows, cols, factor, comment)
+    with _artifact(cfg, "trace.csv").open("w") as handle:
         handle.write(f"# {comment[0]}\n")
         handle.write("iteration,loss\n")
         for i, value in enumerate(result.trace.loss):
@@ -408,7 +430,7 @@ def cmd_fit(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> int:
         result.trace.loss[0], result.trace.loss[-1],
         cfg.hyperparams.iters, result.trace.wall_time, result.trace.floor_events,
     )
-    print(out / "completed.csv")
+    print(completed)
     return 0
 
 
@@ -421,10 +443,7 @@ def cmd_predict(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> int:
     known = dataset.y[:, j] == 1.0
     scores = _full_fit(cfg, dataset, sims).x[:, j]
     order = _top_k(scores, cfg.k)
-    out = cfg.out
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "recommendations.csv"
-    with path.open("w", newline="") as handle:
+    with _artifact(cfg, "recommendations.csv").open("w", newline="") as handle:
         handle.write(f"# {_config_comment(cfg)}\n")
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["rank", "drug", "score", "known"])
@@ -438,25 +457,15 @@ def cmd_predict(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> int:
 
 def cmd_cv(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> int:
     hp = cfg.hyperparams
-    l_d, l_v = _laplacians(sims, hp.p)
+    l_d, l_v = _laplacians(cfg, sims)
     if cfg.scheme == "loo":
         seeds = []
         report = run_loocv(dataset, l_d, l_v, hp, ks=cfg.ks)
     else:
         seeds = list(range(cfg.seed, cfg.seed + cfg.repeats))
         report = run_cv(dataset, l_d, l_v, cfg.scheme, hp, seeds=seeds, folds=cfg.folds)
-    payload = {
-        "config": cfg.to_dict(),
-        "scheme": cfg.scheme,
-        "seeds": seeds,
-        **report.to_dict(),
-    }
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    path = cfg.out / "metrics.json"
-    _write_json(path, payload)
     logger.info("cv %s: mean AUC %s, mean AUPR %s", cfg.scheme, report.auc, report.aupr)
-    print(path)
-    return 0
+    return _write_report(cfg, "metrics.json", seeds, report.to_dict())
 
 
 def cmd_ablation(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> int:
@@ -465,21 +474,12 @@ def cmd_ablation(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> int
     seeds = list(range(cfg.seed, cfg.seed + cfg.repeats))
     reports = {}
     for label, combo in cfg.combos.items():
-        l_d, l_v = _laplacians(sims, hp.p, combo)
+        l_d, l_v = _laplacians(cfg, sims, combo)
         reports[label] = run_cv(dataset, l_d, l_v, "entries", hp, seeds=seeds, folds=cfg.folds)
-    payload = {
-        "config": cfg.to_dict(),
-        "scheme": cfg.scheme,
-        "seeds": seeds,
-        "combos": {label: report.to_dict() for label, report in reports.items()},
-    }
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    path = cfg.out / "ablation.json"
-    _write_json(path, payload)
     for label, report in reports.items():
         logger.info("ablation %s: mean AUC %s", label, report.auc)
-    print(path)
-    return 0
+    combos = {label: report.to_dict() for label, report in reports.items()}
+    return _write_report(cfg, "ablation.json", seeds, {"combos": combos})
 
 
 # ---------------------------------------------------------------------------

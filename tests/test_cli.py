@@ -25,6 +25,7 @@ from grdmf.evaluation import run_cv, run_loocv
 from grdmf.exceptions import (
     ConfigError,
     FoldSkippedWarning,
+    SolverError,
     TopKClampWarning,
     ZeroProfileWarning,
 )
@@ -914,7 +915,11 @@ def test_bad_similarity_cell_fails_cleanly(bundle, tmp_path, caplog):
     assert not out.exists()
 
 
-def test_a_similarity_whose_laplacian_overflows_fails_cleanly(bundle, tmp_path, caplog):
+@pytest.mark.filterwarnings("ignore::grdmf.exceptions.ZeroProfileWarning")  # the virus profile
+@pytest.mark.parametrize("case", ["fit-overflow", "ablation-overflow", "p-out-of-range"])
+def test_a_refused_similarity_is_named_with_its_side_and_file(
+    bundle, tmp_path, caplog, capsys, case
+):
     # every cell is finite, and pairs past the float range average without
     # overflow; the degrees are not finite, and build_laplacian says so, with
     # no numpy warning (the suite turns warnings into errors)
@@ -922,14 +927,53 @@ def test_a_similarity_whose_laplacian_overflows_fails_cleanly(bundle, tmp_path, 
     big = tmp_path / "drug_sim_big.csv"
     cells = np.array([row[1:] for row in rows[1:]], dtype=float)
     write_matrix_csv(big, [row[0] for row in rows[1:]], rows[0][1:], 1e308 * cells)
-    out = tmp_path / "big"
+    out = tmp_path / "refused"
     args = _base_args(bundle, out)
-    args[args.index("--drug-sim") + 1] = str(big)
-    assert main(["fit", *args]) == 1
-    assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] == [
-        "similarity 0 is too large: its degrees or the summed Laplacian overflow"
-    ]
+    overflow = "similarity 0 is too large: its degrees or the summed Laplacian overflow"
+    if case == "fit-overflow":
+        args[args.index("--drug-sim") + 1] = str(big)
+        argv = ["fit", *args]
+        message = f"drug similarities [0] s1_d ({big}): {overflow}"
+    elif case == "ablation-overflow":
+        # the default combos fit s1_d,s1_v first; within the combo chem,s1_v
+        # the refused similarity is number 0
+        argv = ["ablation", *args, "--drug-sim", f"chem={big}", "--folds", "3", "--repeats", "1"]
+        message = f"drug similarities [0] chem ({big}): {overflow}"
+    else:
+        # 8 neighbours fit the 12 drugs but not the 6 viruses; the profile's
+        # cosine similarity is named s2_v and by its file
+        args[args.index("--p") + 1] = "8"
+        argv = ["fit", *args, "--virus-profile", bundle["virus_profile"]]
+        listed = f"[0] s1_v ({bundle['virus_sim']}), [1] s2_v ({bundle['virus_profile']})"
+        message = f"virus similarities {listed}: p=8 out of range [1, 5] for 6 entities"
+    assert main(argv) == 1
+    errors = [r for r in caplog.records if r.levelno == logging.ERROR]
+    assert [r.getMessage() for r in errors] == [message]
+    assert errors[0].exc_info is None
+    assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "predict", "cv", "ablation"])
+def test_a_run_whose_fit_fails_leaves_no_out(
+    bundle, tmp_path, monkeypatch, caplog, capsys, command
+):
+    # --out is made only once every fit of the command has succeeded
+    def failing_fit(*args, **kwargs):
+        raise SolverError("iteration 1 failed: ...")
+
+    protocol = command in ("cv", "ablation")
+    monkeypatch.setattr(f"grdmf.{'evaluation' if protocol else 'cli'}.fit", failing_fit)
+    out = tmp_path / "runs" / command
+    extra = ["--folds", "3", "--repeats", "1"] if protocol else []
+    if command == "predict":
+        extra = ["--virus", "virus003"]
+    assert main([command, *_base_args(bundle, out), *extra]) == 1
+    errors = [r for r in caplog.records if r.levelno == logging.ERROR]
+    assert [r.getMessage() for r in errors] == ["iteration 1 failed: ..."]
+    assert errors[0].exc_info is None
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("flag", ["--association", "--drug-sim", "--drug-profile"])

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from grdmf.cli import main
+from grdmf.data import load_association_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "manifest.json"
@@ -112,6 +113,22 @@ def test_golden_bundle_writes_every_artifact_with_relative_paths(tmp_path):
     assert config["hyperparams"]["dims"] == [5, 4, 3]
     ablation = json.loads((out / "ablation" / "ablation.json").read_text())
     assert len(ablation["combos"]) == 5  # four single pairs, then everything combined
+
+    # each run prints, in run order: fit its completed matrix, predict one row
+    # per recommendation as recommendations.csv lists them, cv and ablation
+    # their report
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 13
+    assert lines[:2] == ["fit-2/completed.csv", "fit-3/completed.csv"]
+    drugs = load_association_csv(out / "association.csv").drugs
+    with (out / "predict" / "recommendations.csv").open(newline="") as handle:
+        rows = [row for row in csv.reader(handle) if not row[0].startswith("#")][1:]
+    assert [int(rank) for rank, *_ in rows] == [1, 2, 3, 4, 5]
+    for line, (rank, drug, score, known) in zip(lines[2:7], rows, strict=True):
+        assert drug in drugs
+        assert line == f"{int(rank):3d} {'*' if known == '1' else ' '} {drug}  {float(score):.6f}"
+    reports = [f"cv-{s}/metrics.json" for s in ("entries", "viruses", "drugs", "loo", "loo-3")]
+    assert lines[7:] == [*reports, "ablation/ablation.json"]
 
     # the factor files chain: each file's columns are the next file's rows, at
     # the live widths (dims capped at the rank k_last = 3 of the outer split)
