@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -217,10 +218,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 f"got {type(file_cfg).__name__}"
             )
 
-    def pick(flag: str, key: str, default=None, convert=str):
-        """The flag, else the file's value, else ``default``, through ``convert``;
-        an optional input (``default`` None) that was not given stays None."""
-        value = getattr(args, flag, None)
+    def pick(key: str, default=None, convert=str):
+        """The flag, else the file's value, else ``default``, through one ``convert``
+        for both; an optional input (``default`` None) that was not given stays None."""
+        value = getattr(args, key, None)
         if value is None:
             value = file_cfg.get(key, default)
         if value is None and default is None:
@@ -233,7 +234,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot parse {key} {value!r}: {exc}") from exc
 
     command = args.command
-    scheme = pick("scheme", "scheme", "entries")
+    scheme = pick("scheme", "entries")
     if scheme not in ("entries", "viruses", "drugs", "loo"):
         raise ConfigError(
             f"scheme must be one of entries, viruses, drugs, loo; got {scheme!r}"
@@ -241,8 +242,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if command == "ablation" and scheme != "entries":
         raise ConfigError(f"ablation hides entries only; got scheme {scheme!r}")
 
-    dims = pick("dims", "dims", convert=_int_tuple)
-    layers = pick("layers", "layers", convert=_integer)
+    dims = pick("dims", convert=_int_tuple)
+    layers = pick("layers", convert=_integer)
     if layers not in (None, 2, 3):
         raise ConfigError(f"layers must be 2 or 3, got {layers}")
     if layers is None:
@@ -258,24 +259,24 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     try:
         hyperparams = HyperParams(
-            mu=pick("mu", "mu", hp_defaults["mu"], _real),
-            theta=pick("theta", "theta", hp_defaults["theta"], _real),
-            alpha=pick("alpha", "alpha", hp_defaults["alpha"], _real),
+            mu=pick("mu", hp_defaults["mu"], _real),
+            theta=pick("theta", hp_defaults["theta"], _real),
+            alpha=pick("alpha", hp_defaults["alpha"], _real),
             dims=dims if dims is not None else hp_defaults["dims"],
-            p=pick("p", "p", hp_defaults["p"], _integer),
-            iters=pick("iters", "iters", DEFAULT_ITERS, _integer),
+            p=pick("p", hp_defaults["p"], _integer),
+            iters=pick("iters", DEFAULT_ITERS, _integer),
         )
     except ParameterError as exc:
         raise ConfigError(f"bad hyperparameters: {exc}") from exc
 
-    association = pick("association", "association", convert=Path)
+    association = pick("association", convert=Path)
     if association is None:
         raise ConfigError("an association matrix is required (--association)")
 
-    drug_sims = pick("drug_sim", "drug_sims", [], lambda v: _named_paths(v, "d"))
-    virus_sims = pick("virus_sim", "virus_sims", [], lambda v: _named_paths(v, "v"))
-    drug_profile = pick("drug_profile", "drug_profile", convert=_path_or_none)
-    virus_profile = pick("virus_profile", "virus_profile", convert=_path_or_none)
+    drug_sims = pick("drug_sims", [], lambda v: _named_paths(v, "d"))
+    virus_sims = pick("virus_sims", [], lambda v: _named_paths(v, "v"))
+    drug_profile = pick("drug_profile", convert=_path_or_none)
+    virus_profile = pick("virus_profile", convert=_path_or_none)
     if not drug_sims and drug_profile is None:
         raise ConfigError("at least one drug-side similarity or profile is required")
     if not virus_sims and virus_profile is None:
@@ -283,11 +284,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     names = (list(_side_files(drug_sims, drug_profile, "d")),
              list(_side_files(virus_sims, virus_profile, "v")))
-    combos = pick("combos", "combos", convert=lambda spec: _parse_combos(spec, *names))
+    combos = pick("combos", convert=lambda spec: _parse_combos(spec, *names))
     if combos is None:
         combos = _parse_combos(None, *names)
 
-    virus = pick("virus", "virus") or None
+    virus = pick("virus") or None
     if command == "predict" and not virus:
         raise ConfigError("predict needs a virus name (--virus)")
 
@@ -295,10 +296,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     # on the data, so split_folds checks it
     counts = {}
     for key, default, least in ("repeats", 10, 1), ("seed", 0, 0), ("k", 10, 1), ("folds", 10, 2):
-        counts[key] = pick(key, key, default, _integer)
+        counts[key] = pick(key, default, _integer)
         if counts[key] < least:
             raise ConfigError(f"--{key} must be >= {least}, got {counts[key]}")
-    ks = pick("ks", "ks", (3, 5, 7), _int_tuple)
+    ks = pick("ks", (3, 5, 7), _int_tuple)
     if not ks:
         raise ConfigError("--ks needs at least one cutoff")
     if any(cutoff < 1 for cutoff in ks):
@@ -317,7 +318,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         **counts,
         virus=virus,
         combos=combos,
-        out=pick("out", "out", "grdmf_out", Path),
+        out=pick("out", "grdmf_out", Path),
     )
 
     # each command makes its own output directory, but one that cannot be
@@ -499,11 +500,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--association", help="association matrix CSV")
         p.add_argument(
-            "--drug-sim", action="append", dest="drug_sim", metavar="[NAME=]PATH",
+            "--drug-sim", action="append", dest="drug_sims", metavar="[NAME=]PATH",
             help="drug-side similarity CSV, repeatable; default names s1_d, s2_d, ...",
         )
         p.add_argument(
-            "--virus-sim", action="append", dest="virus_sim", metavar="[NAME=]PATH",
+            "--virus-sim", action="append", dest="virus_sims", metavar="[NAME=]PATH",
             help="virus-side similarity CSV, repeatable; default names s1_v, s2_v, ...",
         )
         p.add_argument(
@@ -514,19 +515,19 @@ def build_parser() -> argparse.ArgumentParser:
             "--virus-profile", dest="virus_profile",
             help="binary virus feature profile CSV; converted to a cosine similarity",
         )
-        p.add_argument("--theta", type=float, help="coupling weight, > 0")
-        p.add_argument("--mu", type=float, help="graph regularization weight, >= 0")
-        p.add_argument("--alpha", type=float, help="relaxation step in (0, 2)")
-        p.add_argument("--p", type=int, help="neighbours kept per row when sparsifying")
+        p.add_argument("--theta", help="coupling weight, > 0")
+        p.add_argument("--mu", help="graph regularization weight, >= 0")
+        p.add_argument("--alpha", help="relaxation step in (0, 2)")
+        p.add_argument("--p", help="neighbours kept per row when sparsifying")
         p.add_argument("--dims", help="factor dimensions, e.g. 17,15 or 23,10,7")
-        p.add_argument("--layers", type=int, choices=(2, 3), help="factor depth for defaults")
-        p.add_argument("--iters", type=int, help="outer iterations")
+        p.add_argument("--layers", help="factor depth for defaults, 2 or 3")
+        p.add_argument("--iters", help="outer iterations")
         p.add_argument("--out", help="output directory")
 
     def add_folds(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--folds", type=int, help="fold count (default 10)")
-        p.add_argument("--repeats", type=int, help="repetitions with derived seeds (default 10)")
-        p.add_argument("--seed", type=int, help="seed of the first repeat's folds (default 0)")
+        p.add_argument("--folds", help="fold count (default 10)")
+        p.add_argument("--repeats", help="repetitions with derived seeds (default 10)")
+        p.add_argument("--seed", help="seed of the first repeat's folds (default 0)")
 
     p_fit = sub.add_parser("fit", help="fit on all observed data, emit the completed matrix")
     add_common(p_fit)
@@ -534,13 +535,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict = sub.add_parser("predict", help="rank drugs for one virus")
     add_common(p_predict)
     p_predict.add_argument("--virus", help="virus name to rank drugs for")
-    p_predict.add_argument("--k", type=int, help="number of recommendations (default 10)")
+    p_predict.add_argument("--k", help="number of recommendations (default 10)")
 
     p_cv = sub.add_parser("cv", help="cross-validate under a hiding scheme")
     add_common(p_cv)
     p_cv.add_argument(
-        "--scheme", choices=("entries", "viruses", "drugs", "loo"),
-        help="what to hide per fold (default entries)",
+        "--scheme", help="what to hide per fold: entries (default), viruses, drugs or loo"
     )
     add_folds(p_cv)
     p_cv.add_argument("--ks", help="cutoffs for loo Pre@k/Rec@k, e.g. 3,5,7")
@@ -572,6 +572,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         format="%(levelname)s %(message)s",
         stream=sys.stderr,
     )
+    formatwarning = warnings.formatwarning  # a warning prints as a log line, with no location
+    warnings.formatwarning = lambda message, *_, **__: f"WARNING {message}\n"
     try:
         cfg = resolve_config(args)
         dataset, sims = _load_inputs(cfg)
@@ -579,6 +581,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except GrdmfError as exc:
         logger.error("%s", exc)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ so identical inputs give identical reports.
 
 from __future__ import annotations
 
+import json
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,9 +38,11 @@ __all__ = [
 
 @dataclass
 class FoldMetrics:
-    """Metrics of a single fold (or a single left-out virus)."""
+    """Metrics of a single fold (or a single left-out virus). Its fields, by
+    name, are the fold's record in a report file. Wall-clock values do not
+    belong here: identical inputs give byte-identical reports."""
 
-    fold_id: int
+    fold: int
     n_hidden: int
     n_positive: int
     auc: Optional[float] = None
@@ -49,20 +52,6 @@ class FoldMetrics:
     name: Optional[str] = None
     seed: Optional[int] = None
     skipped: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "fold": self.fold_id,
-            "name": self.name,
-            "seed": self.seed,
-            "n_hidden": self.n_hidden,
-            "n_positive": self.n_positive,
-            "auc": self.auc,
-            "aupr": self.aupr,
-            "pre_at_k": _str_keys(self.pre_at_k),
-            "rec_at_k": _str_keys(self.rec_at_k),
-            "skipped": self.skipped,
-        }
 
 
 @dataclass
@@ -102,23 +91,11 @@ class EvalReport:
         )
 
     def to_dict(self) -> dict:
-        """The folds, means and notes, as written for a report file."""
-        return {
-            "folds": [f.to_dict() for f in self.per_fold],
-            "mean": {
-                "auc": self.auc,
-                "aupr": self.aupr,
-                "pre_at_k": _str_keys(self.pre_at_k),
-                "rec_at_k": _str_keys(self.rec_at_k),
-            },
-            "notes": list(self.notes),
-        }
-
-
-def _str_keys(d: Optional[Mapping[int, float]]) -> Optional[dict[str, float]]:
-    if d is None:
-        return None
-    return {str(k): v for k, v in sorted(d.items())}
+        """The folds, means and notes as a report file holds them: JSON values,
+        so each cutoff key is a string. The means are the other fields."""
+        means = asdict(self)
+        folds, notes = means.pop("per_fold"), means.pop("notes")
+        return json.loads(json.dumps({"folds": folds, "mean": means, "notes": notes}))
 
 
 def _seed(value) -> int:

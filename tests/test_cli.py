@@ -8,13 +8,16 @@ import csv
 import dataclasses
 import json
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from grdmf.cli import DEFAULT_HYPERPARAMS, _named_paths, _parse_combos, build_parser, main
+from grdmf.cli import DEFAULT_HYPERPARAMS, _named_paths, _parse_combos, main
 from grdmf.data import (
     load_association_csv,
     load_profile_csv,
@@ -126,6 +129,32 @@ def test_fit_accepts_profiles_instead_of_similarities(bundle, tmp_path):
     assert (out / "completed.csv").exists()
 
 
+def test_a_warning_prints_as_one_log_line(bundle, tmp_path):
+    # a fresh interpreter, so the default warning handler prints, not a recorder
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    args = [
+        "fit",
+        "--association", bundle["association"],
+        "--drug-profile", bundle["drug_profile"],
+        "--virus-sim", bundle["virus_sim"],
+        "--mu", "0.1", "--dims", "4,2", "--iters", "2",
+        "--out", str(tmp_path / "warned"),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-m", "grdmf", *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    warned = [line for line in lines if line.startswith("WARNING ")]
+    assert len(warned) == 1
+    assert warned[0].startswith(f"WARNING {bundle['drug_profile']}: 3 entity profile(s)")
+    assert "all-zero" in warned[0]
+    assert "cli.py:" not in proc.stderr and "Warning:" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # predict
 
@@ -209,7 +238,7 @@ def test_a_missing_config_file_is_a_config_error(bundle, tmp_path, caplog):
 
 
 def test_a_config_file_scheme_is_checked(bundle, tmp_path, caplog):
-    # the --scheme flag is refused by argparse; a config file's scheme is not
+    # as the --scheme flag is: see test_a_bad_flag_fails_like_its_config_key
     cfg_path = tmp_path / "scheme.json"
     cfg_path.write_text(json.dumps({"scheme": "bogus"}))
     out = tmp_path / "badscheme"
@@ -325,7 +354,7 @@ def test_dims_and_layers_are_checked_before_any_fit(
 def test_layers_outside_two_or_three_is_a_config_error(
     bundle, tmp_path, monkeypatch, caplog, layers
 ):
-    # the --layers flag's choices, applied to the config key
+    # as the --layers flag is: see test_a_bad_flag_fails_like_its_config_key
     def no_fit(*args, **kwargs):
         raise AssertionError("layers is checked before any fit")
 
@@ -338,6 +367,38 @@ def test_layers_outside_two_or_three_is_a_config_error(
     assert main(["fit", *args, "--config", str(cfg_path)]) == 1
     assert f"layers must be 2 or 3, got {layers}" in caplog.text
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value, message",
+    [
+        ("cv", "scheme", "bogus", "scheme must be one of entries, viruses, drugs, loo"),
+        ("fit", "layers", "4", "layers must be 2 or 3, got 4"),
+        ("cv", "repeats", "abc", "cannot parse repeats 'abc'"),
+        ("fit", "p", "2.5", "cannot parse p '2.5'"),
+    ],
+    ids=["scheme", "layers", "repeats", "p"],
+)
+def test_a_bad_flag_fails_like_its_config_key(
+    bundle, tmp_path, caplog, command, key, value, message
+):
+    # one converter reads each key, whether the flag or the config file gives it
+    def run(extra) -> list:
+        caplog.clear()
+        out = tmp_path / "bad"
+        args = _base_args(bundle, out)
+        for flag in "--dims", f"--{key}":  # dims would disagree with layers 4
+            if flag in args:
+                del args[args.index(flag):args.index(flag) + 2]
+        assert main([command, *args, *extra]) == 1
+        assert not out.exists()
+        return _logged_errors(caplog)
+
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    errors = run([f"--{key}", value])
+    assert len(errors) == 1 and message in errors[0]
+    assert run(["--config", str(cfg_path)]) == errors
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
@@ -1079,8 +1140,3 @@ def test_stock_hyperparameter_table():
         for layers in (2, 3)
     }
 
-
-def test_parser_rejects_unknown_scheme(bundle):
-    parser = build_parser()
-    with pytest.raises(SystemExit):
-        parser.parse_args(["cv", "--scheme", "bogus"])

@@ -395,7 +395,7 @@ def test_run_cv_seeds_concatenate_their_folds_under_one_aggregation(a, b):
     folds = first.per_fold + second.per_fold
     notes = first.notes + second.notes
     assert [f.seed for f in both.per_fold] == [a] * 4 + [b] * 4
-    assert [f.to_dict() for f in both.per_fold] == [f.to_dict() for f in folds]
+    assert both.per_fold == folds
     assert any(f.skipped for f in folds) and not all(f.skipped for f in folds)
     pooled = EvalReport.from_folds(folds, notes)
     assert both.to_dict() == pooled.to_dict()
