@@ -230,18 +230,24 @@ def topk_metrics(scores, labels, k: int) -> tuple[float, float]:
 
 def _fold_scores(
     y: np.ndarray, l_d: np.ndarray, l_v: np.ndarray, hp: HyperParams, masks
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[Optional[np.ndarray], np.ndarray]]:
     """The hide -> fit loop shared by every protocol.
 
-    For each boolean mask of y's shape, fits ``y`` with the masked cells
-    zeroed and the Laplacians ``l_d``, ``l_v``, and yields the completed
-    matrix's scores and y's labels at those cells, in row-major order.
+    For each boolean mask of y's shape, yields the completed matrix's scores
+    and y's labels at the masked cells, in row-major order; the matrix is a
+    fit of ``y`` with those cells zeroed and the Laplacians ``l_d``, ``l_v``.
+    A mask whose labels hold no positive has no metric a fit could change, so
+    it is not fitted and its scores are None.
     """
     for hidden in masks:
+        labels = y[hidden]
+        if not labels.any():
+            yield None, labels
+            continue
         mask = np.where(hidden, 0.0, 1.0)
         # ``fit`` is this module's global, looked up per fold: tests and the
         # benchmark substitute a fit by rebinding ``grdmf.evaluation.fit``
-        yield fit(y * mask, mask, l_d, l_v, hp).x[hidden], y[hidden]
+        yield fit(y * mask, mask, l_d, l_v, hp).x[hidden], labels
 
 
 def run_cv(
@@ -263,7 +269,9 @@ def run_cv(
     Hidden cells are zeroed in both the mask and the training copy of Y; the
     completed matrix scores them against the true labels. The folds of every
     seed, in seed order, form one report. Folds whose hidden cells are
-    single-class are skipped with a warning and excluded from the means.
+    single-class are skipped with a warning and excluded from the means; an
+    all-negative fold is not fitted, so a run with no hidden positive in any
+    fold fits nothing.
     ``l_d`` and ``l_v``, each side's summed graph Laplacian, must already be
     aligned to the dataset registries; every fold shares them.
     """
@@ -303,7 +311,8 @@ def run_loocv(
 
     Reports Pre@k and Rec@k per virus plus their means. Viruses with no known
     positives keep their precision (necessarily 0) but are excluded from the
-    recall means, with a note in the report. There is no randomness here, so
+    recall means, with a note in the report, and are not fitted, so a dataset
+    with no positive fits nothing. There is no randomness here, so
     no fold carries a seed. ``l_d`` and ``l_v`` are as for :func:`run_cv`. At
     least one cutoff is required. A cutoff beyond the number of drugs is
     clamped to it, with one warning.

@@ -3,8 +3,8 @@
 Everything here operates on plain 2-D float64 ndarrays (a Sylvester solve
 takes its two coefficients as eigendecompositions) and is pure: inputs are
 never modified, outputs are freshly allocated. Matrices are dense and range
-from tens of rows at the paper's 86x23 scale to the 1000x1000 graph
-coefficient of a 1000-drug problem; clarity wins over cleverness throughout.
+from tens of rows at the paper's 86x23 scale to the 1000x1000 Laplacian of a
+1000-drug problem; clarity wins over cleverness throughout.
 """
 
 from __future__ import annotations

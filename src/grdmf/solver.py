@@ -190,7 +190,7 @@ def init_factors(y, dims: Sequence[int]) -> list[np.ndarray]:
     k_last = dims[-1]
     if k_last > min(m, n):
         raise ParameterError(
-            f"last factor dimension {k_last} exceeds min(m, n) = {min(m, n)}"
+            f"the last of dims {dims}, {k_last}, exceeds min(m, n) = {min(m, n)}"
         )
     block, v = _factor_pair(y, k_last)
     chain: list[np.ndarray] = []
@@ -198,6 +198,38 @@ def init_factors(y, dims: Sequence[int]) -> list[np.ndarray]:
         head, block = _factor_pair(block, k)
         chain.append(head)
     return [*chain, block, v]
+
+
+def _gram_eigen(a) -> SymEigen:
+    """:func:`sym_eigen` of a Gram matrix with its eigenvalues clamped at 0: a
+    Gram matrix is positive semidefinite, and rounding must not make a
+    Sylvester denominator smaller than its graph or proximal side."""
+    eig = sym_eigen(a)
+    return SymEigen(vectors=eig.vectors, values=np.maximum(eig.values, 0.0))
+
+
+def _graph_coefficient(lap: np.ndarray, side: str, mu: float) -> SymEigen:
+    """The eigendecomposition of 2*mu*lap + I, made from ``lap``'s own and
+    checked as :func:`fit` describes; each refusal names ``side``."""
+    _require_symmetric(lap, side)
+    eig = sym_eigen(lap)
+    lam_max = float(eig.values[-1])
+    tol = lap.shape[0] * np.finfo(float).eps * max(lam_max, 0.0)
+    if eig.values[0] < -tol:
+        raise ParameterError(
+            f"{side} is not positive semidefinite: eigenvalue {eig.values[0]:.3e} "
+            f"below -m*eps*lambda_max = {-tol:.3e}"
+        )
+    # on Python floats an overflow is inf, not a numpy RuntimeWarning
+    peak = float(max(lap.max(initial=0.0), -lap.min(initial=0.0)))
+    for what, value in ((f"max|{side}|", peak), (f"lambda_max({side})", lam_max)):
+        if not np.isfinite(2.0 * mu * value):
+            raise ParameterError(
+                f"mu {mu!r} is too large for {side}: 2*mu*{what} is not finite "
+                f"({what} = {value!r})"
+            )
+    values = np.where(eig.values < tol, 0.0, eig.values)
+    return SymEigen(vectors=eig.vectors, values=1.0 + 2.0 * mu * values)
 
 
 def update_x(x, product, y, mask, alpha: float, theta: float) -> np.ndarray:
@@ -223,6 +255,7 @@ def update_u1(x, u1_prev, tail_product, coef_d: SymEigen, theta: float) -> np.nd
     Solves (2*mu*L_d + I) @ U1 + U1 @ (theta*T@T.T) = theta*X@T.T + U1_prev
     where T is the product of every factor to the right of U1 and ``coef_d``
     is the :class:`SymEigen` of the constant left coefficient 2*mu*L_d + I.
+    The Gram matrix's eigenvalues are clamped at 0.
     Only shapes are checked here; :func:`sym_eigen` rejects a non-finite Gram
     matrix, and the solve a non-finite right-hand side.
     """
@@ -239,7 +272,7 @@ def update_u1(x, u1_prev, tail_product, coef_d: SymEigen, theta: float) -> np.nd
         )
     b = theta * (tail @ tail.T)
     c = theta * (x @ tail.T) + u1_prev
-    return solve_sylvester_sym(coef_d, sym_eigen(b), c)
+    return solve_sylvester_sym(coef_d, _gram_eigen(b), c)
 
 
 def update_middle(
@@ -252,6 +285,7 @@ def update_middle(
     Near-singular L.T @ L is handled by eigenvalue flooring inside
     :func:`spd_inverse`, which returns G diagonalized, so the right-hand side
     is formed in G's eigenbasis; ``floored`` counts the floored eigenvalues.
+    The eigenvalues of theta*R@R.T are clamped at 0.
     Only shapes are checked here; the solves reject a non-finite input.
     """
     left, right = left_product, right_product
@@ -267,7 +301,7 @@ def update_middle(
     b = theta * (right @ right.T)
     r = theta * ((left.T @ x) @ right.T) + factor_prev
     c = g.vectors @ (g.values[:, None] * (g.vectors.T @ r))
-    return solve_sylvester_sym(g, sym_eigen(b), c), floored
+    return solve_sylvester_sym(g, _gram_eigen(b), c), floored
 
 
 def update_v(x, v_prev, head_product, coef_v: SymEigen, theta: float) -> np.ndarray:
@@ -276,6 +310,7 @@ def update_v(x, v_prev, head_product, coef_v: SymEigen, theta: float) -> np.ndar
     Solves (theta*H.T@H) @ V + V @ (2*mu*L_v + I) = theta*H.T@X + V_prev
     where H is the product of every factor to the left of V and ``coef_v`` is
     the :class:`SymEigen` of the constant right coefficient 2*mu*L_v + I.
+    The Gram matrix's eigenvalues are clamped at 0.
     Only shapes are checked here; :func:`sym_eigen` rejects a non-finite Gram
     matrix, and the solve a non-finite right-hand side.
     """
@@ -292,7 +327,7 @@ def update_v(x, v_prev, head_product, coef_v: SymEigen, theta: float) -> np.ndar
         )
     a = theta * (head.T @ head)
     c = theta * (head.T @ x) + v_prev
-    return solve_sylvester_sym(sym_eigen(a), coef_v, c)
+    return solve_sylvester_sym(_gram_eigen(a), coef_v, c)
 
 
 def fit(
@@ -314,16 +349,20 @@ def fit(
     initial point included), the count of eigenvalue-flooring events and the
     wall-clock time.
 
-    ``fit`` is the boundary: y, mask (binary), l_d and l_v (symmetric, with
-    2*mu*max|L| finite, else a :class:`ParameterError` naming mu and the side)
-    and a custom init (two or more finite factors whose widths chain from m to
-    n) are checked here, once. A later failure, a
-    non-finite objective included, is a :class:`SolverError` naming the
-    iteration (0 for the starting point).
+    ``fit`` is the boundary: y, mask (binary), l_d and l_v (symmetric and
+    positive semidefinite, with 2*mu*max|L| and 2*mu*lambda_max finite, else a
+    :class:`ParameterError` naming the side, and mu when it is too large) and
+    a custom init (two or more finite factors whose widths chain from m to n)
+    are checked here, once. A later failure, a non-finite objective included,
+    is a :class:`SolverError` naming the iteration (0 for the starting point).
 
-    The graph-side coefficients 2*mu*L_d + I and 2*mu*L_v + I stay constant
-    for the whole fit, so each is diagonalized once, in iteration 0, and every
-    U1 and V update reuses its eigendecomposition.
+    The graph side is each Laplacian's own eigendecomposition L = Q diag(lam)
+    Q.T, made once per fit, at the boundary: eigenvalues below m*eps*lam_max
+    are set to 0, and one below -m*eps*lam_max refuses L as not positive
+    semidefinite. Every U1 and V update reuses Q with the coefficient
+    eigenvalues 1 + 2*mu*lam, so the m x m matrix 2*mu*L + I is never formed.
+    The factor-side Gram eigenvalues are clamped at 0 in each update, so every
+    U1 and V Sylvester denominator is at least 1.
     """
     start = time.perf_counter()
     y = _as_matrix(y, "y")
@@ -339,15 +378,8 @@ def fit(
         raise DimensionError(f"l_d must be {m}x{m}, got {l_d.shape}")
     if l_v.shape != (n, n):
         raise DimensionError(f"l_v must be {n}x{n}, got {l_v.shape}")
-    for side, lap in (("l_d", l_d), ("l_v", l_v)):
-        _require_symmetric(lap, side)
-        # on Python floats an overflow is inf, not a numpy RuntimeWarning
-        peak = float(max(lap.max(initial=0.0), -lap.min(initial=0.0)))
-        if not np.isfinite(2.0 * hp.mu * peak):
-            raise ParameterError(
-                f"mu {hp.mu!r} is too large for {side}: 2*mu*max|{side}| is not finite "
-                f"(max|{side}| = {peak!r})"
-            )
+    coef_d = _graph_coefficient(l_d, "l_d", hp.mu)
+    coef_v = _graph_coefficient(l_v, "l_v", hp.mu)
 
     if init is None:
         chain = init_factors(y, hp.dims)
@@ -358,12 +390,9 @@ def fit(
 
     loss: list[float] = []
     floor_events = 0
-    for it in range(hp.iters + 1):  # iteration 0 only prepares and scores the start
+    for it in range(hp.iters + 1):  # iteration 0 only scores the start
         try:
-            if it == 0:
-                coef_d = sym_eigen(2.0 * hp.mu * l_d + np.eye(m))
-                coef_v = sym_eigen(2.0 * hp.mu * l_v + np.eye(n))
-            else:
+            if it > 0:
                 x = update_x(x, reduce(np.matmul, chain), y, mask, hp.alpha, hp.theta)
                 tail = reduce(np.matmul, chain[1:])
                 chain[0] = update_u1(x, chain[0], tail, coef_d, hp.theta)

@@ -14,9 +14,9 @@ import numpy as np
 
 from grdmf.exceptions import ParseError, RegistryError
 from grdmf.graphs import build_laplacian
-from grdmf.linalg import sym_eigen
 from grdmf.solver import (
     HyperParams,
+    _graph_coefficient,
     init_factors,
     objective,
     update_middle,
@@ -82,10 +82,11 @@ def block_walk(y, mask, l_d, l_v, hp, init):
     move and the objective values bracket that single update. The X update
     happens between iterations exactly as in ``fit`` but is not a record: the
     descent inequality under test is the one the proximal factor steps obey.
-    As in ``fit``, the graph-side coefficients are diagonalized once.
+    As in ``fit``, the graph-side coefficients are made once, from the
+    Laplacians' own eigendecompositions.
     """
-    coef_d = sym_eigen(2.0 * hp.mu * l_d + np.eye(l_d.shape[0]))
-    coef_v = sym_eigen(2.0 * hp.mu * l_v + np.eye(l_v.shape[0]))
+    coef_d = _graph_coefficient(l_d, "l_d", hp.mu)
+    coef_v = _graph_coefficient(l_v, "l_v", hp.mu)
     u1, *middles, v = (f.copy() for f in init)
     x = y.copy()
 

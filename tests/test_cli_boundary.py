@@ -45,8 +45,7 @@ def runs(draw):
     arguments that follow its inputs."""
     m, n = draw(st.integers(2, 9)), draw(st.integers(2, 7))
     layers = draw(st.sampled_from([2, 3]))
-    dims = [draw(st.integers(1, 9)) for _ in range(layers - 1)]
-    dims.append(draw(st.integers(1, min(m, n))))
+    dims = [draw(st.integers(1, 9)) for _ in range(layers)]
     mu = draw(st.one_of(st.just(0.0), SCALES))
     args = [
         "--mu", repr(mu),

@@ -586,6 +586,42 @@ def test_protocols_look_up_the_module_fit_once_per_fold(monkeypatch):
 
 
 @pytest.mark.parametrize("scheme", ["entries", "viruses", "drugs", "loo"])
+def test_a_fold_with_no_hidden_positive_is_not_fitted(monkeypatch, scheme):
+    # cv skips an all-negative fold and loo scores a zero-positive virus
+    # without its scores, so neither is fitted; with no positive anywhere
+    # nothing is
+    y = np.zeros((6, 4))
+    y[1, 2] = y[4, 0] = 1.0
+    dataset = AssociationDataset(
+        drugs=tuple(f"d{i}" for i in range(6)),
+        viruses=tuple(f"v{j}" for j in range(4)),
+        y=y,
+    )
+    l_d, l_v = _no_graphs(6, 4)
+    fitted = []
+
+    def positive_only(y_train, mask, l_d, l_v, hp):
+        assert y[mask == 0.0].any(), "a fold with no hidden positive was fitted"
+        fitted.append(1)
+        return SimpleNamespace(x=np.random.default_rng(len(fitted)).random(y.shape))
+
+    def run(data):
+        if scheme == "loo":
+            return run_loocv(data, l_d, l_v, _HP, ks=(2,))
+        return run_cv(data, l_d, l_v, scheme, _HP, seeds=[0], folds=4)
+
+    monkeypatch.setattr(grdmf.evaluation, "fit", positive_only)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FoldSkippedWarning)
+        report = run(dataset)
+        assert 1 <= len(fitted) <= 2 < len(report.per_fold)
+        fitted.clear()
+        empty = run(AssociationDataset(dataset.drugs, dataset.viruses, np.zeros_like(y)))
+    assert fitted == []
+    assert len(empty.per_fold) == 4 and empty.auc is None
+
+
+@pytest.mark.parametrize("scheme", ["entries", "viruses", "drugs", "loo"])
 def test_folds_are_scored_in_row_major_order(monkeypatch, scheme):
     # three score levels, so most hidden cells tie and AUPR's stable
     # tie-break makes it depend on the order the cells are scored in

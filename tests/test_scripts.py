@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from grdmf.cli import main
-from grdmf.data import load_association_csv
+from grdmf.data import load_association_csv, write_matrix_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "manifest.json"
@@ -151,6 +152,43 @@ def test_golden_bundle_writes_every_artifact_with_relative_paths(tmp_path):
     files = want["sha256"].keys() | have["sha256"].keys()
     changed = sorted(f for f in files if want["sha256"].get(f) != have["sha256"].get(f))
     assert not changed, f"golden artifacts differ from {GOLDEN.name}: {changed}"
+
+
+def test_compare_golden_reports_exactly_what_moved(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    (old / "fit").mkdir(parents=True)
+    (old / "cv").mkdir()
+    x = np.random.default_rng(0).random((4, 3))
+    drugs, viruses = [f"d{i}" for i in range(4)], [f"v{j}" for j in range(3)]
+    write_matrix_csv(old / "fit" / "completed.csv", drugs, viruses, x, ['config {"out": "fit"}'])
+    folds = [
+        {"fold": f, "seed": 0, "name": None, "auc": 0.75, "aupr": 0.5,
+         "pre_at_k": None, "rec_at_k": None}
+        for f in range(3)
+    ]
+    report = {"config": {"out": "cv"}, "folds": folds, "mean": {"auc": 0.75, "aupr": 0.5}}
+    (old / "cv" / "metrics.json").write_text(json.dumps(report))
+    shutil.copytree(old, new)
+    proc = _run("compare_golden.py", "old", "new", cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "no file differs\n", "")
+
+    # one cell and one fold metric move; the report's embedded config changes
+    # too, and is not a difference
+    before = x[2, 1]
+    x[2, 1] += 0.5
+    write_matrix_csv(new / "fit" / "completed.csv", drugs, viruses, x, ['config {"out": "fit"}'])
+    folds[1]["auc"] = 1.0
+    report["config"]["out"] = "elsewhere"
+    (new / "cv" / "metrics.json").write_text(json.dumps(report))
+    proc = _run("compare_golden.py", "old", "new", cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    moved = x[2, 1] - before
+    assert proc.stdout.splitlines() == [
+        "cv/metrics.json: bytes differ",
+        "  fold 1 of seed 0: auc 0.75 -> 1.0 (d +2.500e-01)",
+        "fit/completed.csv: bytes differ",
+        f"  1 numeric cells moved: max |d| {moved:.3e}, max relative |d| {moved / x[2, 1]:.3e}",
+    ]
 
 
 def test_iteration_sweep_prints_both_tables_for_the_six_defaults(tmp_path):

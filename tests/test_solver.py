@@ -25,7 +25,8 @@ from grdmf.exceptions import (
     SolverError,
     SymmetryError,
 )
-from grdmf.graphs import build_laplacian
+from grdmf.data import load_association_csv, load_profile_csv, load_similarity_csv
+from grdmf.graphs import build_laplacian, cosine_similarity
 from grdmf.linalg import FLOOR_RATIO, sym_eigen, truncated_svd
 from grdmf.solver import (
     HyperParams,
@@ -37,7 +38,7 @@ from grdmf.solver import (
     update_v,
     update_x,
 )
-from grdmf.synthetic import make_synthetic_problem
+from grdmf.synthetic import make_synthetic_problem, write_synthetic_csvs
 from helpers import block_walk, descent_instance, kron_solve, pad_chain, reference_fit
 
 # ---------------------------------------------------------------------------
@@ -215,7 +216,10 @@ def test_init_caps_oversized_interior_dims():
 
 
 def test_init_rejects_oversized_last_dim():
-    with pytest.raises(ParameterError):
+    # the refusal names dims, the key a CLI user sets
+    with pytest.raises(
+        ParameterError, match=r"^the last of dims \(3, 5\), 5, exceeds min\(m, n\) = 4$"
+    ):
         init_factors(np.ones((5, 4)), (3, 5))
 
 
@@ -448,6 +452,26 @@ def test_update_limits():
 
 
 @pytest.mark.parametrize("block", ["u1", "v"])
+def test_a_rank_one_gram_never_makes_an_outer_solve_singular(block):
+    # theta times the Gram matrix of a rank-one factor product has two zero
+    # eigenvalues, which rounding makes negative, far below -1 at theta =
+    # 1e100; clamped at 0, every denominator is 1 + 2*mu*lambda + 0 >= 1
+    rng = np.random.default_rng(0)
+    m, n, k, theta = 6, 5, 3, 1e100
+    x = rng.random((m, n))
+    if block == "u1":
+        tail = rng.random((k, 1)) @ rng.random((1, n))
+        gram = theta * (tail @ tail.T)
+        out = update_u1(x, rng.random((m, k)), tail, sym_eigen(np.eye(m)), theta)
+    else:
+        head = rng.random((m, 1)) @ rng.random((1, k))
+        gram = theta * (head.T @ head)
+        out = update_v(x, rng.random((k, n)), head, sym_eigen(np.eye(n)), theta)
+    assert sym_eigen(gram).values[0] < -1.0  # the case the clamp is for
+    assert np.isfinite(out).all()
+
+
+@pytest.mark.parametrize("block", ["u1", "v"])
 def test_wrong_sized_graph_coefficient_is_a_dimension_error(block):
     rng = np.random.default_rng(22)
     m, n, k = 8, 5, 3
@@ -649,14 +673,31 @@ def test_fit_validates_inputs():
         fit(y, np.ones_like(y), np.eye(4), np.eye(3), hp)
 
 
-def test_fit_wraps_iteration_failures():
-    # a rank-one matrix makes the SVD init carry an exactly-zero factor
-    # column; l_v = -I/2 with mu = 1 zeroes the right coefficient matrix of
-    # the V solve, so the Sylvester system is singular inside iteration 1
+def test_fit_wraps_iteration_failures(monkeypatch):
+    # any failure inside an iteration is a SolverError naming it, with the
+    # original error chained
+    y, mask, l_d, l_v, hp = descent_instance(11)
+
+    def failing(*args):
+        raise ArithmeticError("the V solve broke")
+
+    monkeypatch.setattr(grdmf.solver, "update_v", failing)
+    with pytest.raises(SolverError, match="^iteration 1 failed: the V solve broke$") as info:
+        fit(y, mask, l_d, l_v, hp)
+    assert isinstance(info.value.__cause__, ArithmeticError)
+
+
+@pytest.mark.parametrize("side", ["l_d", "l_v"])
+def test_fit_rejects_an_indefinite_laplacian_at_entry(side):
+    # -I/2 would zero the graph-side coefficient 2*mu*L + I at mu = 1 and make
+    # the Sylvester system singular inside iteration 1; a Laplacian is
+    # positive semidefinite, so fit refuses it before iteration 0, naming it
     y = np.outer(np.ones(6), np.ones(4))
     hp = HyperParams(mu=1.0, theta=1.0, alpha=0.5, dims=(2, 2), iters=3)
-    with pytest.raises(SolverError, match="iteration 1"):
-        fit(y, np.ones_like(y), np.zeros((6, 6)), -0.5 * np.eye(4), hp)
+    laps = {"l_d": np.zeros((6, 6)), "l_v": np.zeros((4, 4))}
+    laps[side] = -0.5 * np.eye(laps[side].shape[0])
+    with pytest.raises(ParameterError, match=f"^{side} is not positive semidefinite"):
+        fit(y, np.ones_like(y), laps["l_d"], laps["l_v"], hp)
 
 
 @pytest.mark.parametrize("side", ["l_d", "l_v"])
@@ -694,6 +735,31 @@ def test_fit_rejects_a_mu_that_overflows_a_graph_coefficient():
         fit(y, mask, l_d, l_v, replace(hp, mu=1e308))
     with pytest.raises(ParameterError, match=r"^mu 1e\+300 is too large for l_v: 2\*mu\*max"):
         fit(y, mask, l_d * 1e-10, l_v * 1e10, replace(hp, mu=1e300))
+
+
+@pytest.mark.filterwarnings("ignore::grdmf.exceptions.ZeroProfileWarning")
+def test_fit_returns_a_finite_x_for_every_mu_on_the_golden_laplacians(tmp_path):
+    # the golden bundle's summed Laplacians (a similarity and a profile per
+    # side, p = 3): the graph side is L's own eigendecomposition, so every U1
+    # and V denominator is 1 + 2*mu*lambda + (a clamped Gram eigenvalue) >= 1,
+    # and no mu whose 2*mu*max|L| is finite makes an iteration singular
+    paths = write_synthetic_csvs(make_synthetic_problem(m=30, n=12, rank=3, seed=7), tmp_path)
+    dataset = load_association_csv(paths["association"])
+    l_d, l_v = (
+        build_laplacian(
+            [
+                load_similarity_csv(paths[f"{side}_sim"], registry),
+                cosine_similarity(load_profile_csv(paths[f"{side}_profile"], registry)),
+            ],
+            3,
+        )
+        for side, registry in (("drug", dataset.drugs), ("virus", dataset.viruses))
+    )
+    y = dataset.y
+    for exponent in range(2, 301):
+        hp = HyperParams(mu=10.0**exponent, theta=1.0, alpha=0.5, dims=(5, 3), p=3, iters=4)
+        result = fit(y, np.ones_like(y), l_d, l_v, hp)
+        assert np.isfinite(result.x).all(), exponent
 
 
 def test_fit_stops_on_nonfinite_objective():
@@ -769,8 +835,8 @@ def test_every_operand_fit_diagonalizes_is_exactly_symmetric(monkeypatch, dims):
 
 @pytest.mark.parametrize("dims", [(17, 15), (17, 15, 15)], ids=["depth2", "depth3"])
 def test_graph_side_coefficients_are_diagonalized_once_per_fit(monkeypatch, dims):
-    # 2*mu*L_d + I and 2*mu*L_v + I are constant for a fit: one m x m and one
-    # n x n eigendecomposition per fit, not one per iteration
+    # L_d and L_v are constant for a fit: one m x m and one n x n
+    # eigendecomposition per fit, not one per iteration
     shapes = []
     original = grdmf.linalg.sym_eigen
 
