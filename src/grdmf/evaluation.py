@@ -149,7 +149,7 @@ def _check_scores_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
         )
     if not np.all(np.isfinite(scores)):
         raise ParameterError("scores contain non-finite values")
-    if not np.isin(labels, (0.0, 1.0)).all():
+    if not ((labels == 0.0) | (labels == 1.0)).all():
         raise ParameterError("labels must be binary (0/1)")
     return scores, labels
 

@@ -69,7 +69,7 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got {a.ndim}-D")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ParameterError(f"{name} contains non-finite entries")
     return a
 
@@ -100,6 +100,10 @@ def _real(value, what: str = "value") -> float:
 def _require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
+    if (a == a.T).all():
+        # the tolerance test below passes every exactly symmetric matrix;
+        # one comparison pass says so without a temporary or a norm
+        return
     scale = 1.0
     with np.errstate(over="ignore"):
         gap, size = np.linalg.norm(a - a.T), np.linalg.norm(a)
@@ -110,8 +114,9 @@ def _require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
         b = a / scale
         gap, size = np.linalg.norm(b - b.T), np.linalg.norm(b)
     if gap > SYMMETRY_RTOL * (1.0 / scale + size):
+        # on Python floats a gap beyond the float range reads inf, without a warning
         raise SymmetryError(
-            f"{name} is not symmetric: ||M - M.T||_F = {gap * scale:.3e} beyond tolerance"
+            f"{name} is not symmetric: ||M - M.T||_F = {float(gap) * scale:.3e} beyond tolerance"
         )
 
 
@@ -128,12 +133,13 @@ def _symmetrized(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return avg
 
 
-def sym_eigen(a) -> SymEigen:
+def sym_eigen(a, name: str = "matrix") -> SymEigen:
     """Full eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
-    The one check of every symmetric operand: 2-D, finite, square, symmetric."""
-    a = _as_matrix(a)
-    _require_symmetric(a)
+    The one check of every symmetric operand: 2-D, finite, square, symmetric;
+    a refusal names ``name``."""
+    a = _as_matrix(a, name)
+    _require_symmetric(a, name)
     values, vectors = np.linalg.eigh(a)
     return SymEigen(vectors=vectors, values=values)
 

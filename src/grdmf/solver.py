@@ -30,7 +30,6 @@ from .linalg import (
     _as_matrix,
     _integer,
     _real,
-    _require_symmetric,
     solve_sylvester_sym,
     spd_inverse,
     sym_eigen,
@@ -128,8 +127,10 @@ def objective(
         raise DimensionError(f"l_d must be {y.shape[0]}x{y.shape[0]}, got {l_d.shape}")
     if l_v.shape != (y.shape[1], y.shape[1]):
         raise DimensionError(f"l_v must be {y.shape[1]}x{y.shape[1]}, got {l_v.shape}")
-    data = float(np.sum((y - mask * x) ** 2))
-    couple = theta * float(np.sum((x - prod) ** 2))
+    r = y - mask * x
+    data = float(np.sum(np.square(r, out=r)))
+    r = x - prod
+    couple = theta * float(np.sum(np.square(r, out=r)))
     reg = 2.0 * mu * (
         float(np.vdot(factors[0], l_d @ factors[0]))
         + float(np.vdot(factors[-1], factors[-1] @ l_v))
@@ -211,8 +212,7 @@ def _gram_eigen(a) -> SymEigen:
 def _graph_coefficient(lap: np.ndarray, side: str, mu: float) -> SymEigen:
     """The eigendecomposition of 2*mu*lap + I, made from ``lap``'s own and
     checked as :func:`fit` describes; each refusal names ``side``."""
-    _require_symmetric(lap, side)
-    eig = sym_eigen(lap)
+    eig = sym_eigen(lap, side)
     lam_max = float(eig.values[-1])
     tol = lap.shape[0] * np.finfo(float).eps * max(lam_max, 0.0)
     if eig.values[0] < -tol:
@@ -369,7 +369,7 @@ def fit(
     mask = _as_matrix(mask, "mask")
     if mask.shape != y.shape:
         raise DimensionError(f"mask shape {mask.shape} != y shape {y.shape}")
-    if not np.isin(mask, (0.0, 1.0)).all():
+    if not ((mask == 0.0) | (mask == 1.0)).all():
         raise ParameterError("mask must be binary (0/1 entries)")
     l_d = _as_matrix(l_d, "l_d")
     l_v = _as_matrix(l_v, "l_v")
@@ -392,8 +392,10 @@ def fit(
     floor_events = 0
     for it in range(hp.iters + 1):  # iteration 0 only scores the start
         try:
-            if it > 0:
-                x = update_x(x, reduce(np.matmul, chain), y, mask, hp.alpha, hp.theta)
+            if it == 0:
+                product = reduce(np.matmul, chain)
+            else:
+                x = update_x(x, product, y, mask, hp.alpha, hp.theta)
                 tail = reduce(np.matmul, chain[1:])
                 chain[0] = update_u1(x, chain[0], tail, coef_d, hp.theta)
                 for i in range(1, len(chain) - 1):
@@ -403,6 +405,9 @@ def fit(
                     floor_events += floored
                 head = reduce(np.matmul, chain[:-1])
                 chain[-1] = update_v(x, chain[-1], head, coef_v, hp.theta)
+                # the chain's product, associated from the left as reduce
+                # forms it, for the next iteration's X update
+                product = head @ chain[-1]
             loss.append(objective(x, chain, y, mask, l_d, l_v, hp.mu, hp.theta))
         except Exception as exc:
             raise SolverError(f"iteration {it} failed: {exc}") from exc

@@ -14,6 +14,7 @@ import numpy as np
 
 from grdmf.exceptions import ParseError, RegistryError
 from grdmf.graphs import build_laplacian
+from grdmf.linalg import SYMMETRY_RTOL
 from grdmf.solver import (
     HyperParams,
     _graph_coefficient,
@@ -296,6 +297,22 @@ def reference_fit(y, mask, l_d, l_v, hp) -> np.ndarray:
             vec = np.linalg.solve(lhs, rhs.flatten(order="F"))
             chain[i] = vec.reshape((rows, cols), order="F")
     return x
+
+
+def symmetry_oracle(a, name: str = "matrix"):
+    """The message with which the tolerance rule refuses square ``a``, or None
+    when it passes: ||a - a.T||_F > SYMMETRY_RTOL * (1 + ||a||_F), both norms
+    measured in units of max|a| when one of them overflows."""
+    scale = 1.0
+    with np.errstate(over="ignore"):
+        gap, size = np.linalg.norm(a - a.T), np.linalg.norm(a)
+    if not math.isfinite(gap + size):
+        scale = float(np.abs(a).max())
+        b = a / scale
+        gap, size = np.linalg.norm(b - b.T), np.linalg.norm(b)
+    if gap > SYMMETRY_RTOL * (1.0 / scale + size):
+        return f"{name} is not symmetric: ||M - M.T||_F = {float(gap) * scale:.3e} beyond tolerance"
+    return None
 
 
 def random_spd(rng, size: int, lo: float = 0.5, hi: float = 2.0) -> np.ndarray:

@@ -208,6 +208,19 @@ def test_topk_clamps_with_warning():
     assert rec == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("metric", [auc, aupr, lambda s, l: topk_metrics(s, l, 2)],
+                         ids=["auc", "aupr", "topk"])
+def test_metrics_keep_the_verdict_of_their_binary_label_check(metric):
+    scores = np.array([0.9, 0.1, 0.4, 0.7])
+    labels = np.array([1.0, 0.0, 1.0, 0.0])
+    assert metric(scores, np.where(labels == 0.0, -0.0, labels)) == metric(scores, labels)
+    for cell in (0.5, 2.0, np.nan, np.inf, -1.0):
+        bad = labels.copy()
+        bad[1] = cell
+        with pytest.raises(ParameterError, match=r"^labels must be binary \(0/1\)$"):
+            metric(scores, bad)
+
+
 # ---------------------------------------------------------------------------
 # protocol fixtures
 

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grdmf.exceptions import (
@@ -17,8 +17,15 @@ from grdmf.exceptions import (
     SingularSystemError,
     SymmetryError,
 )
-from grdmf.linalg import _symmetrized, solve_sylvester_sym, spd_inverse, sym_eigen, truncated_svd
-from helpers import kron_solve, random_spd
+from grdmf.linalg import (
+    _require_symmetric,
+    _symmetrized,
+    solve_sylvester_sym,
+    spd_inverse,
+    sym_eigen,
+    truncated_svd,
+)
+from helpers import kron_solve, random_spd, symmetry_oracle
 
 # ---------------------------------------------------------------------------
 # sym_eigen
@@ -94,6 +101,60 @@ def test_eigen_rejects_nonfinite():
     a = np.array([[1.0, np.nan], [np.nan, 1.0]])
     with pytest.raises(ValueError):
         sym_eigen(a)
+
+
+def test_eigen_names_its_operand_in_every_refusal():
+    with pytest.raises(DimensionError, match="^l_d must be 2-D"):
+        sym_eigen(np.zeros(3), "l_d")
+    with pytest.raises(ParameterError, match="^l_d contains non-finite entries"):
+        sym_eigen(np.full((2, 2), np.inf), "l_d")
+    with pytest.raises(DimensionError, match="^l_d must be square"):
+        sym_eigen(np.zeros((2, 3)), "l_d")
+    with pytest.raises(SymmetryError, match="^l_d is not symmetric"):
+        sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]), "l_d")
+
+
+@st.composite
+def _near_symmetric(draw):
+    """A square matrix: exactly symmetric with signed zeros placed at random,
+    or one entry moved by 1e-14..1e-2 of max|a|, or drawn whole; entries reach
+    1.7e308, where the Frobenius norm overflows."""
+    n = draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e150, 1e300, 1.7e308]))
+    unit = st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0, 1.0, -1.0])
+    cells = st.lists(unit, min_size=n * n, max_size=n * n)
+    u = np.array(draw(cells)).reshape(n, n) * scale
+    a = np.where(np.triu(np.ones((n, n), dtype=bool)), u, u.T)
+    signs = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n * n, max_size=n * n)))
+    a = np.where(a == 0.0, np.copysign(0.0, signs.reshape(n, n)), a)
+    kind = draw(st.sampled_from(["exact", "moved", "whole"]))
+    if kind == "moved" and n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        peak = float(np.abs(a).max()) or scale
+        delta = 10.0 ** draw(st.floats(-14.0, -2.0)) * peak
+        # towards zero, so the moved entry stays finite
+        a[i, j] -= delta if a[i, j] > 0.0 else -delta
+    elif kind == "whole":
+        a = np.array(draw(cells)).reshape(n, n) * scale
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_symmetric())
+@example(np.array([[0.0, -0.0], [0.0, 1.0]]))  # signed zeros: symmetric
+@example(np.array([[-0.0]]))
+@example(np.array([[0.0, 0.0], [1.7e308, 0.0]]))  # the gap overflows: reads inf
+@example(np.array([[1e300, 1e300], [1e300 * (1 - 1e-9), 1e300]]))  # ||a|| overflows
+def test_symmetry_check_keeps_the_verdict_and_message_of_the_tolerance_rule(a):
+    # the exact-symmetry shortcut may only skip work: whatever the tolerance
+    # rule alone says of a matrix, the check says, in the same words
+    refusal = symmetry_oracle(a, "l_v")
+    if refusal is None:
+        _require_symmetric(a, "l_v")
+    else:
+        with pytest.raises(SymmetryError) as caught:
+            _require_symmetric(a, "l_v")
+        assert str(caught.value) == refusal
 
 
 # ---------------------------------------------------------------------------

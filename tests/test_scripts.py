@@ -191,6 +191,29 @@ def test_compare_golden_reports_exactly_what_moved(tmp_path):
     ]
 
 
+def test_ab_fit_times_two_trees_and_exits_1_when_an_output_differs(tmp_path):
+    src = str(ROOT / "src")
+    proc = _run("ab_fit.py", src, src, "--pairs", "3", cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert [line for line in lines if not line.startswith("  ")] == [
+        "86x23 entries-2, 3 pairs", "200x50 loo-3, 3 pairs"
+    ]
+    assert sum(line.startswith("  ratio ") for line in lines) == 2
+    assert lines.count("  max|dX| 0.000e+00, max|dloss| 0.000e+00") == 2
+
+    # a copy whose X step moves each cell by one rounding is told apart
+    shutil.copytree(ROOT / "src" / "grdmf", tmp_path / "moved" / "grdmf",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    solver = tmp_path / "moved" / "grdmf" / "solver.py"
+    step = "return np.maximum((b + theta * product) / (1.0 + theta), 0.0)"
+    assert step in solver.read_text()
+    solver.write_text(solver.read_text().replace(step, step + " * (1.0 + 2.0**-52)"))
+    proc = _run("ab_fit.py", src, str(tmp_path / "moved"), "--pairs", "1", cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.count("OUTPUTS DIFFER") == 2
+
+
 def test_iteration_sweep_prints_both_tables_for_the_six_defaults(tmp_path):
     proc = _run(
         "iteration_sweep.py", "--drugs", "24", "--viruses", "16", "--seeds", "1",

@@ -673,6 +673,26 @@ def test_fit_validates_inputs():
         fit(y, np.ones_like(y), np.eye(4), np.eye(3), hp)
 
 
+@pytest.mark.parametrize(
+    "cell, match",
+    [
+        (0.5, r"^mask must be binary \(0/1 entries\)$"),
+        (2.0, r"^mask must be binary \(0/1 entries\)$"),
+        (-1.0, r"^mask must be binary \(0/1 entries\)$"),
+        (np.nan, "^mask contains non-finite entries$"),
+        (np.inf, "^mask contains non-finite entries$"),
+    ],
+)
+def test_fit_keeps_the_verdict_of_its_binary_mask_check(cell, match):
+    y, mask, l_d, l_v, hp = descent_instance(14)
+    signed = np.where(mask == 0.0, -0.0, mask)  # -0.0 is a zero
+    assert np.array_equal(fit(y, signed, l_d, l_v, hp).x, fit(y, mask, l_d, l_v, hp).x)
+    bad = mask.copy()
+    bad[1, 2] = cell
+    with pytest.raises(ParameterError, match=match):
+        fit(y, bad, l_d, l_v, hp)
+
+
 def test_fit_wraps_iteration_failures(monkeypatch):
     # any failure inside an iteration is a SolverError naming it, with the
     # original error chained
@@ -777,9 +797,9 @@ def test_fit_stops_on_nonfinite_objective():
 
 
 def test_each_symmetric_operand_is_checked_once(monkeypatch):
-    # every symmetry check in a fit is either sym_eigen's own or one of the
-    # two Laplacian checks at entry; a kernel re-checking an operand that
-    # sym_eigen will check anyway breaks the equality
+    # every symmetry check in a fit is sym_eigen's own, the two Laplacians'
+    # included (sym_eigen names their side); a kernel re-checking an operand
+    # that sym_eigen will check anyway breaks the equality
     counts = {"_require_symmetric": 0, "sym_eigen": 0}
 
     def counting(name):
@@ -802,7 +822,7 @@ def test_each_symmetric_operand_is_checked_once(monkeypatch):
     counting("sym_eigen")
     fit(y, np.ones_like(y), l_d, l_v, hp)
     assert counts["sym_eigen"] > 0
-    assert counts["_require_symmetric"] == counts["sym_eigen"] + 2
+    assert counts["_require_symmetric"] == counts["sym_eigen"]
 
 
 @pytest.mark.parametrize("dims", [(17, 15), (23, 10, 7)], ids=["depth2", "depth3"])
@@ -814,9 +834,9 @@ def test_every_operand_fit_diagonalizes_is_exactly_symmetric(monkeypatch, dims):
     operands = []
     original = grdmf.linalg.sym_eigen
 
-    def recording(a):
+    def recording(a, *args):
         operands.append(np.array(a))
-        return original(a)
+        return original(a, *args)
 
     for mod_name, module in list(sys.modules.items()):
         if mod_name.split(".")[0] == "grdmf" and getattr(module, "sym_eigen", None) is original:
@@ -840,9 +860,9 @@ def test_graph_side_coefficients_are_diagonalized_once_per_fit(monkeypatch, dims
     shapes = []
     original = grdmf.linalg.sym_eigen
 
-    def recording(a):
+    def recording(a, *args):
         shapes.append(np.shape(a))
-        return original(a)
+        return original(a, *args)
 
     for mod_name, module in list(sys.modules.items()):
         if mod_name.split(".")[0] == "grdmf" and getattr(module, "sym_eigen", None) is original:
