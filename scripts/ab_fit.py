@@ -19,9 +19,16 @@ Two problems are fitted, built by NEW_SRC's synthetic generator:
 
 For each problem the script prints each side's median and quartiles, the
 ratio of the medians (new / old), the pairs the new side won, and the largest
-difference of the completed X and of the trace losses. A ratio moves by a
-few percent between runs of the same code; the count of wins is steadier.
-The exit status is 1 when X or a loss differs at all, and 0 otherwise.
+difference of the completed X and of the trace losses.
+
+The graph step is timed the same way: ``build_laplacian`` at p = 2 on the
+1000x1000 drug similarity of a 1000x200 rank-8 synthetic problem, the drug
+side of the benchmark's wide fit. Its last line gives the largest difference
+of the two Laplacians.
+
+A ratio moves by a few percent between runs of the same code; the count of
+wins is steadier. The exit status is 1 when X, a loss or a byte of the
+Laplacian differs, and 0 otherwise.
 """
 
 import argparse
@@ -39,6 +46,9 @@ PROBLEMS = [
     ("86x23 entries-2", 86, 23, 5, ("entries", 2), "cells"),
     ("200x50 loo-3", 200, 50, 5, ("entries", 3), "column"),
 ]
+
+#: (label, drugs, viruses, planted rank, p) of the graph step
+GRAPH = ("1000x1000 graph p=2", 1000, 200, 8, 2)
 
 
 def _import_tree(src: Path, name: str, into: Path):
@@ -68,11 +78,8 @@ def _problem(new, m: int, n: int, rank: int, key: tuple[str, int], hidden: str):
     return prob.dataset.y * mask, mask, l_d, l_v, defaults
 
 
-def _timed(side, args, defaults) -> tuple[float, object]:
-    hp = side.solver.HyperParams(**defaults)
-    start = time.perf_counter()
-    result = side.solver.fit(*args, hp)
-    return time.perf_counter() - start, result
+def _fit(side, args, defaults):
+    return side.solver.fit(*args, side.solver.HyperParams(**defaults))
 
 
 def _quartiles(samples) -> str:
@@ -80,19 +87,33 @@ def _quartiles(samples) -> str:
     return f"{q2:.3f} ms [{q1:.3f}, {q3:.3f}]"
 
 
+def _block(label: str, old, new, pairs: int, run, *args) -> tuple[object, object]:
+    """Time ``run(side, *args)`` for both sides in alternating pairs, print the
+    timing lines, and return each side's result of one untimed warm-up call."""
+    ref_old, ref_new = run(old, *args), run(new, *args)
+    times = {"old": [], "new": []}
+    for i in range(pairs):
+        order = [("old", old), ("new", new)]
+        for name, side in order if i % 2 == 0 else order[::-1]:
+            start = time.perf_counter()
+            run(side, *args)
+            times[name].append(time.perf_counter() - start)
+    old_t, new_t = np.array(times["old"]), np.array(times["new"])
+    print(f"{label}, {pairs} pairs")
+    print(f"  old  {_quartiles(old_t)}")
+    print(f"  new  {_quartiles(new_t)}")
+    print(f"  ratio {np.median(new_t) / np.median(old_t):.3f}, "
+          f"new faster in {int(np.sum(new_t < old_t))}/{pairs}")
+    return ref_old, ref_new
+
+
 def compare(old, new, pairs: int) -> bool:
-    """Print one block per problem; True when every X and loss is identical."""
+    """Print one block per problem, then the graph step's; True when every X,
+    loss and Laplacian is identical."""
     identical = True
     for label, m, n, rank, key, hidden in PROBLEMS:
         *args, defaults = _problem(new, m, n, rank, key, hidden)
-        _, ref_old = _timed(old, args, defaults)  # warm-up, and the outputs compared
-        _, ref_new = _timed(new, args, defaults)
-        times = {"old": [], "new": []}
-        for i in range(pairs):
-            order = [("old", old), ("new", new)]
-            for name, side in order if i % 2 == 0 else order[::-1]:
-                times[name].append(_timed(side, args, defaults)[0])
-        old_t, new_t = np.array(times["old"]), np.array(times["new"])
+        ref_old, ref_new = _block(label, old, new, pairs, _fit, args, defaults)
         dx = float(np.abs(ref_new.x - ref_old.x).max())
         loss_old, loss_new = ref_old.trace.loss, ref_new.trace.loss
         dloss = (
@@ -101,14 +122,17 @@ def compare(old, new, pairs: int) -> bool:
         )
         same = np.array_equal(ref_new.x, ref_old.x) and loss_new == loss_old
         identical = identical and same
-        print(f"{label}, {pairs} pairs")
-        print(f"  old  {_quartiles(old_t)}")
-        print(f"  new  {_quartiles(new_t)}")
-        print(f"  ratio {np.median(new_t) / np.median(old_t):.3f}, "
-              f"new faster in {int(np.sum(new_t < old_t))}/{pairs}")
         print(f"  max|dX| {dx:.3e}, max|dloss| {dloss:.3e}"
               + ("" if same else "  OUTPUTS DIFFER"))
-    return identical
+    label, m, n, rank, p = GRAPH
+    sim = new.synthetic.make_synthetic_problem(m=m, n=n, rank=rank, seed=0).drug_sim
+    lap_old, lap_new = _block(
+        label, old, new, pairs, lambda side: side.graphs.build_laplacian([sim], p)
+    )
+    same = lap_old.tobytes() == lap_new.tobytes()
+    print(f"  max|dL| {float(np.abs(lap_new - lap_old).max()):.3e}"
+          + ("" if same else "  OUTPUTS DIFFER"))
+    return identical and same
 
 
 def main() -> int:

@@ -33,7 +33,7 @@ from .evaluation import _top_k, run_cv, run_loocv
 from .exceptions import ConfigError, GrdmfError, ParameterError
 from .graphs import build_laplacian, cosine_similarity
 from .linalg import _integer, _real
-from .solver import FitResult, HyperParams, fit
+from .solver import HyperParams, fit
 
 __all__ = [
     "RunConfig",
@@ -198,7 +198,13 @@ def _path_or_none(value) -> Optional[Path]:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """The file's SHA-256, read into one reused 64 KiB buffer: no input is held
+    whole, and no read allocates (1 MiB reads raised a small cv's peak memory)."""
+    digest, buffer = hashlib.sha256(), memoryview(bytearray(1 << 16))
+    with path.open("rb", buffering=0) as handle:
+        while size := handle.readinto(buffer):
+            digest.update(buffer[:size])
+    return digest.hexdigest()
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -350,7 +356,9 @@ def _load_side(
 
 
 def _load_inputs(cfg: RunConfig) -> tuple[AssociationDataset, Sims]:
-    """Parse every referenced file in the dataset registries' order."""
+    """Parse every referenced file in the dataset registries' order. A command
+    calls it and holds the only reference to the similarities; fit, predict and
+    cv drop them once their two Laplacians exist, so none is alive in a fit."""
     dataset = load_association_csv(cfg.association)
     drug = _load_side(cfg.drug_sims, cfg.drug_profile, dataset.drugs, "d")
     virus = _load_side(cfg.virus_sims, cfg.virus_profile, dataset.viruses, "v")
@@ -402,17 +410,23 @@ def _laplacians(cfg: RunConfig, sims: Sims, combo: Optional[Combo] = None) -> li
     return laplacians
 
 
-def _full_fit(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> FitResult:
-    mask = np.ones_like(dataset.y)
-    return fit(dataset.y, mask, *_laplacians(cfg, sims), cfg.hyperparams)
+def _full_fit_inputs(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> tuple:
+    """``fit``'s y, mask and two Laplacians for a fit on every cell. The mask is
+    made while ``sims`` is held, so once the caller drops it, a freed m x m
+    similarity stays one free block, reused by the first graph eigendecomposition."""
+    laplacians = _laplacians(cfg, sims)
+    return dataset.y, np.ones_like(dataset.y), *laplacians
 
 
 def _latent_names(count: int, stem: str) -> list[str]:
     return [f"{stem}{i}" for i in range(count)]
 
 
-def cmd_fit(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> int:
-    result = _full_fit(cfg, dataset, sims)
+def cmd_fit(cfg: RunConfig) -> int:
+    dataset, sims = _load_inputs(cfg)
+    inputs = _full_fit_inputs(cfg, dataset, sims)
+    del sims
+    result = fit(*inputs, cfg.hyperparams)
     comment = [_config_comment(cfg)]
     completed = _artifact(cfg, "completed.csv")
     write_matrix_csv(completed, dataset.drugs, dataset.viruses, result.x, comment)
@@ -435,14 +449,17 @@ def cmd_fit(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> int:
     return 0
 
 
-def cmd_predict(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> int:
+def cmd_predict(cfg: RunConfig) -> int:
+    dataset, sims = _load_inputs(cfg)
     if cfg.virus not in dataset.viruses:  # before the fit, which is the costly part
         raise ConfigError(
             f"unknown virus {cfg.virus!r}; the dataset has {len(dataset.viruses)} viruses"
         )
     j = dataset.viruses.index(cfg.virus)
     known = dataset.y[:, j] == 1.0
-    scores = _full_fit(cfg, dataset, sims).x[:, j]
+    inputs = _full_fit_inputs(cfg, dataset, sims)
+    del sims
+    scores = fit(*inputs, cfg.hyperparams).x[:, j]
     order = _top_k(scores, cfg.k)
     with _artifact(cfg, "recommendations.csv").open("w", newline="") as handle:
         handle.write(f"# {_config_comment(cfg)}\n")
@@ -456,9 +473,11 @@ def cmd_predict(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> int:
     return 0
 
 
-def cmd_cv(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> int:
+def cmd_cv(cfg: RunConfig) -> int:
     hp = cfg.hyperparams
+    dataset, sims = _load_inputs(cfg)
     l_d, l_v = _laplacians(cfg, sims)
+    del sims
     if cfg.scheme == "loo":
         seeds = []
         report = run_loocv(dataset, l_d, l_v, hp, ks=cfg.ks)
@@ -469,8 +488,9 @@ def cmd_cv(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> int:
     return _write_report(cfg, "metrics.json", seeds, report.to_dict())
 
 
-def cmd_ablation(cfg: RunConfig, dataset: AssociationDataset, sims: Sims) -> int:
+def cmd_ablation(cfg: RunConfig) -> int:
     hp = cfg.hyperparams
+    dataset, sims = _load_inputs(cfg)  # every combo builds from them
     # one seed list for every combo, so the folds match and only the graphs differ
     seeds = list(range(cfg.seed, cfg.seed + cfg.repeats))
     reports = {}
@@ -575,9 +595,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     formatwarning = warnings.formatwarning  # a warning prints as a log line, with no location
     warnings.formatwarning = lambda message, *_, **__: f"WARNING {message}\n"
     try:
-        cfg = resolve_config(args)
-        dataset, sims = _load_inputs(cfg)
-        return _COMMANDS[args.command](cfg, dataset, sims)
+        return _COMMANDS[args.command](resolve_config(args))
     except GrdmfError as exc:
         logger.error("%s", exc)
         return 1

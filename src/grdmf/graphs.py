@@ -58,12 +58,21 @@ def sparsify_pnn(s, p: int) -> np.ndarray:
     if not 1 <= p <= n - 1:
         raise ParameterError(f"p={p} out of range [1, {n - 1}] for {n} entities")
     sym = _symmetrized(s)
+    # each row's p-th largest off-diagonal value, by selection (introselect),
+    # not a sort: the diagonal ranks below every weight
     ranked = sym.copy()
     np.fill_diagonal(ranked, -np.inf)
-    # stable argsort of the negated row: descending value, ties toward lower column
-    top = np.argsort(-ranked, axis=1, kind="stable")[:, :p]
-    keep = np.zeros((n, n), dtype=bool)
-    np.put_along_axis(keep, top, True, axis=1)
+    ranked.partition(n - p, axis=1)
+    cut = ranked[:, n - p, None].copy()
+    del ranked
+    # every entry above the cut, then the lowest-index entries equal to it up
+    # to p: the stable descending sort's choice, ties toward lower column
+    keep = sym > cut
+    tied = sym == cut
+    np.fill_diagonal(keep, False)
+    np.fill_diagonal(tied, False)
+    room = p - keep.sum(axis=1, keepdims=True)
+    keep |= tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= room)
     keep |= keep.T
     out = np.where(keep, sym, 0.0)
     np.fill_diagonal(out, np.diagonal(sym))

@@ -315,6 +315,33 @@ def symmetry_oracle(a, name: str = "matrix"):
     return None
 
 
+# ---------------------------------------------------------------------------
+# p-nearest-neighbour graphs
+
+
+def pnn_argsort_oracle(s, p: int) -> np.ndarray:
+    """The p-NN graph by a full stable sort: each row keeps the first ``p``
+    entries of its off-diagonal values sorted descending, ties toward the
+    lower column; an entry survives if either of its rows keeps it, and the
+    diagonal stays."""
+    sym = 0.5 * (s + s.T)
+    ranked = sym.copy()
+    np.fill_diagonal(ranked, -np.inf)
+    top = np.argsort(-ranked, axis=1, kind="stable")[:, :p]
+    keep = np.zeros(sym.shape, dtype=bool)
+    np.put_along_axis(keep, top, True, axis=1)
+    keep |= keep.T
+    out = np.where(keep, sym, 0.0)
+    np.fill_diagonal(out, np.diagonal(sym))
+    return out
+
+
+def laplacian_oracle(similarities, p: int) -> np.ndarray:
+    """The sum, left to right, of D - S for each similarity's oracle p-NN graph."""
+    graphs = [pnn_argsort_oracle(s, p) for s in similarities]
+    return reduce(np.add, [np.diag(g.sum(axis=1)) - g for g in graphs])
+
+
 def random_spd(rng, size: int, lo: float = 0.5, hi: float = 2.0) -> np.ndarray:
     """Symmetric positive-definite matrix with spectrum in [lo, hi]."""
     q, _ = np.linalg.qr(rng.standard_normal((size, size)))

@@ -6,18 +6,20 @@ on exit codes and on the artifacts the commands leave behind.
 
 import csv
 import dataclasses
+import hashlib
 import json
 import logging
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from grdmf.cli import DEFAULT_HYPERPARAMS, _named_paths, _parse_combos, main
+from grdmf.cli import DEFAULT_HYPERPARAMS, _named_paths, _parse_combos, _sha256, main
 from grdmf.data import (
     load_association_csv,
     load_profile_csv,
@@ -33,7 +35,7 @@ from grdmf.exceptions import (
     ZeroProfileWarning,
 )
 from grdmf.graphs import build_laplacian, cosine_similarity
-from grdmf.solver import HyperParams
+from grdmf.solver import HyperParams, fit
 from grdmf.synthetic import make_synthetic_problem, write_synthetic_csvs
 
 # ---------------------------------------------------------------------------
@@ -106,6 +108,18 @@ def test_fit_writes_artifacts(bundle, tmp_path, capsys):
     assert [r[0] for r in completed[1:]] == list(dataset.drugs)
     values = np.array([[float(v) for v in r[1:]] for r in completed[1:]])
     assert values.min() >= 0.0
+
+
+def test_input_digests_are_the_whole_file_sha256_read_in_chunks(tmp_path, monkeypatch):
+    # an input is hashed a chunk at a time, never held whole, to the digest
+    # of its whole bytes: empty, under one chunk, and past several
+    sizes = {"empty": 0, "small": 100, "large": 3 * (1 << 20) + 12345}
+    rng = np.random.default_rng(0)
+    for name, size in sizes.items():
+        (tmp_path / name).write_bytes(rng.bytes(size))
+    want = {n: hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in sizes}
+    monkeypatch.setattr(Path, "read_bytes", None)
+    assert {n: _sha256(tmp_path / n) for n in sizes} == want
 
 
 def test_fit_accepts_profiles_instead_of_similarities(bundle, tmp_path):
@@ -487,6 +501,49 @@ def _count_laplacians(monkeypatch) -> list:
 
     monkeypatch.setattr("grdmf.cli.build_laplacian", counting)
     return calls
+
+
+@pytest.mark.parametrize(
+    "command, extra, fit_module",
+    [
+        ("fit", [], "grdmf.cli"),
+        ("predict", ["--virus", "virus001"], "grdmf.cli"),
+        ("cv", ["--folds", "3", "--repeats", "1"], "grdmf.evaluation"),
+    ],
+)
+def test_no_similarity_is_alive_while_a_fit_runs(
+    bundle, tmp_path, monkeypatch, command, extra, fit_module
+):
+    # a command drops its similarities once its two Laplacians exist, so no
+    # m x m input is held through the fit's eigendecompositions
+    loaded = []
+
+    def recording(function):
+        def wrapper(*args, **kwargs):
+            result = function(*args, **kwargs)
+            loaded.append(weakref.ref(result))
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr("grdmf.cli.load_similarity_csv", recording(load_similarity_csv))
+    monkeypatch.setattr("grdmf.cli.cosine_similarity", recording(cosine_similarity))
+    fits = []
+
+    def checking(*args, **kwargs):
+        alive = [i for i, ref in enumerate(loaded) if ref() is not None]
+        assert not alive, f"similarities {alive} of {len(loaded)} are alive in fit"
+        fits.append(True)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(f"{fit_module}.fit", checking)
+    args = [
+        command, *_base_args(bundle, tmp_path / command),
+        "--drug-profile", bundle["drug_profile"], *extra,
+    ]
+    with pytest.warns(ZeroProfileWarning):  # the bundle's profile has empty rows
+        assert main(args) == 0
+    assert len(loaded) == 3 and fits
 
 
 def test_cv_builds_the_laplacians_once_for_all_repeats(bundle, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ the Laplacian against the textbook quadratic-form identity
 tr(U.T @ L @ U) == 0.5 * sum_ij S_ij ||u_i - u_j||^2.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,8 @@ from grdmf.exceptions import (
     SymmetryError,
 )
 from grdmf.graphs import build_laplacian, cosine_similarity, sparsify_pnn
+from grdmf.synthetic import make_synthetic_problem
+from helpers import laplacian_oracle, pnn_argsort_oracle
 
 # ---------------------------------------------------------------------------
 # cosine_similarity
@@ -135,6 +138,38 @@ def test_sparsify_matches_bruteforce():
         s = 0.5 * (s + s.T)
         p = int(rng.integers(1, n))
         assert np.array_equal(sparsify_pnn(s, p), _pnn_oracle(s, p))
+
+
+# value pools dense in ties: a few fixed levels, or a few random ones; every
+# pool also holds -0.0, which ties with 0.0 and keeps its sign where it stays
+_LEVELS = st.one_of(
+    st.sampled_from([(0.0, 0.5, 1.0), (0.0, 1.0)]),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4).map(tuple),
+)
+
+
+@st.composite
+def _tied_similarities(draw):
+    n = draw(st.integers(min_value=2, max_value=40))
+    p = draw(st.integers(min_value=1, max_value=n - 1))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    sims = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        upper = rng.choice(np.array([*draw(_LEVELS), -0.0]), size=(n, n))
+        # mirrored, not summed, so a -0.0 stays -0.0 on both sides
+        sims.append(np.where(np.tri(n, k=-1, dtype=bool), upper.T, upper))
+    return sims, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tied_similarities())
+def test_selection_equals_the_stable_sort_rule_to_the_byte(case):
+    # the partition-and-count selection keeps exactly the entries a stable
+    # descending sort keeps, and each kept or dropped zero keeps its sign
+    sims, p = case
+    for s in sims:
+        assert sparsify_pnn(s, p).tobytes() == pnn_argsort_oracle(s, p).tobytes()
+    assert build_laplacian(sims, p).tobytes() == laplacian_oracle(sims, p).tobytes()
 
 
 def test_sparsify_tie_breaks_toward_lower_column():
@@ -317,6 +352,22 @@ def test_build_laplacian_refuses_a_laplacian_that_overflows():
     assert np.array_equal(build_laplacian([wide], 1), [[1e308, -1e308], [-1e308, 1e308]])
     with pytest.raises(ParameterError, match="^similarity 1 is too large"):
         build_laplacian([wide, wide], 1)
+
+
+def test_build_laplacian_peak_stays_under_three_and_a_half_matrices():
+    # the graph step's transient sets the peak of a wide fit: the p-NN
+    # selection holds no sort order or negated copy, at most 3.5 m x m floats
+    # beyond the input (a full argsort held 4.1)
+    s = make_synthetic_problem(m=300, n=10, rank=8, seed=0).drug_sim
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        build_laplacian([s], 2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * s.nbytes, f"peak {peak / s.nbytes:.2f} similarity-sized arrays"
 
 
 def test_build_laplacian_checks_each_similarity_once(monkeypatch):

@@ -197,21 +197,30 @@ def test_ab_fit_times_two_trees_and_exits_1_when_an_output_differs(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
     lines = proc.stdout.splitlines()
     assert [line for line in lines if not line.startswith("  ")] == [
-        "86x23 entries-2, 3 pairs", "200x50 loo-3, 3 pairs"
+        "86x23 entries-2, 3 pairs", "200x50 loo-3, 3 pairs", "1000x1000 graph p=2, 3 pairs"
     ]
-    assert sum(line.startswith("  ratio ") for line in lines) == 2
+    assert sum(line.startswith("  ratio ") for line in lines) == 3
     assert lines.count("  max|dX| 0.000e+00, max|dloss| 0.000e+00") == 2
+    assert lines[-1] == "  max|dL| 0.000e+00"
 
-    # a copy whose X step moves each cell by one rounding is told apart
-    shutil.copytree(ROOT / "src" / "grdmf", tmp_path / "moved" / "grdmf",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    solver = tmp_path / "moved" / "grdmf" / "solver.py"
-    step = "return np.maximum((b + theta * product) / (1.0 + theta), 0.0)"
-    assert step in solver.read_text()
-    solver.write_text(solver.read_text().replace(step, step + " * (1.0 + 2.0**-52)"))
+    # a copy whose X step moves each cell by one rounding is told apart, and
+    # so is one whose Laplacian differs only in the sign of its zeros
+    package = tmp_path / "moved" / "grdmf"
+    shutil.copytree(ROOT / "src" / "grdmf", package, ignore=shutil.ignore_patterns("__pycache__"))
+    edits = [
+        ("solver.py", "return np.maximum((b + theta * product) / (1.0 + theta), 0.0)",
+         " * (1.0 + 2.0**-52)"),
+        ("graphs.py", "lap = np.diag(s.sum(axis=1)) - s", "\n            lap[lap == 0.0] = -0.0"),
+    ]
+    for name, line, added in edits:
+        module = package / name
+        assert line in module.read_text()
+        module.write_text(module.read_text().replace(line, line + added))
     proc = _run("ab_fit.py", src, str(tmp_path / "moved"), "--pairs", "1", cwd=tmp_path)
     assert proc.returncode == 1, proc.stderr
-    assert proc.stdout.count("OUTPUTS DIFFER") == 2
+    lines = proc.stdout.splitlines()
+    assert proc.stdout.count("OUTPUTS DIFFER") == 3
+    assert lines[-1] == "  max|dL| 0.000e+00  OUTPUTS DIFFER"
 
 
 def test_iteration_sweep_prints_both_tables_for_the_six_defaults(tmp_path):
