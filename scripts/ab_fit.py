@@ -19,7 +19,8 @@ Two problems are fitted, built by NEW_SRC's synthetic generator:
 
 For each problem the script prints each side's median and quartiles, the
 ratio of the medians (new / old), the pairs the new side won, and the largest
-difference of the completed X and of the trace losses.
+difference of the completed X and of the trace losses, the latter also
+relative to the old loss, so that a move at rounding level reads as one.
 
 The graph step is timed the same way: ``build_laplacian`` at p = 2 on the
 1000x1000 drug similarity of a 1000x200 rank-8 synthetic problem, the drug
@@ -116,13 +117,15 @@ def compare(old, new, pairs: int) -> bool:
         ref_old, ref_new = _block(label, old, new, pairs, _fit, args, defaults)
         dx = float(np.abs(ref_new.x - ref_old.x).max())
         loss_old, loss_new = ref_old.trace.loss, ref_new.trace.loss
-        dloss = (
-            float(np.abs(np.subtract(loss_new, loss_old)).max())
-            if len(loss_old) == len(loss_new) else float("inf")
-        )
+        if len(loss_old) == len(loss_new):
+            diff = np.abs(np.subtract(loss_new, loss_old))
+            scale = np.maximum(np.abs(loss_old), np.finfo(float).tiny)
+            dloss, rel = float(diff.max()), float((diff / scale).max())
+        else:
+            dloss = rel = float("inf")
         same = np.array_equal(ref_new.x, ref_old.x) and loss_new == loss_old
         identical = identical and same
-        print(f"  max|dX| {dx:.3e}, max|dloss| {dloss:.3e}"
+        print(f"  max|dX| {dx:.3e}, max|dloss| {dloss:.3e}, relative {rel:.3e}"
               + ("" if same else "  OUTPUTS DIFFER"))
     label, m, n, rank, p = GRAPH
     sim = new.synthetic.make_synthetic_problem(m=m, n=n, rank=rank, seed=0).drug_sim

@@ -163,6 +163,29 @@ def truncated_svd(a, r: int) -> TruncatedSvd:
     return TruncatedSvd(left=u[:, :r].copy(), singular=s, right=vh[:r].T.copy())
 
 
+def _eigsum_solve(eig_a: SymEigen, eig_b: SymEigen, c_t) -> np.ndarray:
+    """Solve ``a @ x + x @ b = c`` in both eigenbases: given the right-hand
+    side there, ``c_t = eig_a.vectors.T @ c @ eig_b.vectors``, return the
+    solution there, ``c_t / (a_i + b_j)``.
+
+    ``c_t`` is checked as ``c``: 2-D, finite and shaped (n, k); a
+    :class:`SingularSystemError` when any eigenvalue sum falls below
+    ``MIN_EIGSUM``.
+    """
+    c_t = _as_matrix(c_t, "c")
+    if c_t.shape != (eig_a.values.size, eig_b.values.size):
+        raise DimensionError(
+            f"c must have shape {(eig_a.values.size, eig_b.values.size)}, got {c_t.shape}"
+        )
+    denom = eig_a.values[:, None] + eig_b.values[None, :]
+    smallest = float(denom.min())
+    if smallest < MIN_EIGSUM:
+        raise SingularSystemError(
+            f"eigenvalue sum {smallest:.3e} below {MIN_EIGSUM:.0e}; system is singular"
+        )
+    return c_t / denom
+
+
 def solve_sylvester_sym(eig_a: SymEigen, eig_b: SymEigen, c) -> np.ndarray:
     """Solve ``a @ x + x @ b = c`` given the eigendecompositions of symmetric
     ``a`` (n, n) and ``b`` (k, k), as :func:`sym_eigen` returns them.
@@ -172,19 +195,11 @@ def solve_sylvester_sym(eig_a: SymEigen, eig_b: SymEigen, c) -> np.ndarray:
     :class:`SingularSystemError` when any eigenvalue sum falls below
     ``MIN_EIGSUM``.
     """
-    c = _as_matrix(c, "c")
-    if c.shape != (eig_a.values.size, eig_b.values.size):
-        raise DimensionError(
-            f"c must have shape {(eig_a.values.size, eig_b.values.size)}, got {c.shape}"
-        )
-    denom = eig_a.values[:, None] + eig_b.values[None, :]
-    smallest = float(denom.min())
-    if smallest < MIN_EIGSUM:
-        raise SingularSystemError(
-            f"eigenvalue sum {smallest:.3e} below {MIN_EIGSUM:.0e}; system is singular"
-        )
-    c_t = eig_a.vectors.T @ c @ eig_b.vectors
-    return eig_a.vectors @ (c_t / denom) @ eig_b.vectors.T
+    c = np.asarray(c, dtype=float)
+    if c.shape == (eig_a.values.size, eig_b.values.size):
+        c = eig_a.vectors.T @ c @ eig_b.vectors
+    # a c of any other shape is refused, as it is, by the division's check
+    return eig_a.vectors @ _eigsum_solve(eig_a, eig_b, c) @ eig_b.vectors.T
 
 
 def spd_inverse(a) -> tuple[SymEigen, int]:

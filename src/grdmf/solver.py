@@ -13,6 +13,13 @@ iteration performs one proximal block update per variable: a hybrid
 gradient/proximal step on X followed by exact Sylvester solves for U1, the
 middle factors and V, each tethered to its previous value by a unit proximal
 weight. X stays feasible by cropping at zero.
+
+The trace's objective values come from the solves themselves: U1 and V are
+solved in the eigenbases of their coefficients, and there each graph term is
+a sum of squares weighted by 2*mu times the Laplacian's clamped eigenvalues,
+so it is >= 0 by construction. ``objective`` is the reference form, evaluated
+in the original basis. ``update_u1`` and ``update_v`` return ``(factor,
+graph_term)`` pairs, as ``update_middle`` returns ``(factor, floored)``.
 """
 
 from __future__ import annotations
@@ -28,9 +35,9 @@ from .exceptions import DimensionError, ParameterError, SolverError
 from .linalg import (
     SymEigen,
     _as_matrix,
+    _eigsum_solve,
     _integer,
     _real,
-    solve_sylvester_sym,
     spd_inverse,
     sym_eigen,
     truncated_svd,
@@ -96,9 +103,11 @@ class HyperParams:
 
 @dataclass
 class SolveTrace:
-    """Per-fit diagnostics: objective values, flooring count, wall time."""
+    """Per-fit diagnostics: objective values, each one's (data, coupling,
+    graph) terms, flooring count, wall time."""
 
     loss: list[float]
+    terms: list[tuple[float, float, float]]
     floor_events: int
     wall_time: float
 
@@ -116,7 +125,9 @@ def objective(
     """Evaluate F at the given point, ``factors`` being the chain
     [U1, middles..., V]; see the module docstring for the formula.
 
-    Only shapes are checked; a non-finite F is a ``ValueError`` giving each term."""
+    The reference form: the graph terms are taken in the original basis, as
+    the formula writes them. Only shapes are checked; a non-finite F is a
+    ``ValueError`` giving each term."""
     if x.shape != y.shape or mask.shape != y.shape:
         raise DimensionError(
             f"x {x.shape}, y {y.shape} and mask {mask.shape} must share one shape"
@@ -127,21 +138,38 @@ def objective(
         raise DimensionError(f"l_d must be {y.shape[0]}x{y.shape[0]}, got {l_d.shape}")
     if l_v.shape != (y.shape[1], y.shape[1]):
         raise DimensionError(f"l_v must be {y.shape[1]}x{y.shape[1]}, got {l_v.shape}")
-    r = y - mask * x
-    data = float(np.sum(np.square(r, out=r)))
-    r = x - prod
-    couple = theta * float(np.sum(np.square(r, out=r)))
     reg = 2.0 * mu * (
         float(np.vdot(factors[0], l_d @ factors[0]))
         + float(np.vdot(factors[-1], factors[-1] @ l_v))
     )
-    total = data + couple + reg
-    if not np.isfinite(total):
+    return sum(_loss_terms(x, prod, y, mask, theta, reg))
+
+
+def _loss_terms(x, product, y, mask, theta: float, graph: float) -> tuple[float, float, float]:
+    """The data, coupling and graph terms of F at ``x`` and the factor
+    ``product``, given the graph term; a non-finite sum is a ``ValueError``
+    giving each term."""
+    r = y - mask * x
+    data = float(np.vdot(r, r))
+    r = np.subtract(x, product, out=r)
+    couple = theta * float(np.vdot(r, r))
+    if not np.isfinite(data + couple + graph):
         raise ValueError(
             f"objective is not finite: data term {data!r}, "
-            f"coupling term {couple!r}, graph term {reg!r}"
+            f"coupling term {couple!r}, graph term {graph!r}"
         )
-    return total
+    return data, couple, graph
+
+
+def _graph_term(coef: SymEigen, t: np.ndarray, axis: int) -> float:
+    """The graph term 2*mu*tr(U.T @ L @ U) of U1 (``axis`` 1), or
+    2*mu*tr(V @ L @ V.T) of V (``axis`` 0), from ``t``, the factor with its
+    rows (U1) or columns (V) in the eigenbasis of ``coef`` = 2*mu*L + I: each
+    coefficient eigenvalue less 1 weighs the squared entries of its row or
+    column of ``t``. On a clamped spectrum (see :func:`fit`) every weight, and
+    so the term, is >= 0."""
+    weights = coef.values - 1.0
+    return float(np.vdot(t, t * (weights[:, None] if axis == 1 else weights)))
 
 
 def _check_chain(chain: Sequence[np.ndarray], shape: tuple[int, int], name: str) -> None:
@@ -245,17 +273,27 @@ def update_x(x, product, y, mask, alpha: float, theta: float) -> np.ndarray:
         raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
     if theta <= 0:
         raise ParameterError(f"theta must be > 0, got {theta}")
-    b = x + alpha * (mask * (y - mask * x))
-    return np.maximum((b + theta * product) / (1.0 + theta), 0.0)
+    out = mask * x
+    np.subtract(y, out, out=out)
+    out *= mask
+    out *= alpha
+    out += x  # B
+    out += theta * product
+    out /= 1.0 + theta
+    return np.maximum(out, 0.0, out=out)
 
 
-def update_u1(x, u1_prev, tail_product, coef_d: SymEigen, theta: float) -> np.ndarray:
-    """Proximal update of the leftmost factor.
+def update_u1(
+    x, u1_prev, tail_product, coef_d: SymEigen, theta: float
+) -> tuple[np.ndarray, float]:
+    """Proximal update of the leftmost factor; returns ``(factor, graph_term)``.
 
     Solves (2*mu*L_d + I) @ U1 + U1 @ (theta*T@T.T) = theta*X@T.T + U1_prev
     where T is the product of every factor to the right of U1 and ``coef_d``
     is the :class:`SymEigen` of the constant left coefficient 2*mu*L_d + I.
-    The Gram matrix's eigenvalues are clamped at 0.
+    The Gram matrix's eigenvalues are clamped at 0. ``graph_term`` is
+    2*mu*tr(U1.T @ L_d @ U1) of the new factor, taken from the solution in
+    the coefficients' eigenbases.
     Only shapes are checked here; :func:`sym_eigen` rejects a non-finite Gram
     matrix, and the solve a non-finite right-hand side.
     """
@@ -270,9 +308,10 @@ def update_u1(x, u1_prev, tail_product, coef_d: SymEigen, theta: float) -> np.nd
             f"inconsistent shapes: x {x.shape}, u1_prev {u1_prev.shape}, "
             f"tail {tail.shape}, coefficient {coef_d.values.size}x{coef_d.values.size}"
         )
-    b = theta * (tail @ tail.T)
+    gram = _gram_eigen(theta * (tail @ tail.T))
     c = theta * (x @ tail.T) + u1_prev
-    return solve_sylvester_sym(coef_d, _gram_eigen(b), c)
+    t = _eigsum_solve(coef_d, gram, coef_d.vectors.T @ c @ gram.vectors)
+    return coef_d.vectors @ t @ gram.vectors.T, _graph_term(coef_d, t, axis=1)
 
 
 def update_middle(
@@ -283,8 +322,9 @@ def update_middle(
     With G = (L.T @ L)^-1 for the fresh left product L and R the stale right
     product, solves G @ F + F @ (theta*R@R.T) = G @ (theta*L.T@X@R.T + F_prev).
     Near-singular L.T @ L is handled by eigenvalue flooring inside
-    :func:`spd_inverse`, which returns G diagonalized, so the right-hand side
-    is formed in G's eigenbasis; ``floored`` counts the floored eigenvalues.
+    :func:`spd_inverse`, which returns G diagonalized, so the equation is
+    solved in G's eigenbasis, where G's part of the right-hand side is a
+    scaling of rows; ``floored`` counts the floored eigenvalues.
     The eigenvalues of theta*R@R.T are clamped at 0.
     Only shapes are checked here; the solves reject a non-finite input.
     """
@@ -298,19 +338,23 @@ def update_middle(
             f"right product must be {(factor_prev.shape[1], x.shape[1])}, got {right.shape}"
         )
     g, floored = spd_inverse(left.T @ left)
-    b = theta * (right @ right.T)
+    gram = _gram_eigen(theta * (right @ right.T))
     r = theta * ((left.T @ x) @ right.T) + factor_prev
-    c = g.vectors @ (g.values[:, None] * (g.vectors.T @ r))
-    return solve_sylvester_sym(g, _gram_eigen(b), c), floored
+    c_t = (g.values[:, None] * (g.vectors.T @ r)) @ gram.vectors
+    return g.vectors @ _eigsum_solve(g, gram, c_t) @ gram.vectors.T, floored
 
 
-def update_v(x, v_prev, head_product, coef_v: SymEigen, theta: float) -> np.ndarray:
-    """Proximal update of the rightmost factor.
+def update_v(
+    x, v_prev, head_product, coef_v: SymEigen, theta: float
+) -> tuple[np.ndarray, float]:
+    """Proximal update of the rightmost factor; returns ``(factor, graph_term)``.
 
     Solves (theta*H.T@H) @ V + V @ (2*mu*L_v + I) = theta*H.T@X + V_prev
     where H is the product of every factor to the left of V and ``coef_v`` is
     the :class:`SymEigen` of the constant right coefficient 2*mu*L_v + I.
-    The Gram matrix's eigenvalues are clamped at 0.
+    The Gram matrix's eigenvalues are clamped at 0. ``graph_term`` is
+    2*mu*tr(V @ L_v @ V.T) of the new factor, taken from the solution in the
+    coefficients' eigenbases.
     Only shapes are checked here; :func:`sym_eigen` rejects a non-finite Gram
     matrix, and the solve a non-finite right-hand side.
     """
@@ -325,9 +369,10 @@ def update_v(x, v_prev, head_product, coef_v: SymEigen, theta: float) -> np.ndar
             f"inconsistent shapes: x {x.shape}, v_prev {v_prev.shape}, "
             f"head {head.shape}, coefficient {coef_v.values.size}x{coef_v.values.size}"
         )
-    a = theta * (head.T @ head)
+    gram = _gram_eigen(theta * (head.T @ head))
     c = theta * (head.T @ x) + v_prev
-    return solve_sylvester_sym(_gram_eigen(a), coef_v, c)
+    t = _eigsum_solve(gram, coef_v, gram.vectors.T @ c @ coef_v.vectors)
+    return gram.vectors @ t @ coef_v.vectors.T, _graph_term(coef_v, t, axis=0)
 
 
 def fit(
@@ -346,8 +391,13 @@ def fit(
     X starts at Y; each iteration updates X, then U1, then the middle factors
     left to right, then V, every block consuming the freshest values of the
     others. The returned trace holds ``iters + 1`` objective values (the
-    initial point included), the count of eigenvalue-flooring events and the
-    wall-clock time.
+    initial point included) with their (data, coupling, graph) terms, the
+    count of eigenvalue-flooring events and the wall-clock time. Each value is
+    made from quantities the iteration already holds: the data and coupling
+    terms from X and the factor product carried into the next X update, the
+    graph terms from the U1 and V solves (at iteration 0, from U1 and V
+    transformed into the Laplacians' eigenbases); it equals :func:`objective`
+    up to rounding and the clamped eigenvalues below.
 
     ``fit`` is the boundary: y, mask (binary), l_d and l_v (symmetric and
     positive semidefinite, with 2*mu*max|L| and 2*mu*lambda_max finite, else a
@@ -389,31 +439,36 @@ def fit(
     x = y.copy()
 
     loss: list[float] = []
+    terms: list[tuple[float, float, float]] = []
     floor_events = 0
     for it in range(hp.iters + 1):  # iteration 0 only scores the start
         try:
             if it == 0:
                 product = reduce(np.matmul, chain)
+                graph_d = _graph_term(coef_d, coef_d.vectors.T @ chain[0], axis=1)
+                graph_v = _graph_term(coef_v, chain[-1] @ coef_v.vectors, axis=0)
             else:
                 x = update_x(x, product, y, mask, hp.alpha, hp.theta)
                 tail = reduce(np.matmul, chain[1:])
-                chain[0] = update_u1(x, chain[0], tail, coef_d, hp.theta)
+                chain[0], graph_d = update_u1(x, chain[0], tail, coef_d, hp.theta)
                 for i in range(1, len(chain) - 1):
                     left = reduce(np.matmul, chain[:i])
                     right = reduce(np.matmul, chain[i + 1 :])
                     chain[i], floored = update_middle(x, chain[i], left, right, hp.theta)
                     floor_events += floored
                 head = reduce(np.matmul, chain[:-1])
-                chain[-1] = update_v(x, chain[-1], head, coef_v, hp.theta)
+                chain[-1], graph_v = update_v(x, chain[-1], head, coef_v, hp.theta)
                 # the chain's product, associated from the left as reduce
                 # forms it, for the next iteration's X update
                 product = head @ chain[-1]
-            loss.append(objective(x, chain, y, mask, l_d, l_v, hp.mu, hp.theta))
+            terms.append(_loss_terms(x, product, y, mask, hp.theta, graph_d + graph_v))
+            loss.append(sum(terms[-1]))
         except Exception as exc:
             raise SolverError(f"iteration {it} failed: {exc}") from exc
 
     trace = SolveTrace(
         loss=loss,
+        terms=terms,
         floor_events=floor_events,
         wall_time=time.perf_counter() - start,
     )

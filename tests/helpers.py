@@ -100,7 +100,7 @@ def block_walk(y, mask, l_d, l_v, hp, init):
 
         before = f(x, u1, middles, v)
         tail = reduce(np.matmul, [*middles, v])
-        u1_new = update_u1(x, u1, tail, coef_d, hp.theta)
+        u1_new, _ = update_u1(x, u1, tail, coef_d, hp.theta)
         after = f(x, u1_new, middles, v)
         yield "u1", before, after, float(np.sum((u1_new - u1) ** 2))
         u1 = u1_new
@@ -123,7 +123,7 @@ def block_walk(y, mask, l_d, l_v, hp, init):
 
         before = f(x, u1, middles, v)
         head = reduce(np.matmul, [u1, *middles])
-        v_new = update_v(x, v, head, coef_v, hp.theta)
+        v_new, _ = update_v(x, v, head, coef_v, hp.theta)
         after = f(x, u1, middles, v_new)
         yield "v", before, after, float(np.sum((v_new - v) ** 2))
         v = v_new

@@ -200,7 +200,7 @@ def test_ab_fit_times_two_trees_and_exits_1_when_an_output_differs(tmp_path):
         "86x23 entries-2, 3 pairs", "200x50 loo-3, 3 pairs", "1000x1000 graph p=2, 3 pairs"
     ]
     assert sum(line.startswith("  ratio ") for line in lines) == 3
-    assert lines.count("  max|dX| 0.000e+00, max|dloss| 0.000e+00") == 2
+    assert lines.count("  max|dX| 0.000e+00, max|dloss| 0.000e+00, relative 0.000e+00") == 2
     assert lines[-1] == "  max|dL| 0.000e+00"
 
     # a copy whose X step moves each cell by one rounding is told apart, and
@@ -208,8 +208,7 @@ def test_ab_fit_times_two_trees_and_exits_1_when_an_output_differs(tmp_path):
     package = tmp_path / "moved" / "grdmf"
     shutil.copytree(ROOT / "src" / "grdmf", package, ignore=shutil.ignore_patterns("__pycache__"))
     edits = [
-        ("solver.py", "return np.maximum((b + theta * product) / (1.0 + theta), 0.0)",
-         " * (1.0 + 2.0**-52)"),
+        ("solver.py", "return np.maximum(out, 0.0, out=out)", " * (1.0 + 2.0**-52)"),
         ("graphs.py", "lap = np.diag(s.sum(axis=1)) - s", "\n            lap[lap == 0.0] = -0.0"),
     ]
     for name, line, added in edits:

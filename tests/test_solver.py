@@ -333,7 +333,7 @@ def test_update_u1_is_stationary():
             + np.sum((u - u1_prev) ** 2)
         )
 
-    u_new = update_u1(x, u1_prev, tail, sym_eigen(2.0 * mu * l_d + np.eye(m)), theta)
+    u_new, graph = update_u1(x, u1_prev, tail, sym_eigen(2.0 * mu * l_d + np.eye(m)), theta)
     scale = 1.0 + abs(f(u_new))
     for _ in range(6):
         d = rng.standard_normal((m, k))
@@ -341,6 +341,9 @@ def test_update_u1_is_stationary():
         assert abs(_directional_derivative(f, u_new, d)) <= 1e-5 * scale
     # and it actually improves on the tethered point
     assert f(u_new) <= f(u1_prev) + 1e-10
+    # the graph term it returns is the new factor's, and none at mu = 0
+    assert graph == pytest.approx(2.0 * mu * np.trace(u_new.T @ l_d @ u_new), rel=1e-12)
+    assert update_u1(x, u1_prev, tail, sym_eigen(0.0 * l_d + np.eye(m)), theta)[1] == 0.0
 
 
 def test_update_v_is_stationary():
@@ -360,13 +363,15 @@ def test_update_v_is_stationary():
             + np.sum((v - v_prev) ** 2)
         )
 
-    v_new = update_v(x, v_prev, head, sym_eigen(2.0 * mu * l_v + np.eye(n)), theta)
+    v_new, graph = update_v(x, v_prev, head, sym_eigen(2.0 * mu * l_v + np.eye(n)), theta)
     scale = 1.0 + abs(f(v_new))
     for _ in range(6):
         d = rng.standard_normal((k, n))
         d /= np.linalg.norm(d)
         assert abs(_directional_derivative(f, v_new, d)) <= 1e-5 * scale
     assert f(v_new) <= f(v_prev) + 1e-10
+    assert graph == pytest.approx(2.0 * mu * np.trace(v_new @ l_v @ v_new.T), rel=1e-12)
+    assert update_v(x, v_prev, head, sym_eigen(0.0 * l_v + np.eye(n)), theta)[1] == 0.0
 
 
 def test_update_middle_is_stationary():
@@ -443,11 +448,11 @@ def test_update_limits():
     zeros = np.zeros((m, m))
     coef = sym_eigen(2.0 * 0.0 * zeros + np.eye(m))
     # theta huge, mu = 0: least-squares fit of X onto the tail dominates
-    big = update_u1(x, u1_prev, tail, coef, 1e8)
+    big, _ = update_u1(x, u1_prev, tail, coef, 1e8)
     ls = x @ tail.T @ np.linalg.inv(tail @ tail.T)
     assert np.allclose(big, ls, atol=1e-5)
     # theta tiny, mu = 0: the prox tether pins the block to its previous value
-    small = update_u1(x, u1_prev, tail, coef, 1e-12)
+    small, _ = update_u1(x, u1_prev, tail, coef, 1e-12)
     assert np.allclose(small, u1_prev, atol=1e-9)
 
 
@@ -462,11 +467,11 @@ def test_a_rank_one_gram_never_makes_an_outer_solve_singular(block):
     if block == "u1":
         tail = rng.random((k, 1)) @ rng.random((1, n))
         gram = theta * (tail @ tail.T)
-        out = update_u1(x, rng.random((m, k)), tail, sym_eigen(np.eye(m)), theta)
+        out, _ = update_u1(x, rng.random((m, k)), tail, sym_eigen(np.eye(m)), theta)
     else:
         head = rng.random((m, 1)) @ rng.random((1, k))
         gram = theta * (head.T @ head)
-        out = update_v(x, rng.random((k, n)), head, sym_eigen(np.eye(n)), theta)
+        out, _ = update_v(x, rng.random((k, n)), head, sym_eigen(np.eye(n)), theta)
     assert sym_eigen(gram).values[0] < -1.0  # the case the clamp is for
     assert np.isfinite(out).all()
 
@@ -609,6 +614,56 @@ def test_fit_trace_starts_at_initial_objective():
     fs = init_factors(y, hp.dims)
     f0 = objective(y, fs, y, mask, l_d, l_v, hp.mu, hp.theta)
     assert res.trace.loss[0] == pytest.approx(f0, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 1.0, 1.5])
+@pytest.mark.parametrize("dims", [(17, 15), (17, 15, 15)], ids=["depth2", "depth3"])
+def test_the_trace_loss_is_the_objective_of_the_fitted_point(dims, alpha):
+    # the trace takes each loss from the solves; objective, the reference
+    # form, re-evaluates it from the returned X and chain
+    y, mask, l_d, l_v, hp = default_instance(("entries", len(dims)), 3)
+    hp = replace(hp, dims=dims, alpha=alpha)
+    for iters in range(5):
+        # HyperParams needs iters >= 1; iteration 0 scores the start of any fit
+        result = fit(y, mask, l_d, l_v, replace(hp, iters=max(iters, 1)))
+        if iters == 0:
+            got, x, chain = result.trace.loss[0], y, init_factors(y, dims)
+        else:
+            got, x, chain = result.trace.loss[-1], result.x, result.factors
+        want = objective(x, chain, y, mask, l_d, l_v, hp.mu, hp.theta)
+        assert got == pytest.approx(want, rel=1e-12), iters
+
+
+def test_the_trace_keeps_the_terms_of_each_loss():
+    y, mask, l_d, l_v, hp = descent_instance(3)
+    trace = fit(y, mask, l_d, l_v, hp).trace
+    assert len(trace.terms) == len(trace.loss) == hp.iters + 1
+    for (data, couple, graph), loss in zip(trace.terms, trace.loss):
+        assert min(data, couple, graph) >= 0.0
+        assert data + couple + graph == loss
+
+
+def test_a_fit_neither_evaluates_objective_nor_calls_the_sylvester_kernel(monkeypatch):
+    # each loss comes from the solves the iteration ran, each solve from the
+    # in-basis division: rebinding either public function to raise changes
+    # nothing in a fit
+    def refusing(home, name):
+        original = getattr(home, name)
+
+        def wrapper(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "grdmf" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+
+    y, mask, l_d, l_v, hp = default_instance(("entries", 3), 0)
+    expected = fit(y, mask, l_d, l_v, hp)
+    refusing(grdmf.solver, "objective")
+    refusing(grdmf.linalg, "solve_sylvester_sym")
+    result = fit(y, mask, l_d, l_v, hp)
+    assert np.array_equal(result.x, expected.x)
+    assert result.trace.loss == expected.trace.loss
 
 
 def test_fit_monotone_on_planted_family():
@@ -780,6 +835,10 @@ def test_fit_returns_a_finite_x_for_every_mu_on_the_golden_laplacians(tmp_path):
         hp = HyperParams(mu=10.0**exponent, theta=1.0, alpha=0.5, dims=(5, 3), p=3, iters=4)
         result = fit(y, np.ones_like(y), l_d, l_v, hp)
         assert np.isfinite(result.x).all(), exponent
+        # the trace's graph terms are weighted sums of squares in the
+        # Laplacians' eigenbases, so no mu, however large, makes a loss
+        # negative through the rounding of 2*mu*tr(U.T @ L @ U)
+        assert all(np.isfinite(v) and v >= 0.0 for v in result.trace.loss), exponent
 
 
 def test_fit_stops_on_nonfinite_objective():
