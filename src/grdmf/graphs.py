@@ -57,6 +57,8 @@ def sparsify_pnn(s, p: int) -> np.ndarray:
     p = _integer(p, "p")
     if not 1 <= p <= n - 1:
         raise ParameterError(f"p={p} out of range [1, {n - 1}] for {n} entities")
+    # a copy even of an exactly symmetric s (equal bit for bit): with sym = s a
+    # fresh-process 1000x200 fit peaked at 89.6 MB RSS, not 81.9 (heap layout)
     sym = _symmetrized(s)
     # each row's p-th largest off-diagonal value, by selection (introselect),
     # not a sort: the diagonal ranks below every weight

@@ -161,15 +161,13 @@ def _loss_terms(x, product, y, mask, theta: float, graph: float) -> tuple[float,
     return data, couple, graph
 
 
-def _graph_term(coef: SymEigen, t: np.ndarray, axis: int) -> float:
-    """The graph term 2*mu*tr(U.T @ L @ U) of U1 (``axis`` 1), or
-    2*mu*tr(V @ L @ V.T) of V (``axis`` 0), from ``t``, the factor with its
-    rows (U1) or columns (V) in the eigenbasis of ``coef`` = 2*mu*L + I: each
-    coefficient eigenvalue less 1 weighs the squared entries of its row or
-    column of ``t``. On a clamped spectrum (see :func:`fit`) every weight, and
-    so the term, is >= 0."""
-    weights = coef.values - 1.0
-    return float(np.vdot(t, t * (weights[:, None] if axis == 1 else weights)))
+def _graph_term(coef: SymEigen, t: np.ndarray) -> float:
+    """The graph term 2*mu*tr(U.T @ L @ U) of a factor U from ``t``, U with
+    its rows in the eigenbasis of ``coef`` = 2*mu*L + I (V is scored as V.T):
+    each coefficient eigenvalue less 1 weighs the squared entries of its row
+    of ``t``. On a clamped spectrum (see :func:`fit`) every weight, and so the
+    term, is >= 0."""
+    return float(np.vdot(t, t * (coef.values - 1.0)[:, None]))
 
 
 def _check_chain(chain: Sequence[np.ndarray], shape: tuple[int, int], name: str) -> None:
@@ -248,14 +246,13 @@ def _graph_coefficient(lap: np.ndarray, side: str, mu: float) -> SymEigen:
             f"{side} is not positive semidefinite: eigenvalue {eig.values[0]:.3e} "
             f"below -m*eps*lambda_max = {-tol:.3e}"
         )
-    # on Python floats an overflow is inf, not a numpy RuntimeWarning
-    peak = float(max(lap.max(initial=0.0), -lap.min(initial=0.0)))
-    for what, value in ((f"max|{side}|", peak), (f"lambda_max({side})", lam_max)):
-        if not np.isfinite(2.0 * mu * value):
-            raise ParameterError(
-                f"mu {mu!r} is too large for {side}: 2*mu*{what} is not finite "
-                f"({what} = {value!r})"
-            )
+    # L is positive semidefinite, so max|L_ij| <= lambda_max bounds every
+    # mu-scaled value; on Python floats an overflow is inf, not a warning
+    if not np.isfinite(2.0 * mu * lam_max):
+        raise ParameterError(
+            f"mu {mu!r} is too large for {side}: 2*mu*lambda_max is not finite "
+            f"(lambda_max = {lam_max!r})"
+        )
     values = np.where(eig.values < tol, 0.0, eig.values)
     return SymEigen(vectors=eig.vectors, values=1.0 + 2.0 * mu * values)
 
@@ -293,7 +290,8 @@ def update_u1(
     is the :class:`SymEigen` of the constant left coefficient 2*mu*L_d + I.
     The Gram matrix's eigenvalues are clamped at 0. ``graph_term`` is
     2*mu*tr(U1.T @ L_d @ U1) of the new factor, taken from the solution in
-    the coefficients' eigenbases.
+    the coefficients' eigenbases. :func:`update_v` is this solve on the
+    transposed problem.
     Only shapes are checked here; :func:`sym_eigen` rejects a non-finite Gram
     matrix, and the solve a non-finite right-hand side.
     """
@@ -305,13 +303,13 @@ def update_u1(
         or tail.shape != (u1_prev.shape[1], x.shape[1])
     ):
         raise DimensionError(
-            f"inconsistent shapes: x {x.shape}, u1_prev {u1_prev.shape}, "
-            f"tail {tail.shape}, coefficient {coef_d.values.size}x{coef_d.values.size}"
+            f"inconsistent shapes: x {x.shape}, factor {u1_prev.shape}, product {tail.shape}, "
+            f"coefficient {coef_d.values.size}x{coef_d.values.size}"
         )
     gram = _gram_eigen(theta * (tail @ tail.T))
     c = theta * (x @ tail.T) + u1_prev
     t = _eigsum_solve(coef_d, gram, coef_d.vectors.T @ c @ gram.vectors)
-    return coef_d.vectors @ t @ gram.vectors.T, _graph_term(coef_d, t, axis=1)
+    return coef_d.vectors @ t @ gram.vectors.T, _graph_term(coef_d, t)
 
 
 def update_middle(
@@ -352,27 +350,12 @@ def update_v(
     Solves (theta*H.T@H) @ V + V @ (2*mu*L_v + I) = theta*H.T@X + V_prev
     where H is the product of every factor to the left of V and ``coef_v`` is
     the :class:`SymEigen` of the constant right coefficient 2*mu*L_v + I.
-    The Gram matrix's eigenvalues are clamped at 0. ``graph_term`` is
-    2*mu*tr(V @ L_v @ V.T) of the new factor, taken from the solution in the
-    coefficients' eigenbases.
-    Only shapes are checked here; :func:`sym_eigen` rejects a non-finite Gram
-    matrix, and the solve a non-finite right-hand side.
+    Transposed, this is :func:`update_u1`'s equation in V.T, X.T and H.T,
+    and is solved by it: ``graph_term`` is 2*mu*tr(V @ L_v @ V.T) of the new
+    factor, and a shape error reports the transposed shapes.
     """
-    head = head_product
-    n = x.shape[1]
-    if (
-        v_prev.shape[1] != n
-        or coef_v.values.size != n
-        or head.shape != (x.shape[0], v_prev.shape[0])
-    ):
-        raise DimensionError(
-            f"inconsistent shapes: x {x.shape}, v_prev {v_prev.shape}, "
-            f"head {head.shape}, coefficient {coef_v.values.size}x{coef_v.values.size}"
-        )
-    gram = _gram_eigen(theta * (head.T @ head))
-    c = theta * (head.T @ x) + v_prev
-    t = _eigsum_solve(gram, coef_v, gram.vectors.T @ c @ coef_v.vectors)
-    return gram.vectors @ t @ coef_v.vectors.T, _graph_term(coef_v, t, axis=0)
+    v_t, graph = update_u1(x.T, v_prev.T, head_product.T, coef_v, theta)
+    return v_t.T, graph
 
 
 def fit(
@@ -399,12 +382,12 @@ def fit(
     transformed into the Laplacians' eigenbases); it equals :func:`objective`
     up to rounding and the clamped eigenvalues below.
 
-    ``fit`` is the boundary: y, mask (binary), l_d and l_v (symmetric and
-    positive semidefinite, with 2*mu*max|L| and 2*mu*lambda_max finite, else a
-    :class:`ParameterError` naming the side, and mu when it is too large) and
-    a custom init (two or more finite factors whose widths chain from m to n)
-    are checked here, once. A later failure, a non-finite objective included,
-    is a :class:`SolverError` naming the iteration (0 for the starting point).
+    ``fit`` is the boundary: y, mask (binary), l_d and l_v (symmetric, positive
+    semidefinite and with 2*mu*lambda_max finite, else a :class:`ParameterError`
+    naming the side, and mu when it is too large) and a custom init (two or
+    more finite factors whose widths chain from m to n) are checked here, once.
+    A later failure, a non-finite objective included, is a
+    :class:`SolverError` naming the iteration (0 for the starting point).
 
     The graph side is each Laplacian's own eigendecomposition L = Q diag(lam)
     Q.T, made once per fit, at the boundary: eigenvalues below m*eps*lam_max
@@ -445,8 +428,8 @@ def fit(
         try:
             if it == 0:
                 product = reduce(np.matmul, chain)
-                graph_d = _graph_term(coef_d, coef_d.vectors.T @ chain[0], axis=1)
-                graph_v = _graph_term(coef_v, chain[-1] @ coef_v.vectors, axis=0)
+                graph_d = _graph_term(coef_d, coef_d.vectors.T @ chain[0])
+                graph_v = _graph_term(coef_v, coef_v.vectors.T @ chain[-1].T)
             else:
                 x = update_x(x, product, y, mask, hp.alpha, hp.theta)
                 tail = reduce(np.matmul, chain[1:])

@@ -970,7 +970,7 @@ def test_a_mu_that_overflows_the_graph_coefficient_names_mu(bundle, tmp_path, ca
     args = _base_args(bundle, out)
     args[args.index("--mu") + 1] = "1e308"
     assert main(["fit", *args]) == 1
-    assert "mu 1e+308 is too large for l_d: 2*mu*max|l_d| is not finite" in caplog.text
+    assert "mu 1e+308 is too large for l_d: 2*mu*lambda_max is not finite" in caplog.text
     assert "iteration" not in caplog.text
     assert not out.exists()
 

@@ -8,6 +8,7 @@ block's prox objective, computed without reusing the solver's algebra.
 from dataclasses import replace
 from functools import reduce
 
+import re
 import sys
 
 import numpy as np
@@ -316,9 +317,10 @@ def _directional_derivative(f, point, direction, eps=1e-6):
     return (f(point + eps * direction) - f(point - eps * direction)) / (2.0 * eps)
 
 
-def test_update_u1_is_stationary():
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_update_u1_is_stationary(k):
     rng = np.random.default_rng(16)
-    m, n, k = 7, 5, 3
+    m, n = 7, 5
     x = rng.random((m, n))
     tail = rng.standard_normal((k, n))
     u1_prev = rng.standard_normal((m, k))
@@ -346,9 +348,12 @@ def test_update_u1_is_stationary():
     assert update_u1(x, u1_prev, tail, sym_eigen(0.0 * l_d + np.eye(m)), theta)[1] == 0.0
 
 
-def test_update_v_is_stationary():
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_update_v_is_stationary(k):
+    # V's update is U1's on the transposed problem; k = 7 is wider than the
+    # transposed X (5 x 6) has columns, so the Gram is singular there
     rng = np.random.default_rng(17)
-    m, n, k = 6, 5, 3
+    m, n = 6, 5
     x = rng.random((m, n))
     head = rng.standard_normal((m, k))
     v_prev = rng.standard_normal((k, n))
@@ -802,13 +807,14 @@ def test_fit_rejects_mismatched_init_at_entry():
 
 
 def test_fit_rejects_a_mu_that_overflows_a_graph_coefficient():
-    # a finite mu this large overflows 2*mu*L + I: fit refuses it at the
-    # boundary, naming mu and the side, before iteration 0 and with no numpy
-    # warning (the suite turns warnings into errors)
+    # a finite mu this large overflows 2*mu*lambda_max, and so the coefficient
+    # eigenvalues 1 + 2*mu*lambda: fit refuses it at the boundary, naming mu
+    # and the side, before iteration 0 and with no numpy warning (the suite
+    # turns warnings into errors)
     y, mask, l_d, l_v, hp = descent_instance(15)
-    with pytest.raises(ParameterError, match=r"^mu 1e\+308 is too large for l_d: 2\*mu\*max"):
+    with pytest.raises(ParameterError, match=r"^mu 1e\+308 is too large for l_d: 2\*mu\*lambda_max"):
         fit(y, mask, l_d, l_v, replace(hp, mu=1e308))
-    with pytest.raises(ParameterError, match=r"^mu 1e\+300 is too large for l_v: 2\*mu\*max"):
+    with pytest.raises(ParameterError, match=r"^mu 1e\+300 is too large for l_v: 2\*mu\*lambda_max"):
         fit(y, mask, l_d * 1e-10, l_v * 1e10, replace(hp, mu=1e300))
 
 
@@ -817,7 +823,9 @@ def test_fit_returns_a_finite_x_for_every_mu_on_the_golden_laplacians(tmp_path):
     # the golden bundle's summed Laplacians (a similarity and a profile per
     # side, p = 3): the graph side is L's own eigendecomposition, so every U1
     # and V denominator is 1 + 2*mu*lambda + (a clamped Gram eigenvalue) >= 1,
-    # and no mu whose 2*mu*max|L| is finite makes an iteration singular
+    # and no mu whose 2*mu*lambda_max is finite makes an iteration singular;
+    # a larger mu is refused at the boundary, never a warning or an iteration
+    # failure
     paths = write_synthetic_csvs(make_synthetic_problem(m=30, n=12, rank=3, seed=7), tmp_path)
     dataset = load_association_csv(paths["association"])
     l_d, l_v = (
@@ -831,9 +839,14 @@ def test_fit_returns_a_finite_x_for_every_mu_on_the_golden_laplacians(tmp_path):
         for side, registry in (("drug", dataset.drugs), ("virus", dataset.viruses))
     )
     y = dataset.y
-    for exponent in range(2, 301):
+    refused = r"^mu .* is too large for l_[dv]: 2\*mu\*lambda_max"
+    for exponent in range(2, 309):
         hp = HyperParams(mu=10.0**exponent, theta=1.0, alpha=0.5, dims=(5, 3), p=3, iters=4)
-        result = fit(y, np.ones_like(y), l_d, l_v, hp)
+        try:
+            result = fit(y, np.ones_like(y), l_d, l_v, hp)
+        except ParameterError as exc:
+            assert re.match(refused, str(exc)), exponent
+            continue
         assert np.isfinite(result.x).all(), exponent
         # the trace's graph terms are weighted sums of squares in the
         # Laplacians' eigenbases, so no mu, however large, makes a loss
